@@ -10,10 +10,13 @@ Subcommands::
                [--oracle] [--json]
 
 Exit codes: 0 success/realizable, 1 unrealizable or verification failure,
-2 input or usage error.  ``--oracle`` cross-checks the command's result
-against an independent reference: brute-force controller enumeration for
-synthesize/eps (when the instance fits the budget), symbolic composition
-for verify, and the subset biclique oracle for distribute.
+2 input or usage error, 3 the ``--oracle`` cross-check disagrees.
+``--oracle`` cross-checks the command's result against an independent
+reference: brute-force controller enumeration for synthesize/eps (when the
+instance fits the budget), symbolic composition for verify, and the subset
+biclique oracle for distribute.  Every synthesized controller, central or
+distributed, is verified on the closed loop before it is reported; a central
+controller is checked as the only subsystem of the flattened network.
 """
 
 from __future__ import annotations
@@ -24,17 +27,16 @@ import sys
 
 from . import eps as eps_mod
 from . import formats
-from .boolfunc import Valuation
 from .contracts import ContractPair, build_distribution_graph, maximal_distributions
 from .network import (
     BooleanNetwork,
+    Controller,
     IllPosedNetworkError,
     all_outputs,
     compose,
     external_inputs,
     flatten,
     system_graph,
-    validate,
 )
 from .oracle import (
     BudgetExceededError,
@@ -54,6 +56,7 @@ from .synthesis import (
 EXIT_OK = 0
 EXIT_UNREALIZABLE = 1
 EXIT_INPUT_ERROR = 2
+EXIT_ORACLE_DISAGREES = 3
 
 
 def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
@@ -76,108 +79,106 @@ def _oracle_cross_check(net: BooleanNetwork, contract: ContractPair, claimed: bo
 
 def _cmd_validate(args) -> int:
     net = formats.load_network(args.network)
-    problems = validate(net)
+    problems = list(net.violations)
     report = {"command": "validate", "well_posed": not problems, "violations": problems}
     _emit(report, args.json, ["well-posed" if not problems else "ill-posed:"] + [f"  - {p}" for p in problems])
     return EXIT_OK if not problems else EXIT_INPUT_ERROR
 
 
-def _cmd_synthesize(args) -> int:
-    net = formats.load_network(args.network)
-    problems = validate(net)
-    if problems:
-        print("ill-posed network: " + "; ".join(problems), file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    contract = formats.load_contract(args.contract, net)
-    cert = completeness_certificate(net, contract)
-    lines: list[str] = []
-    report: dict = {"command": "synthesize", "central": args.central,
-                    "completeness_certificate": cert}
+def _checked_loop(
+    net: BooleanNetwork, mode: str, controllers: dict[str, Controller]
+) -> tuple[BooleanNetwork, dict[str, Controller]]:
+    """The network and controllers whose closed loop is verified: a central
+    controller drives the flattened network as its only subsystem."""
+    if mode == "distributed":
+        return net, controllers
+    (controller,) = controllers.values()
+    plant = flatten(net)
+    return BooleanNetwork((plant,)), {plant.name: controller}
+
+
+def _synthesize_and_report(args, net: BooleanNetwork, contract: ContractPair,
+                           report: dict, lines: list[str]) -> int:
+    """Shared by `synthesize` and `eps`: central or distributed synthesis,
+    closed-loop verification of a success, the controller document, the
+    oracle cross-check and the report."""
     if args.central:
         controller = centralized_synthesis(net, contract)
         success = controller is not None
-        report["success"] = success
         lines.append(f"centralized synthesis: {'realizable' if success else 'unrealizable'}")
-        if success and args.out:
-            formats.dump_document(args.out, formats.central_document(controller))
-            report["out"] = args.out
-            lines.append(f"controller written to {args.out}")
+        if success:
+            mode, controllers = "central", {controller.subsystem: controller}
+            document = formats.central_document(controller)
     else:
         outcome = distributed_synthesis(net, contract)
         success = outcome.success
-        report["success"] = success
         report["trace"] = formats.trace_document(outcome)
         lines.append(f"distributed synthesis: {'success' if success else 'failure'}")
         if success:
-            ver = verify_closed_loop(net, outcome.controllers, contract)
-            report["closed_loop_verified"] = ver.ok
-            lines.append(f"closed loop verified: {ver.ok}")
-            if args.out:
-                formats.dump_document(args.out, formats.controllers_document(net, outcome))
-                report["out"] = args.out
-                lines.append(f"controllers written to {args.out}")
+            mode, controllers = "distributed", outcome.controllers
+            document = formats.controllers_document(net, outcome)
         else:
             lines.append("trace:")
             for t in outcome.trace:
                 lines.append(f"  {t.subsystem} split#{t.distribution}: lra = {t.lra.to_expr()}")
-            if cert:
+            if report["completeness_certificate"]:
                 lines.append("completeness certificate holds: no distributed controller exists")
-    lines.append(f"completeness certificate: {cert}")
+    report["success"] = success
+    verified = False
+    if success:
+        verified = verify_closed_loop(*_checked_loop(net, mode, controllers), contract).ok
+        report["closed_loop_verified"] = verified
+        lines.append(f"closed loop verified: {verified}")
+        if args.out:
+            formats.dump_document(args.out, document)
+            report["out"] = args.out
+            lines.append(f"controller document written to {args.out}")
+    agrees = True
     if args.oracle:
         check = _oracle_cross_check(net, contract, success)
         report["oracle"] = check
         if check["ran"]:
-            lines.append(f"oracle cross-check: {'agrees' if check['agrees'] else 'DISAGREES'}")
+            agrees = check["agrees"]
+            lines.append(f"oracle cross-check: {'agrees' if agrees else 'DISAGREES'}")
         else:
             lines.append(f"oracle cross-check skipped: {check['reason']}")
-        if check.get("ran") and not check.get("agrees"):
-            _emit(report, args.json, lines)
-            return EXIT_INPUT_ERROR
     _emit(report, args.json, lines)
-    return EXIT_OK if success else EXIT_UNREALIZABLE
+    if not agrees:
+        return EXIT_ORACLE_DISAGREES
+    return EXIT_OK if success and verified else EXIT_UNREALIZABLE
+
+
+def _cmd_synthesize(args) -> int:
+    net = formats.load_network(args.network)
+    contract = formats.load_contract(args.contract, net)
+    cert = completeness_certificate(net, contract)
+    report = {"command": "synthesize", "central": args.central, "completeness_certificate": cert}
+    return _synthesize_and_report(args, net, contract, report, [f"completeness certificate: {cert}"])
 
 
 def _cmd_verify(args) -> int:
     net = formats.load_network(args.network)
     contract = formats.load_contract(args.contract, net)
-    mode, controllers = formats.load_controllers(args.controllers, net)
-    if mode == "central":
-        (controller,) = controllers.values()
-        plant = flatten(net)
-        ext = external_inputs(net)
-        ok, counterexample = True, None
-        for index in range(1 << len(ext)):
-            val = Valuation.from_index(ext, index)
-            assign = val.as_dict()
-            if not contract.assumption.evaluate(assign):
-                continue
-            point = assign | controller(assign)
-            outputs = {y: f.evaluate(point) for y, f in plant.functions.items()}
-            if not contract.guarantee.evaluate(outputs):
-                ok, counterexample = False, val
-                break
-    else:
-        result = verify_closed_loop(net, controllers, contract)
-        ok, counterexample = result.ok, result.counterexample
+    loop_net, controllers = _checked_loop(net, *formats.load_controllers(args.controllers, net))
+    result = verify_closed_loop(loop_net, controllers, contract)
+    ok, counterexample = result.ok, result.counterexample
     report = {"command": "verify", "ok": ok,
               "counterexample": str(counterexample) if counterexample else None}
     lines = ["closed loop satisfies the contract" if ok
              else f"contract violated at {counterexample}"]
-    if args.oracle and mode == "distributed":
+    agrees = True
+    if args.oracle:
         # independent route: symbolic composition instead of simulation
-        funcs = compose(net, controllers)
+        funcs = compose(loop_net, controllers)
         closed = contract.guarantee.substitute(
             {y: funcs[y] for y in contract.guarantee.scope}
         )
-        symbolic_ok = contract.assumption.implies(closed).is_true
-        report["oracle"] = {"ran": True, "agrees": symbolic_ok == ok}
-        lines.append(
-            f"symbolic cross-check: {'agrees' if symbolic_ok == ok else 'DISAGREES'}"
-        )
-        if symbolic_ok != ok:
-            _emit(report, args.json, lines)
-            return EXIT_INPUT_ERROR
+        agrees = contract.assumption.implies(closed).is_true == ok
+        report["oracle"] = {"ran": True, "agrees": agrees}
+        lines.append(f"symbolic cross-check: {'agrees' if agrees else 'DISAGREES'}")
     _emit(report, args.json, lines)
+    if not agrees:
+        return EXIT_ORACLE_DISAGREES
     return EXIT_OK if ok else EXIT_UNREALIZABLE
 
 
@@ -198,6 +199,7 @@ def _cmd_distribute(args) -> int:
     lines = [f"{len(dists)} maximal distribution(s) for {args.subsystem}:"]
     for k, d in enumerate(dists):
         lines.append(f"  {k}: down = {d.down.to_expr()} | up = {d.up.to_expr()}")
+    agrees = True
     if args.oracle:
         graph = build_distribution_graph(contract.guarantee, net, args.subsystem)
         got = {
@@ -210,11 +212,8 @@ def _cmd_distribute(args) -> int:
         agrees = got == set(enumerate_bicliques_subset(graph))
         report["oracle"] = {"ran": True, "agrees": agrees}
         lines.append(f"biclique cross-check: {'agrees' if agrees else 'DISAGREES'}")
-        if not agrees:
-            _emit(report, args.json, lines)
-            return EXIT_INPUT_ERROR
     _emit(report, args.json, lines)
-    return EXIT_OK
+    return EXIT_OK if agrees else EXIT_ORACLE_DISAGREES
 
 
 def _cmd_eps(args) -> int:
@@ -237,40 +236,7 @@ def _cmd_eps(args) -> int:
         "completeness_certificate": cert,
         "central": args.central,
     }
-    if args.central:
-        controller = centralized_synthesis(net, contract)
-        success = controller is not None
-        lines.append(f"centralized synthesis: {'realizable' if success else 'unrealizable'}")
-        if success and args.out:
-            formats.dump_document(args.out, formats.central_document(controller))
-            lines.append(f"controller written to {args.out}")
-            report["out"] = args.out
-    else:
-        outcome = distributed_synthesis(net, contract)
-        success = outcome.success
-        report["trace"] = formats.trace_document(outcome)
-        lines.append(f"distributed synthesis: {'success' if success else 'failure'}")
-        if success:
-            ver = verify_closed_loop(net, outcome.controllers, contract)
-            report["closed_loop_verified"] = ver.ok
-            lines.append(f"closed loop verified: {ver.ok}")
-            if args.out:
-                formats.dump_document(args.out, formats.controllers_document(net, outcome))
-                lines.append(f"controllers written to {args.out}")
-                report["out"] = args.out
-    report["success"] = success
-    if args.oracle:
-        check = _oracle_cross_check(net, contract, success)
-        report["oracle"] = check
-        if check["ran"]:
-            lines.append(f"oracle cross-check: {'agrees' if check['agrees'] else 'DISAGREES'}")
-        else:
-            lines.append(f"oracle cross-check skipped: {check['reason']}")
-        if check.get("ran") and not check.get("agrees"):
-            _emit(report, args.json, lines)
-            return EXIT_INPUT_ERROR
-    _emit(report, args.json, lines)
-    return EXIT_OK if success else EXIT_UNREALIZABLE
+    return _synthesize_and_report(args, net, contract, report, lines)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -39,7 +39,6 @@ from .network import (
     Link,
     all_outputs,
     external_inputs,
-    validate,
 )
 
 __all__ = [
@@ -545,9 +544,8 @@ def compile_to_network(
             links.append(Link(group_of[p], source, g.name, f"{g.name}_from_{p}"))
 
     net = BooleanNetwork(tuple(systems), Interconnection(tuple(links)))
-    problems = validate(net)
-    if problems:
-        raise TopologyError("compiled network is ill-posed: " + "; ".join(problems))
+    if net.violations:
+        raise TopologyError("compiled network is ill-posed: " + "; ".join(net.violations))
 
     ext = external_inputs(net)
     generators = [n.name for n in topo.nodes if n.kind == "generator"]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -130,15 +131,13 @@ class SystemGraph:
     def in_degree(self, node: str) -> int:
         return sum(1 for _, b in self.edges if b == node)
 
-    def parents(self, node: str) -> list[str]:
-        return [a for a, b in self.edges if b == node]
-
 
 @dataclass(frozen=True)
 class BooleanNetwork:
     """Subsystems plus interconnection.  Construction never raises on wiring
     problems; `validate` reports them and well-posedness-requiring operations
-    refuse to run until the report is empty."""
+    refuse to run until the report is empty.  The network is frozen, so its
+    report is computed once and cached as `violations`."""
 
     subsystems: tuple[BooleanSystem, ...]
     wiring: Interconnection = field(default_factory=Interconnection)
@@ -155,6 +154,11 @@ class BooleanNetwork:
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.subsystems)
+
+    @cached_property
+    def violations(self) -> tuple[str, ...]:
+        """The `validate` report of this network, computed on first use."""
+        return tuple(validate(self))
 
 
 def validate(net: BooleanNetwork) -> list[str]:
@@ -232,9 +236,8 @@ def _kahn(nodes: list[str], edges: list[tuple[str, str]]) -> list[str] | None:
 
 
 def _require_well_posed(net: BooleanNetwork) -> None:
-    problems = validate(net)
-    if problems:
-        raise IllPosedNetworkError(problems)
+    if net.violations:
+        raise IllPosedNetworkError(net.violations)
 
 
 def system_graph(net: BooleanNetwork) -> SystemGraph:

@@ -2,8 +2,9 @@
 
 Everything here trades efficiency for obviousness: distributed synthesis by
 exhaustive enumeration of controller tuples, closed-loop verification by
-pointwise simulation of every external valuation, and maximal-biclique
-enumeration by subset closure.  All of it is bounded to desk scale.
+simulating every external valuation (vectorized over all of them at once,
+by forward evaluation along the wiring), and maximal-biclique enumeration
+by subset closure.  All of it is bounded to desk scale.
 """
 
 from __future__ import annotations
@@ -61,25 +62,6 @@ def controller_table_bits(net: BooleanNetwork) -> int:
     return sum(len(s.controls) * (1 << len(s.env_inputs)) for s in net.subsystems)
 
 
-def _simulate(
-    net: BooleanNetwork,
-    controllers: Mapping[str, Controller],
-    ext_assign: Mapping[str, bool],
-    order: list[str],
-) -> dict[str, bool]:
-    """Closed-loop outputs for one external valuation, by forward evaluation."""
-    values: dict[str, bool] = dict(ext_assign)
-    for name in order:
-        sys = net.subsystem(name)
-        drivers = {l.to_input: l.from_output for l in net.wiring.into(name)}
-        env = {v: values[drivers.get(v, v)] for v in sys.env_inputs}
-        controls = controllers[name](env)
-        point = env | controls
-        for y, f in sys.functions.items():
-            values[y] = f.evaluate(point)
-    return values
-
-
 def verify_closed_loop(
     net: BooleanNetwork,
     controllers: Mapping[str, Controller],
@@ -87,25 +69,25 @@ def verify_closed_loop(
 ) -> VerificationResult:
     """Exhaustively check assumption -> guarantee over all external valuations.
 
-    Internal wiring is resolved by direct simulation, independently of the
+    Every controller table is simulated on all external valuations at once,
+    resolving internal wiring by forward evaluation, independently of the
     symbolic composition path.  Returns the first counterexample in
     canonical order, if any.
     """
     check_contract(net, contract)
-    ext = external_inputs(net)
-    order = topological_order(system_graph(net))
-    for name in net.names:
-        if name not in controllers:
-            raise ValueError(f"missing controller for subsystem {name!r}")
-    for index in range(1 << len(ext)):
-        val = Valuation.from_index(ext, index)
-        assign = val.as_dict()
-        if not contract.assumption.evaluate(assign):
-            continue
-        outputs = _simulate(net, controllers, assign, order)
-        if not contract.guarantee.evaluate(outputs):
-            return VerificationResult(False, val)
-    return VerificationResult(True)
+    tables: dict[str, np.ndarray] = {}
+    for sys in net.subsystems:
+        if sys.name not in controllers:
+            raise ValueError(f"missing controller for subsystem {sys.name!r}")
+        ctrl = controllers[sys.name]
+        if ctrl.inputs != sys.env_inputs or ctrl.controls != sys.controls:
+            raise ValueError(f"controller for {sys.name!r} does not match its interface")
+        tables[sys.name] = np.array(ctrl.rows, dtype=bool)
+    evaluator = _VectorEvaluator(net)
+    violated = evaluator.violations(tables, contract)
+    if not violated.any():
+        return VerificationResult(True)
+    return VerificationResult(False, Valuation.from_index(evaluator.ext, int(np.argmax(violated))))
 
 
 class _VectorEvaluator:
@@ -151,11 +133,15 @@ class _VectorEvaluator:
                 values[y] = f.evaluate_many(point).astype(np.int64)
         return values
 
-    def satisfies(self, tables: Mapping[str, np.ndarray], contract: ContractPair) -> bool:
+    def violations(self, tables: Mapping[str, np.ndarray], contract: ContractPair) -> np.ndarray:
+        """Mask over external-valuation ranks: admissible but not guaranteed."""
         values = self.outputs_for(tables)
         admissible = contract.assumption.evaluate_many(self.ext_bits)
         good = contract.guarantee.evaluate_many(values)
-        return bool(np.all(good | ~admissible))
+        return np.broadcast_to(admissible & ~good, (1 << len(self.ext),))
+
+    def satisfies(self, tables: Mapping[str, np.ndarray], contract: ContractPair) -> bool:
+        return not self.violations(tables, contract).any()
 
 
 @lru_cache(maxsize=65536)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfunc import BoolFunc, Valuation, VariableSet, all_valuations
+from .boolfunc import BoolFunc, Valuation, VariableSet
 from .contracts import (
     ContractPair,
     check_contract,
@@ -94,24 +94,15 @@ def _guarantee_over_inputs(sys: BooleanSystem, guarantee: BoolFunc) -> BoolFunc:
     return guarantee.substitute({y: sys.functions[y] for y in guarantee.scope})
 
 
-def check_realizable(
-    sys: BooleanSystem,
-    assumption: BoolFunc,
-    guarantee: BoolFunc,
-    fixed: Valuation | None = None,
-) -> bool:
+def check_realizable(sys: BooleanSystem, assumption: BoolFunc, guarantee: BoolFunc) -> bool:
     """Decide ``forall e exists u: A(e) -> G(f(u, e))``.
 
     `assumption` is over environment inputs (internal-input constraints may
-    be conjoined in); `guarantee` is over outputs.  When `fixed` is given,
-    environment variables in its scope are pinned to its values.
+    be conjoined in); `guarantee` is over outputs.
     """
-    adm = assumption
-    if fixed is not None:
-        adm = adm & BoolFunc.exactly(fixed)
     g_inputs = _guarantee_over_inputs(sys, guarantee)
     can_win = g_inputs.project(g_inputs.scope.without(sys.controls))
-    return adm.implies(can_win).is_true
+    return assumption.implies(can_win).is_true
 
 
 def extract_controller(sys: BooleanSystem, assumption: BoolFunc, guarantee: BoolFunc) -> Controller:
@@ -151,13 +142,13 @@ def least_restrictive_assumption(
     realizable, as a function over `internal`.
 
     Constant False means no internal valuation helps; internal valuations
-    outside the satisfying set make the guarantee unachievable.
+    outside the satisfying set make the guarantee unachievable.  Computed in
+    one pass as ``forall e_ext: A -> exists u: G(f)``, i.e. the complement of
+    the internal projection of ``A & ~exists u: G(f)``.
     """
-    bits = [
-        check_realizable(sys, assumption, guarantee, fixed=val)
-        for val in all_valuations(internal)
-    ]
-    return BoolFunc(internal, np.array(bits, dtype=bool))
+    g_inputs = _guarantee_over_inputs(sys, guarantee)
+    losing = assumption & ~g_inputs.project(g_inputs.scope.without(sys.controls))
+    return ~losing.extend(losing.scope.union(internal)).project(internal)
 
 
 def local_synthesis(

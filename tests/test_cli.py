@@ -66,6 +66,18 @@ class TestSynthesizeCommand:
         assert report["success"] is True
         assert report["completeness_certificate"] is False
 
+    @pytest.mark.parametrize("argv", [["synthesize", *SERIAL], ["eps", TOPOLOGY]])
+    def test_central_success_is_verified(self, argv, capsys):
+        assert cli_main([*argv, "--central", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["success"] is True
+        assert report["closed_loop_verified"] is True
+
+    def test_oracle_disagreement_has_its_own_exit_code(self, monkeypatch, capsys):
+        monkeypatch.setattr("boolsynth.cli.brute_force_distributed", lambda *args: None)
+        assert cli_main(["synthesize", *SERIAL, "--oracle"]) == 3
+        assert "oracle cross-check: DISAGREES" in capsys.readouterr().out
+
 
 class TestVerifyCommand:
     def test_verify_fresh_controllers(self, tmp_path):
@@ -90,6 +102,13 @@ class TestVerifyCommand:
         out_file = tmp_path / "central.json"
         cli_main(["synthesize", *SERIAL, "--central", "--out", str(out_file)])
         assert cli_main(["verify", *SERIAL, str(out_file)]) == 0
+
+    def test_verify_central_oracle_cross_check(self, tmp_path, capsys):
+        out_file = tmp_path / "central.json"
+        cli_main(["synthesize", *SERIAL, "--central", "--out", str(out_file)])
+        capsys.readouterr()
+        assert cli_main(["verify", *SERIAL, str(out_file), "--oracle"]) == 0
+        assert "symbolic cross-check: agrees" in capsys.readouterr().out
 
     def test_verify_oracle_cross_check(self, tmp_path, capsys):
         out_file = tmp_path / "ctrl.json"

@@ -295,3 +295,19 @@ class TestEndToEnd:
         assert contract.guarantee.evaluate(good)
         assert not contract.guarantee.evaluate({**good, "D1": False})
         assert not contract.guarantee.evaluate({**good, "couple_G1_G2": True})
+
+    def test_each_network_is_validated_once(self, monkeypatch):
+        import boolsynth.network
+
+        validated = []
+
+        def counting(net):
+            validated.append(net)
+            return validate(net)
+
+        monkeypatch.setattr(boolsynth.network, "validate", counting)
+        topo = load_topology(FIXTURES / "eps_tree.topology.json")
+        net, contract = compile_to_network(topo)
+        assert distributed_synthesis(net, contract).success
+        # the list keeps every network alive, so ids are not reused
+        assert len(validated) == len({id(n) for n in validated}) == len(net.subsystems)

@@ -5,7 +5,15 @@ import pytest
 
 from boolsynth.boolfunc import BoolFunc, VariableSet
 from boolsynth.contracts import ContractPair, DistributionGraph
-from boolsynth.network import BooleanNetwork, Controller, all_outputs, external_inputs
+from boolsynth.network import (
+    BooleanNetwork,
+    Controller,
+    Interconnection,
+    Link,
+    all_outputs,
+    compose,
+    external_inputs,
+)
 from boolsynth.oracle import (
     BudgetExceededError,
     OracleBudget,
@@ -26,6 +34,38 @@ def always(net, value):
         s.name: Controller.constant(s.name, s.env_inputs, s.controls, value)
         for s in net.subsystems
     }
+
+
+def assert_matches_composition(net, controllers, contract):
+    """The simulated verdict and first counterexample equal those read off
+    the symbolically composed closed loop."""
+    funcs = compose(net, controllers)
+    closed = contract.guarantee.substitute({y: funcs[y] for y in contract.guarantee.scope})
+    holds = contract.assumption.implies(closed).extend(external_inputs(net))
+    result = verify_closed_loop(net, controllers, contract)
+    assert result.ok == holds.is_true
+    if not result.ok:
+        assert result.counterexample == (~holds).satisfying_valuations()[0]
+    return result.ok
+
+
+def flip_one_bit(ctrl, rng):
+    rows = [list(row) for row in ctrl.rows]
+    r, c = int(rng.integers(0, len(rows))), int(rng.integers(0, len(ctrl.controls)))
+    rows[r][c] = not rows[r][c]
+    return Controller(ctrl.subsystem, ctrl.inputs, ctrl.controls, tuple(map(tuple, rows)))
+
+
+def sparse_net():
+    """S0 has no environment inputs, S1 no controls, S2 only internal
+    inputs; the network has no external inputs at all."""
+    s0 = make_system("S0", ["u0"], [], {"y0": "u0"})
+    s1 = make_system("S1", [], ["w1"], {"y1": "!w1"})
+    s2 = make_system("S2", ["u2"], ["w2a", "w2b"], {"y2": "(w2a ^ w2b) & u2"})
+    wiring = Interconnection(
+        (Link("S0", "y0", "S1", "w1"), Link("S0", "y0", "S2", "w2a"), Link("S1", "y1", "S2", "w2b"))
+    )
+    return BooleanNetwork((s0, s1, s2), wiring)
 
 
 class TestVerifyClosedLoop:
@@ -57,6 +97,42 @@ class TestVerifyClosedLoop:
         net, contract = serial_chain
         with pytest.raises(ValueError):
             verify_closed_loop(net, {}, contract)
+
+    def test_interface_mismatch_rejected(self, serial_chain):
+        net, contract = serial_chain
+        ctrls = always(net, True)
+        ctrls["S2"] = Controller.constant("S2", VariableSet(["e2_from_y1", "e2"]), VariableSet(["u2"]))
+        with pytest.raises(ValueError, match="interface"):
+            verify_closed_loop(net, ctrls, contract)
+
+    def test_agrees_with_composition_on_random_networks(self):
+        rng = np.random.default_rng(41)
+        verdicts = set()
+        for _ in range(60):
+            net = random_dag_network(rng)
+            contract = random_contract(rng, net)
+            out = distributed_synthesis(net, contract)
+            if not out.success:
+                continue
+            assert assert_matches_composition(net, out.controllers, contract)
+            for name, ctrl in out.controllers.items():
+                tampered = dict(out.controllers, **{name: flip_one_bit(ctrl, rng)})
+                verdicts.add(assert_matches_composition(net, tampered, contract))
+        assert verdicts == {True, False}
+
+    def test_two_parents_subsystem_without_external_inputs(self, two_parents):
+        net, contract = two_parents
+        assert assert_matches_composition(net, always(net, True), contract)
+        assert not assert_matches_composition(net, always(net, False), contract)
+
+    def test_subsystems_without_controls_or_environment(self):
+        net = sparse_net()
+        assert external_inputs(net) == VariableSet()
+        contract = ContractPair(BoolFunc.const(VariableSet(), True), BoolFunc.var("y2"))
+        assert assert_matches_composition(net, always(net, True), contract)
+        result = verify_closed_loop(net, always(net, False), contract)
+        assert not result.ok and result.counterexample.bits == ()
+        assert_matches_composition(net, always(net, False), contract)
 
 
 class TestBruteForce:

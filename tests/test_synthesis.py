@@ -53,8 +53,10 @@ class TestCheckRealizable:
         s2 = net.subsystem("S2")
         a = BoolFunc.const(VariableSet(["e2"]), True)
         pin = VariableSet(["e2_from_y1"])
-        assert check_realizable(s2, a, BoolFunc.var("y2"), fixed=Valuation(pin, (True,)))
-        assert not check_realizable(s2, a, BoolFunc.var("y2"), fixed=Valuation(pin, (False,)))
+        assert check_realizable(s2, a & BoolFunc.exactly(Valuation(pin, (True,))), BoolFunc.var("y2"))
+        assert not check_realizable(
+            s2, a & BoolFunc.exactly(Valuation(pin, (False,))), BoolFunc.var("y2")
+        )
 
 
 class TestExtractController:
@@ -137,7 +139,7 @@ class TestLeastRestrictiveAssumption:
         g = BoolFunc.var("y2")
         lra = least_restrictive_assumption(s2, a, g, internal)
         for val in all_valuations(internal):
-            assert lra.evaluate(val.as_dict()) == check_realizable(s2, a, g, fixed=val)
+            assert lra.evaluate(val.as_dict()) == check_realizable(s2, a & BoolFunc.exactly(val), g)
 
     def test_local_synthesis_controller_presence_matches_lra(self, xor_assumption):
         net, _ = xor_assumption
