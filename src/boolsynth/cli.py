@@ -35,7 +35,6 @@ from .network import (
     all_outputs,
     compose,
     external_inputs,
-    flatten,
     system_graph,
 )
 from .oracle import (
@@ -93,7 +92,7 @@ def _checked_loop(
     if mode == "distributed":
         return net, controllers
     (controller,) = controllers.values()
-    plant = flatten(net)
+    plant = net.plant
     return BooleanNetwork((plant,)), {plant.name: controller}
 
 

@@ -5,6 +5,15 @@ enumerating the maximal complete bipartite subgraphs (bicliques) of the
 admissibility graph whose left nodes are the subsystem's output valuations
 and whose right nodes are the remaining outputs' valuations, with an edge
 wherever the combined valuation satisfies the guarantee.
+
+The maximal bicliques are the formal concepts of that bipartite context
+(Ganter & Wille, *Formal Concept Analysis*, 1999).  They are enumerated by
+Close-by-One (Kuznetsov 1993) over the smaller side of the adjacency
+matrix, usually the leaf's few output valuations.  Each closure is one
+vectorized pass over the matrix and at most (smaller side) closures are
+tried per concept, so the larger side only sets the width of a numpy row.
+The splits are then sorted canonically, so split indices do not depend on
+the enumeration order.
 """
 
 from __future__ import annotations
@@ -122,40 +131,37 @@ def build_distribution_graph(
     return DistributionGraph(left, right, adjacency)
 
 
-def _bicliques_bron_kerbosch(adjacency: np.ndarray) -> list[tuple[frozenset[int], frozenset[int]]]:
+def _maximal_bicliques(adjacency: np.ndarray) -> list[tuple[frozenset[int], frozenset[int]]]:
     """All maximal bicliques with both sides nonempty.
 
-    Runs pivoted Bron-Kerbosch maximal-clique enumeration on the transformed
-    graph in which each side is made a clique and cross edges follow the
-    adjacency matrix; cliques with an empty side are discarded.
+    Close-by-One over the rows of the smaller side ``m``: the closure of a
+    row set S is ``m[:, m[S].all(0)].all(1)``.  A child extent, the closure
+    of the parent's extent plus row j, is kept only when it agrees with the
+    parent below j, so each concept is generated exactly once.
     """
-    n_left, n_right = adjacency.shape
-    n = n_left + n_right
-    nbrs: list[set[int]] = []
-    for i in range(n_left):
-        cross = {n_left + j for j in np.flatnonzero(adjacency[i])}
-        nbrs.append((set(range(n_left)) - {i}) | cross)
-    for j in range(n_right):
-        cross = {int(i) for i in np.flatnonzero(adjacency[:, j])}
-        nbrs.append(cross | {n_left + k for k in range(n_right) if k != j})
-
-    found: list[tuple[frozenset[int], frozenset[int]]] = []
-
-    def expand(r: set[int], p: set[int], x: set[int]) -> None:
-        if not p and not x:
-            left = frozenset(v for v in r if v < n_left)
-            right = frozenset(v - n_left for v in r if v >= n_left)
-            if left and right:
-                found.append((left, right))
-            return
-        pivot = max(p | x, key=lambda v: len(p & nbrs[v]))
-        for v in sorted(p - nbrs[pivot]):
-            expand(r | {v}, p & nbrs[v], x & nbrs[v])
-            p.remove(v)
-            x.add(v)
-
-    expand(set(), set(range(n)), set())
-    return found
+    m = np.asarray(adjacency, dtype=bool)
+    transposed = m.shape[0] > m.shape[1]
+    if transposed:
+        m = m.T
+    intent = np.ones(m.shape[1], dtype=bool)
+    stack = [(m.all(1), intent, 0)]
+    concepts: list[tuple[np.ndarray, np.ndarray]] = []
+    while stack:
+        extent, intent, start = stack.pop()
+        if extent.any() and intent.any():
+            concepts.append((extent, intent))
+        for j in range(start, m.shape[0]):
+            if extent[j]:
+                continue
+            child_intent = intent & m[j]
+            child_extent = m[:, child_intent].all(1)
+            if np.array_equal(child_extent[:j], extent[:j]):
+                stack.append((child_extent, child_intent, j + 1))
+    pairs = [
+        (frozenset(np.flatnonzero(e).tolist()), frozenset(np.flatnonzero(i).tolist()))
+        for e, i in concepts
+    ]
+    return [(r, l) for l, r in pairs] if transposed else pairs
 
 
 def _side_func(scope: VariableSet, indices: frozenset[int]) -> BoolFunc:
@@ -168,7 +174,7 @@ def distributions_from_graph(graph: DistributionGraph) -> list[Distribution]:
     """Distributions from a prebuilt graph, in canonical order: most
     permissive first (descending product of side sizes), ties broken by the
     lexicographically least left satisfying set."""
-    pairs = _bicliques_bron_kerbosch(graph.adjacency)
+    pairs = _maximal_bicliques(graph.adjacency)
     pairs.sort(key=lambda lr: (-(len(lr[0]) * len(lr[1])), tuple(sorted(lr[0])), tuple(sorted(lr[1]))))
     return [
         Distribution(

@@ -424,9 +424,12 @@ def _orient_groups(
 def _group_tables(
     topo: PowerTopology, group: _Group, export_nodes: Sequence[str]
 ) -> tuple[VariableSet, VariableSet, dict[str, np.ndarray], list[tuple[str, str]]]:
-    """Truth tables for one group's outputs by local live-path enumeration.
+    """Truth tables for one group's outputs: bus-status bits, then coupling
+    bits, then exported feed bits.
 
-    Returns (controls, env_inputs, table per output, coupling pairs).  The
+    Liveness is propagated over all valuations of the group's scope at once,
+    so the tables agree with `live_path` and `bus_status` pointwise.  Returns
+    (controls, env_inputs, table per output, coupling pairs).  The
     environment inputs are the group's health bits followed by one feed bit
     per attach node of its incoming crossings.
     """
@@ -451,47 +454,54 @@ def _group_tables(
     ]
     couple_pairs = list(combinations(ac_sources, 2))
 
-    out_names = (
-        buses
-        + [f"couple_{s}_{t}" for s, t in couple_pairs]
-        + [f"feed_{p}" for p in export_nodes]
-    )
-    tables = {y: np.zeros(1 << len(scope), dtype=bool) for y in out_names}
-
+    # One bool vector per node over all valuations of the scope.  Feed
+    # entering via an attach node behaves like a generator glued to the
+    # child-side endpoints of that node's crossings.
     n = len(scope)
-    for index in range(1 << n):
-        point = {v: bool((index >> (n - 1 - i)) & 1) for i, v in enumerate(scope)}
-        passable = {
-            m
-            for m in group.members
-            if topo.node(m).kind not in HEALTH_KINDS or point[m]
-        }
-        edges: list[tuple[str, str, bool]] = [
-            (e.a, e.b, e.solid or point[e.contactor]) for e in group.local_edges
-        ]
-        nodes = set(passable)
-        sources = {m for m in group.members if topo.node(m).kind == "generator" and point[m]}
-        # Feed entering via an attach node behaves like a generator glued to
-        # the child-side endpoints of that node's crossings.
-        for e, p, q in group.incoming:
-            src = f"__src_{p}"
-            if point[feed_vars[p]]:
-                nodes.add(src)
-                edges.append((src, q, e.solid or point[e.contactor]))
-                sources.add(src)
-        live = _reachable(nodes, edges, sources & nodes)
-        for b in buses:
-            tables[b][index] = b in live
-        for s, t in couple_pairs:
-            tables[f"couple_{s}_{t}"][index] = _connected(nodes, edges, s, t)
-        for p in export_nodes:
-            tables[f"feed_{p}"][index] = p in live
-
+    ranks = np.arange(1 << n)
+    bit = {v: ((ranks >> (n - 1 - i)) & 1).astype(bool) for i, v in enumerate(scope)}
+    always = np.ones(1 << n, dtype=bool)
+    passable: dict[object, np.ndarray] = {
+        m: bit[m] if topo.node(m).kind in HEALTH_KINDS else always for m in group.members
+    }
+    passable.update({("feed", p): bit[feed_vars[p]] for p in attach_nodes})
+    edges = [
+        (e.a, e.b, always if e.solid else bit[e.contactor]) for e in group.local_edges
+    ] + [
+        (("feed", p), q, always if e.solid else bit[e.contactor]) for e, p, q in group.incoming
+    ]
+    sources = [m for m in group.members if topo.node(m).kind == "generator"]
+    live = _propagate(passable, edges, sources + [("feed", p) for p in attach_nodes])
+    tables = {b: live[b] for b in buses}
+    reach = {s: _propagate(passable, edges, [s]) for s in ac_sources}
+    for s, t in couple_pairs:
+        tables[f"couple_{s}_{t}"] = reach[s][t]
+    for p in export_nodes:
+        tables[f"feed_{p}"] = live[p]
     return controls, env, tables, couple_pairs
 
 
-def _connected(nodes: set[str], edges, a: str, b: str) -> bool:
-    return b in _reachable(nodes, edges, {a}) if a in nodes and b in nodes else False
+def _propagate(
+    passable: Mapping[object, np.ndarray],
+    edges: Sequence[tuple[object, object, np.ndarray]],
+    seeds: Sequence[object],
+) -> dict[object, np.ndarray]:
+    """Per node, the valuations under which it is connected to a seed over
+    passable nodes (seeds included) and conducting edges: a fixpoint over
+    all valuations at once."""
+    live = {m: np.zeros_like(mask) for m, mask in passable.items()}
+    for s in seeds:
+        live[s] = passable[s].copy()
+    changed = True
+    while changed:
+        changed = False
+        for a, b, conducting in edges:
+            for x, y in ((a, b), (b, a)):
+                gain = live[x] & conducting & passable[y] & ~live[y]
+                if gain.any():
+                    live[y] = live[y] | gain
+                    changed = True
+    return live
 
 
 def compile_to_network(

@@ -137,7 +137,8 @@ class BooleanNetwork:
     """Subsystems plus interconnection.  Construction never raises on wiring
     problems; `validate` reports them and well-posedness-requiring operations
     refuse to run until the report is empty.  The network is frozen, so its
-    report is computed once and cached as `violations`."""
+    report is computed once and cached as `violations`, and likewise its
+    flattened form as `plant`."""
 
     subsystems: tuple[BooleanSystem, ...]
     wiring: Interconnection = field(default_factory=Interconnection)
@@ -159,6 +160,12 @@ class BooleanNetwork:
     def violations(self) -> tuple[str, ...]:
         """The `validate` report of this network, computed on first use."""
         return tuple(validate(self))
+
+    @cached_property
+    def plant(self) -> BooleanSystem:
+        """`flatten(self)`, computed on first use: central synthesis and the
+        verification of its controller share one flattening."""
+        return flatten(self)
 
 
 def validate(net: BooleanNetwork) -> list[str]:
@@ -359,11 +366,20 @@ def _closed_loop_functions(
             l.to_input: closed[l.from_output] for l in net.wiring.into(name)
         }
         for y, f in sys.functions.items():
-            if controllers is not None:
-                f = f.substitute({u: g for u, g in ctrl_funcs.items() if u in f.scope})
-            f = f.substitute({e: g for e, g in drivers.items() if e in f.scope})
-            closed[y] = f
+            closed[y] = _gather(_gather(f, ctrl_funcs), drivers)
     return closed
+
+
+def _gather(f: BoolFunc, mapping: Mapping[str, BoolFunc]) -> BoolFunc:
+    """`f` with its variables in `mapping` replaced, scoped as `substitute`
+    scopes it: f's remaining variables, then each replacement's new ones."""
+    keys = [v for v in f.scope if v in mapping]
+    if not keys:
+        return f
+    scope = f.scope.without(keys)
+    for v in keys:
+        scope = scope.union(mapping[v].scope)
+    return f.compose(mapping, scope)
 
 
 def compose(

@@ -219,8 +219,9 @@ def enumerate_bicliques_subset(
         adjacency = adjacency.T
         n_left, n_right = n_right, n_left
 
-    left_nbr = [int(sum(1 << j for j in np.flatnonzero(adjacency[i]))) for i in range(n_left)]
-    right_nbr = [int(sum(1 << i for i in np.flatnonzero(adjacency[:, j]))) for j in range(n_right)]
+    # Python ints as bit sets: numpy indices would overflow past bit 63.
+    left_nbr = [sum(1 << j for j in np.flatnonzero(adjacency[i]).tolist()) for i in range(n_left)]
+    right_nbr = [sum(1 << i for i in np.flatnonzero(adjacency[:, j]).tolist()) for j in range(n_right)]
 
     def members(mask: int) -> frozenset[int]:
         return frozenset(i for i in range(max(n_left, n_right)) if (mask >> i) & 1)

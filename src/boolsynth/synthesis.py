@@ -29,7 +29,6 @@ from .network import (
     BooleanSystem,
     Controller,
     classify_inputs,
-    flatten,
     is_forest,
     leaves,
     remove_subsystem,
@@ -88,10 +87,13 @@ class SynthesisOutcome:
 
 
 def _guarantee_over_inputs(sys: BooleanSystem, guarantee: BoolFunc) -> BoolFunc:
+    """G(f(u, e)) over the environment inputs followed by the controls."""
     stray = [v for v in guarantee.scope if v not in sys.outputs]
     if stray:
         raise ValueError(f"guarantee mentions variables outside {sys.name}'s outputs: {stray}")
-    return guarantee.substitute({y: sys.functions[y] for y in guarantee.scope})
+    return guarantee.compose(
+        {y: sys.functions[y] for y in guarantee.scope}, sys.env_inputs.union(sys.controls)
+    )
 
 
 def check_realizable(sys: BooleanSystem, assumption: BoolFunc, guarantee: BoolFunc) -> bool:
@@ -113,9 +115,7 @@ def extract_controller(sys: BooleanSystem, assumption: BoolFunc, guarantee: Bool
     and must be inadmissible, otherwise the contract is unrealizable.
     """
     env, ctr = sys.env_inputs, sys.controls
-    order = VariableSet(list(env) + list(ctr))
-    table = _guarantee_over_inputs(sys, guarantee).extend(order).table
-    table = table.reshape(1 << len(env), 1 << len(ctr))
+    table = _guarantee_over_inputs(sys, guarantee).table.reshape(1 << len(env), 1 << len(ctr))
     adm = assumption.extend(env).table.reshape(-1)
     any_u = table.any(axis=1)
     bad = adm & ~any_u
@@ -240,7 +240,7 @@ def centralized_synthesis(net: BooleanNetwork, contract: ContractPair) -> Contro
     """One controller for the whole network (all controls read all external
     inputs), or None when even full information does not suffice."""
     check_contract(net, contract)
-    plant = flatten(net)
+    plant = net.plant
     if not check_realizable(plant, contract.assumption, contract.guarantee):
         return None
     return extract_controller(plant, contract.assumption, contract.guarantee)

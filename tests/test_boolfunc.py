@@ -177,6 +177,34 @@ class TestSubstitute:
             f.substitute({"y": BoolFunc.var("y") | BoolFunc.var("a")})
 
 
+class TestCompose:
+    def test_gather_equals_substitute_on_random_functions(self):
+        # `substitute` is the reference: same function on the same scope,
+        # including kept variables, constant replacements and empty scopes.
+        rng = np.random.default_rng(3)
+        outer, inner = ["y0", "y1", "y2", "k0", "k1"], ["a", "b", "c", "k0"]
+
+        def random_func(names):
+            names = [v for v in names if rng.random() < 0.6]
+            return BoolFunc(names, rng.random(1 << len(names)) < 0.5)
+
+        for trial in range(200):
+            f = random_func(outer)
+            mapping = {y: random_func(inner) for y in ("y0", "y1", "y2") if rng.random() < 0.8}
+            want = f.substitute(mapping)
+            got = f.compose(mapping, want.scope)
+            assert got == want, f"trial {trial}"
+            wider = want.scope.union(["a", "b", "c", "k0", "k1"])
+            assert f.compose(mapping, wider) == want.extend(wider)
+
+    def test_scope_must_cover_kept_and_replacement_variables(self):
+        f = BoolFunc.var("y") & BoolFunc.var("k")
+        with pytest.raises(ValueError, match="missing"):
+            f.compose({"y": BoolFunc.var("a")}, ["a"])
+        with pytest.raises(ValueError, match="missing"):
+            f.compose({"y": BoolFunc.var("a")}, ["k"])
+
+
 class TestSemanticLaws:
     @settings(max_examples=80, deadline=None)
     @given(boolfuncs(max_vars=6), boolfuncs(max_vars=6))

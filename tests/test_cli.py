@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import json
+import sys
+import time
 
 import pytest
 
 from boolsynth.cli import cli_main
+from boolsynth.network import flatten
 
 from .conftest import FIXTURES
 
@@ -72,6 +75,22 @@ class TestSynthesizeCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["success"] is True
         assert report["closed_loop_verified"] is True
+
+    @pytest.mark.parametrize("argv", [["synthesize", *SERIAL], ["eps", TOPOLOGY]])
+    def test_central_run_flattens_once(self, argv, monkeypatch, capsys):
+        calls = []
+
+        def counting(net, *args):
+            calls.append(net)
+            return flatten(net, *args)
+
+        # every module that binds the name, so no call goes uncounted
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("boolsynth") and getattr(module, "flatten", None) is flatten:
+                monkeypatch.setattr(module, "flatten", counting)
+        assert cli_main([*argv, "--central", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["closed_loop_verified"] is True
+        assert len(calls) == 1
 
     def test_oracle_disagreement_has_its_own_exit_code(self, monkeypatch, capsys):
         monkeypatch.setattr("boolsynth.cli.brute_force_distributed", lambda *args: None)
@@ -158,6 +177,18 @@ class TestEpsCommand:
         part = tmp_path / "partition.json"
         part.write_text(json.dumps({"groups": [{"name": "ALL", "nodes": members}]}))
         assert cli_main(["eps", TOPOLOGY, "--partition", str(part), "--json"]) == 0
+
+    def test_five_generator_chain(self, capsys):
+        # the EPS k-chain at k=5: a regression instance for the biclique,
+        # composition and compile layers together
+        start = time.perf_counter()
+        code = cli_main(["eps", str(FIXTURES / "eps_chain5.topology.json"), "--json"])
+        elapsed = time.perf_counter() - start
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["success"] is True
+        assert report["closed_loop_verified"] is True
+        assert elapsed < 5.0
 
     def test_malformed_topology(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -14,11 +15,12 @@ from boolsynth.contracts import (
     maximal_distributions,
     project_assumption,
 )
-from boolsynth.network import all_outputs, external_inputs
+from boolsynth.eps import compile_to_network, load_topology
+from boolsynth.network import all_outputs, external_inputs, leaves, system_graph
 from boolsynth.oracle import enumerate_bicliques_subset
 from boolsynth.parser import parse_expr
 
-from .conftest import serial_chain_net, shared_or_guarantee_net, xor_assumption_net
+from .conftest import FIXTURES, serial_chain_net, shared_or_guarantee_net, xor_assumption_net
 
 
 def edge_pairs(graph: DistributionGraph) -> set[tuple[tuple[bool, ...], tuple[bool, ...]]]:
@@ -190,6 +192,81 @@ class TestMaximalDistributions:
             }
             want = enumerate_bicliques_subset(graph)
             assert got == set(want), f"trial {trial}"
+
+
+def graph_of(adjacency) -> DistributionGraph:
+    adjacency = np.asarray(adjacency, dtype=bool)
+    n_left, n_right = (int(n).bit_length() - 1 for n in adjacency.shape)
+    return DistributionGraph(
+        VariableSet([f"l{i}" for i in range(n_left)]),
+        VariableSet([f"r{j}" for j in range(n_right)]),
+        adjacency,
+    )
+
+
+def index_pairs(dists) -> list[tuple[frozenset[int], frozenset[int]]]:
+    return [
+        (
+            frozenset(np.flatnonzero(d.down.table.reshape(-1)).tolist()),
+            frozenset(np.flatnonzero(d.up.table.reshape(-1)).tolist()),
+        )
+        for d in dists
+    ]
+
+
+def assert_maximal_bicliques(graph: DistributionGraph, pairs) -> None:
+    """Each pair is a maximal biclique checked directly, L = N(R) and
+    R = N(L) with both sides nonempty, and no pair repeats."""
+    adjacency = graph.adjacency
+    assert len(set(pairs)) == len(pairs)
+    for left, right in pairs:
+        assert left and right
+        rows = np.zeros(adjacency.shape[0], dtype=bool)
+        rows[list(left)] = True
+        cols = np.zeros(adjacency.shape[1], dtype=bool)
+        cols[list(right)] = True
+        assert np.array_equal(adjacency[:, cols].all(1), rows)
+        assert np.array_equal(adjacency[rows].all(0), cols)
+
+
+class TestBicliqueEnumeration:
+    # Shapes within the subset oracle's 1024-pair budget, both orientations.
+    SHAPES = [(1, 1), (1, 2), (2, 1), (2, 4), (4, 2), (4, 8), (8, 4), (8, 8), (2, 128), (128, 8)]
+
+    def test_matches_subset_oracle_on_random_graphs(self):
+        rng = np.random.default_rng(23)
+        for trial in range(120):
+            shape = self.SHAPES[trial % len(self.SHAPES)]
+            density = (0.2, 0.5, 0.8)[trial % 3]
+            graph = graph_of(rng.random(shape) < density)
+            got = index_pairs(distributions_from_graph(graph))
+            assert set(got) == set(enumerate_bicliques_subset(graph)), f"trial {trial}"
+            assert_maximal_bicliques(graph, got)
+
+    @pytest.mark.parametrize("shape", [(2, 8), (8, 2), (4, 4)])
+    def test_degenerate_matrices_match_subset_oracle(self, shape):
+        single = np.zeros(shape, dtype=bool)
+        single[1, shape[1] - 1] = True
+        for adjacency in (np.zeros(shape, dtype=bool), np.ones(shape, dtype=bool), single):
+            graph = graph_of(adjacency)
+            got = index_pairs(distributions_from_graph(graph))
+            assert set(got) == set(enumerate_bicliques_subset(graph))
+            assert len(got) == int(adjacency.any())
+
+    def test_chain4_distribution_graph_is_fast_and_maximal(self):
+        # The first leaf of the four-generator chain splits its one output
+        # from the other 13: a 2 x 8192 graph beyond the subset oracle.
+        topo = load_topology(FIXTURES / "eps_chain4.topology.json")
+        net, contract = compile_to_network(topo)
+        leaf = leaves(system_graph(net))[0]
+        graph = build_distribution_graph(contract.guarantee, net, leaf)
+        assert graph.adjacency.shape == (2, 8192)
+        start = time.perf_counter()
+        dists = distributions_from_graph(graph)
+        assert time.perf_counter() - start < 1.0
+        pairs = index_pairs(dists)
+        assert len(pairs) == 1
+        assert_maximal_bicliques(graph, pairs)
 
 
 class TestConjunctiveDecomposition:

@@ -10,6 +10,7 @@ from boolsynth.eps import (
     PowerNode,
     PowerTopology,
     TopologyError,
+    _default_partition,
     all_closed,
     all_healthy,
     bus_status,
@@ -249,21 +250,82 @@ class TestCompile:
         with pytest.raises(TopologyError, match="attach"):
             compile_to_network(topo)
 
+    # (fixture or None for the mini topology, partition or None for the
+    # default one); the single-group chain at k=4 has 27 inputs, too many
+    # for tables per output or a pointwise sweep.
+    CASES = [
+        (None, [("P", ["GEN", "BUS"]), ("Q", ["TR", "RU", "DC"])]),
+        (None, [("P", ["GEN", "BUS", "TR"]), ("Q", ["RU", "DC"])]),
+        ("eps_tree", None),
+        ("eps_tree", "single"),
+        ("eps_chain4", None),
+    ]
+
     def test_compiled_outputs_match_live_path_oracle_exhaustively(self):
-        # small topology: full exhaustive cross-validation of the plant
-        topo = mini_topology()
-        net, contract = compile_to_network(
-            topo, [("P", ["GEN", "BUS"]), ("Q", ["TR", "RU", "DC"])]
-        )
-        plant = flatten(net)
-        hs = topo.health_names
-        cs = topo.contactor_names
-        for bits in itertools.product([False, True], repeat=len(hs) + len(cs)):
-            h = dict(zip(hs, bits[: len(hs)]))
-            c = dict(zip(cs, bits[len(hs):]))
-            point = {**h, **c}
-            for b in topo.bus_names:
-                assert plant.functions[b].evaluate(point) == bus_status(topo, h, c, b)
+        # Every output of every group against the pointwise live-path
+        # semantics, on all valuations of the group's inputs.
+        for fixture, partition in self.CASES:
+            topo = mini_topology() if fixture is None else load_topology(FIXTURES / f"{fixture}.topology.json")
+            if partition is None:
+                partition = _default_partition(topo)
+            elif partition == "single":
+                partition = [("ALL", [n.name for n in topo.nodes])]
+            net, _ = compile_to_network(topo, partition)
+            members = dict(partition)
+            for sys in net.subsystems:
+                local, feed_of, reference = group_reference(topo, sys, members[sys.name])
+                assert set(reference) == set(sys.outputs)
+                scope = sys.controls.union(sys.env_inputs)
+                for bits in itertools.product([False, True], repeat=len(scope)):
+                    point = dict(zip(scope, bits))
+                    health = {h: point[feed_of.get(h, h)] for h in local.health_names}
+                    closed = {c: point[c] for c in local.contactor_names}
+                    for y in sys.outputs:
+                        got = sys.functions[y].evaluate(point)
+                        assert got == reference[y](health, closed), (fixture, y, point)
+            if fixture is None:
+                # and the flattened plant against the whole topology
+                plant = flatten(net)
+                hs, cs = topo.health_names, topo.contactor_names
+                for bits in itertools.product([False, True], repeat=len(hs) + len(cs)):
+                    h = dict(zip(hs, bits[: len(hs)]))
+                    c = dict(zip(cs, bits[len(hs):]))
+                    for b in topo.bus_names:
+                        assert plant.functions[b].evaluate({**h, **c}) == bus_status(topo, h, c, b)
+
+
+def group_reference(topo, sys, members):
+    """The group's own topology and a pointwise reference per output.
+
+    The topology holds the group's members and inner edges plus, per attach
+    node of an incoming crossing, that node as a generator whose health is
+    the subsystem's feed bit (`feed_of` maps the node to the bit).  Bus bits
+    follow `bus_status`, coupling bits `live_path` between the two sources,
+    feed bits a live path from the attach node to a healthy generator.
+    """
+    inside = set(members)
+    feed_of = {}
+    for e in topo.edges:
+        for p, q in ((e.a, e.b), (e.b, e.a)):
+            if q in inside and p not in inside and f"{sys.name}_from_{p}" in sys.env_inputs:
+                feed_of[p] = f"{sys.name}_from_{p}"
+    nodes = [topo.node(m) for m in members]
+    nodes += [PowerNode(p, "generator", topo.node(p).current) for p in feed_of]
+    edges = [e for e in topo.edges if {e.a, e.b} <= inside | set(feed_of) and {e.a, e.b} & inside]
+    local = PowerTopology(nodes, edges)
+    generators = [n.name for n in nodes if n.kind == "generator"]
+
+    def powered(node):
+        return lambda h, c: any(h[g] and live_path(local, h, c, node, g) for g in generators)
+
+    reference = {b: (lambda h, c, b=b: bus_status(local, h, c, b)) for b in members if topo.node(b).kind == "bus"}
+    ac = [m for m in members if topo.node(m).kind == "generator" and topo.node(m).current == "ac"]
+    for s, t in itertools.combinations(ac, 2):
+        reference[f"couple_{s}_{t}"] = lambda h, c, s=s, t=t: live_path(local, h, c, s, t)
+    for y in sys.outputs:
+        if y.startswith("feed_"):
+            reference[y] = powered(y[len("feed_"):])
+    return local, feed_of, reference
 
 
 class TestEndToEnd:
