@@ -411,9 +411,7 @@ class BoolFunc:
         )
 
 
-def conjoin(funcs: Iterable[BoolFunc], empty: BoolFunc | None = None) -> BoolFunc:
-    """AND a sequence of functions; `empty` (default: empty-scope True) if none."""
+def conjoin(funcs: Iterable[BoolFunc]) -> BoolFunc:
+    """AND a sequence of functions; the empty-scope True if none."""
     funcs = list(funcs)
-    if not funcs:
-        return empty if empty is not None else BoolFunc.const(VariableSet(), True)
-    return reduce(lambda a, b: a & b, funcs)
+    return reduce(lambda a, b: a & b, funcs) if funcs else BoolFunc.const(VariableSet(), True)

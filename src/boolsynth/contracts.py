@@ -19,10 +19,11 @@ the enumeration order.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from math import prod
 
 import numpy as np
 
-from .boolfunc import BoolFunc, Valuation, VariableSet, conjoin
+from .boolfunc import BoolFunc, Valuation, VariableSet
 from .network import BooleanNetwork, all_outputs, classify_inputs, external_inputs
 
 __all__ = [
@@ -201,7 +202,8 @@ def conjunctive_decomposition(
 ) -> list[BoolFunc] | None:
     """Per-block projections of `f` if their conjunction equals `f`, else None.
 
-    `partition` must cover the scope of `f` disjointly.
+    `partition` must cover the scope of `f` disjointly.  As `f` implies that
+    conjunction, they are equal iff `|f|` is the product of the parts' counts.
     """
     covered: list[str] = []
     for block in partition:
@@ -211,4 +213,4 @@ def conjunctive_decomposition(
     if set(covered) != set(f.scope):
         raise ValueError("partition does not cover the scope exactly")
     parts = [f.project(block) for block in partition]
-    return parts if conjoin(parts).equivalent(f) else None
+    return parts if f.count_satisfying() == prod(p.count_satisfying() for p in parts) else None

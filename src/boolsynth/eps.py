@@ -170,8 +170,11 @@ def load_topology(path) -> PowerTopology:
 
 def load_partition(path) -> list[tuple[str, list[str]]]:
     """Read an explicit grouping: {"groups": [{"name", "nodes": [...]}]}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise TopologyError(f"{path}: not valid JSON ({exc})") from exc
     try:
         return [(str(g["name"]), [str(n) for n in g["nodes"]]) for g in doc["groups"]]
     except (KeyError, TypeError) as exc:

@@ -28,6 +28,7 @@ __all__ = [
     "system_graph",
     "classify_inputs",
     "leaves",
+    "leaf_order",
     "is_forest",
     "topological_order",
     "compose",
@@ -85,10 +86,6 @@ class BooleanSystem:
         if extra:
             raise ValueError(f"{self.name}: functions for undeclared outputs {extra}")
         object.__setattr__(self, "functions", ordered)
-
-    @property
-    def input_scope(self) -> VariableSet:
-        return self.controls.union(self.env_inputs)
 
 
 @dataclass(frozen=True)
@@ -215,31 +212,9 @@ def validate(net: BooleanNetwork) -> list[str]:
         problems.append(f"environment input {t[0]}.{t[1]} has more than one driver")
 
     # Cycle check over the links that at least reference real endpoints.
-    edges = sorted(
-        {(l.from_sys, l.to_sys) for l in good_links},
-        key=lambda e: (names.index(e[0]), names.index(e[1])),
-    )
-    order = _kahn(names, edges)
-    if order is None:
+    if leaf_order(_graph(names, good_links)) is None:
         problems.append("interconnection structure contains a cycle")
     return problems
-
-
-def _kahn(nodes: list[str], edges: list[tuple[str, str]]) -> list[str] | None:
-    indeg = {n: 0 for n in nodes}
-    for _, b in edges:
-        indeg[b] += 1
-    order: list[str] = []
-    ready = [n for n in nodes if indeg[n] == 0]
-    while ready:
-        n = ready.pop(0)
-        order.append(n)
-        for a, b in edges:
-            if a == n:
-                indeg[b] -= 1
-                if indeg[b] == 0 and b not in ready:
-                    ready.append(b)
-    return order if len(order) == len(nodes) else None
 
 
 def _require_well_posed(net: BooleanNetwork) -> None:
@@ -247,14 +222,17 @@ def _require_well_posed(net: BooleanNetwork) -> None:
         raise IllPosedNetworkError(net.violations)
 
 
-def system_graph(net: BooleanNetwork) -> SystemGraph:
-    _require_well_posed(net)
-    names = list(net.names)
+def _graph(names: list[str], links: Iterable[Link]) -> SystemGraph:
     edges = sorted(
-        {(l.from_sys, l.to_sys) for l in net.wiring.links},
+        {(l.from_sys, l.to_sys) for l in links},
         key=lambda e: (names.index(e[0]), names.index(e[1])),
     )
     return SystemGraph(tuple(names), tuple(edges))
+
+
+def system_graph(net: BooleanNetwork) -> SystemGraph:
+    _require_well_posed(net)
+    return _graph(list(net.names), net.wiring.links)
 
 
 def classify_inputs(net: BooleanNetwork, name: str) -> tuple[VariableSet, VariableSet]:
@@ -272,16 +250,31 @@ def leaves(g: SystemGraph) -> list[str]:
     return [n for n in g.nodes if g.out_degree(n) == 0]
 
 
+def leaf_order(g: SystemGraph) -> list[str] | None:
+    """Leaves in peeling order: repeatedly the first node, in declaration order,
+    with no edge to a node still present; None when a cycle leaves no such node."""
+    children = {n: {b for a, b in g.edges if a == n} for n in g.nodes}
+    present, order = dict.fromkeys(g.nodes), []
+    while present:
+        leaf = next((n for n in present if present.keys().isdisjoint(children[n])), None)
+        if leaf is None:
+            return None
+        del present[leaf]
+        order.append(leaf)
+    return order
+
+
 def is_forest(g: SystemGraph) -> bool:
     """True iff every node has at most one parent (the graph being a DAG)."""
     return all(g.in_degree(n) <= 1 for n in g.nodes)
 
 
 def topological_order(g: SystemGraph) -> list[str]:
-    order = _kahn(list(g.nodes), list(g.edges))
+    """Parents before children: the reverse of `leaf_order`."""
+    order = leaf_order(g)
     if order is None:
         raise IllPosedNetworkError(["interconnection structure contains a cycle"])
-    return order
+    return order[::-1]
 
 
 def external_inputs(net: BooleanNetwork) -> VariableSet:
@@ -350,9 +343,8 @@ def _closed_loop_functions(
 ) -> dict[str, BoolFunc]:
     """Output functions after substituting controllers (if given) and
     eliminating internal inputs through the wiring, in topological order."""
-    graph = system_graph(net)
     closed: dict[str, BoolFunc] = {}
-    for name in topological_order(graph):
+    for name in topological_order(system_graph(net)):
         sys = net.subsystem(name)
         ctrl_funcs: dict[str, BoolFunc] = {}
         if controllers is not None:
@@ -396,11 +388,11 @@ def compose(
     return {y: closed[y].extend(ext) for y in all_outputs(net)}
 
 
-def flatten(net: BooleanNetwork, name: str = "network") -> BooleanSystem:
-    """The network itself as a single boolean system (controls stay free)."""
+def flatten(net: BooleanNetwork) -> BooleanSystem:
+    """The network itself as one boolean system, "network" (controls stay free)."""
     closed = _closed_loop_functions(net, None)
     return BooleanSystem(
-        name=name,
+        name="network",
         controls=all_controls(net),
         env_inputs=external_inputs(net),
         outputs=all_outputs(net),

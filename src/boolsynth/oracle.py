@@ -199,25 +199,25 @@ def brute_force_distributed(
 
 
 def enumerate_bicliques_subset(
-    graph: DistributionGraph, max_pairs: int = 1024
+    graph: DistributionGraph, max_work: int = 1 << 16
 ) -> frozenset[tuple[frozenset[int], frozenset[int]]]:
     """Maximal bicliques (both sides nonempty) by subset closure.
 
     For every nonempty subset of the smaller side, intersect the other
     side's neighborhoods, close back, and keep the resulting pair.  Exact
-    but exponential in the smaller side; refuses graphs with more than
-    `max_pairs` node pairs.
+    but exponential in the smaller side; refuses graphs whose work,
+    2^(smaller side) subsets times the larger side, exceeds `max_work`.
     """
     adjacency = graph.adjacency
     n_left, n_right = adjacency.shape
-    if n_left * n_right > max_pairs:
-        raise BudgetExceededError(
-            f"biclique oracle limited to {max_pairs} node pairs, got {n_left * n_right}"
-        )
     transposed = n_right < n_left
     if transposed:
         adjacency = adjacency.T
         n_left, n_right = n_right, n_left
+    if n_right << n_left > max_work:
+        raise BudgetExceededError(
+            f"biclique oracle limited to {max_work} subset steps, got 2^{n_left} x {n_right}"
+        )
 
     # Python ints as bit sets: numpy indices would overflow past bit 63.
     left_nbr = [sum(1 << j for j in np.flatnonzero(adjacency[i]).tolist()) for i in range(n_left)]

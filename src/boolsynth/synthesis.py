@@ -3,11 +3,11 @@
 A local contract is realizable when for every admissible environment
 valuation some control valuation makes the guarantee hold; the witness of
 that forall-exists question is a controller table.  The distributed
-procedure peels leaf subsystems off the system graph: it projects the
-assumption, tries each maximal guarantee split, constrains the leaf's
-internal inputs by the least restrictive assumption, turns that constraint
-into a guarantee for the remaining subsystems, and recurses, backtracking
-over splits.
+procedure peels leaf subsystems off the system graph in one fixed order,
+`leaf_order`: it projects the assumption once per leaf, tries each maximal
+guarantee split, constrains the leaf's internal inputs by the least
+restrictive assumption, turns that constraint into a guarantee for the
+remaining subsystems, and recurses, backtracking over splits.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from .network import (
     Controller,
     classify_inputs,
     is_forest,
-    leaves,
-    remove_subsystem,
+    leaf_order,
     system_graph,
 )
 
@@ -196,11 +195,21 @@ def distributed_synthesis(net: BooleanNetwork, contract: ContractPair) -> Synthe
     Succeeds with one controller and one realizable local contract per
     subsystem, or fails after exhausting every split at some leaf.  The
     trace logs each attempt in exploration order, so on failure its tail
-    shows the subsystem whose candidates ran out.
+    shows the subsystem whose candidates ran out.  Under an unsatisfiable
+    assumption any controller satisfies ``A -> G``: the guarantee becomes True.
     """
     check_contract(net, contract)
+    if contract.assumption.is_false:
+        contract = ContractPair(contract.assumption, BoolFunc.const(VariableSet(), True))
+    # (name, system, internal inputs, local assumption) per leaf: removing a
+    # leaf leaves the induced subgraph, so none depends on the recursion level.
+    steps = tuple(
+        (name, net.subsystem(name), classify_inputs(net, name)[0],
+         project_assumption(contract.assumption, net, name))
+        for name in leaf_order(system_graph(net))
+    )
     trace: list[TraceEntry] = []
-    ok, controllers, local_contracts = _synthesize(net, contract, trace)
+    ok, controllers, local_contracts = _synthesize(net, steps, contract, trace)
     return SynthesisOutcome(
         success=ok,
         controllers=controllers if ok else {},
@@ -210,22 +219,18 @@ def distributed_synthesis(net: BooleanNetwork, contract: ContractPair) -> Synthe
 
 
 def _synthesize(
-    net: BooleanNetwork, contract: ContractPair, trace: list[TraceEntry]
+    net: BooleanNetwork, steps: tuple, contract: ContractPair, trace: list[TraceEntry]
 ) -> tuple[bool, dict[str, Controller], dict[str, ContractPair]]:
-    if not net.subsystems:
+    if not steps:
         return True, {}, {}
-    graph = system_graph(net)
-    name = leaves(graph)[0]
-    sys = net.subsystem(name)
-    internal, _ = classify_inputs(net, name)
-    local_assumption = project_assumption(contract.assumption, net, name)
+    name, sys, internal, local_assumption = steps[0]
     for idx, gamma in enumerate(maximal_distributions(contract.guarantee, net, name)):
         result = local_synthesis(sys, local_assumption, gamma.down, internal)
         trace.append(TraceEntry(name, idx, result.lra))
         if result.controller is None:
             continue
         ok, controllers, local_contracts = _synthesize(
-            remove_subsystem(net, name),
+            net, steps[1:],
             update_contract(contract, gamma.up, rewire_to_parent_outputs(result.lra, net, name)),
             trace,
         )

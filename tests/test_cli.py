@@ -195,6 +195,12 @@ class TestEpsCommand:
         bad.write_text("{")
         assert cli_main(["eps", str(bad)]) == 2
 
+    def test_malformed_partition_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.partition.json"
+        bad.write_text("{")
+        assert cli_main(["eps", TOPOLOGY, "--partition", str(bad)]) == 2
+        assert str(bad) in capsys.readouterr().err
+
 
 class TestDegenerateInputs:
     def test_empty_network_is_trivially_realizable(self, tmp_path):
@@ -204,6 +210,15 @@ class TestDegenerateInputs:
         contract.write_text(json.dumps({"assumptions": ["true"], "guarantees": ["true"]}))
         assert cli_main(["validate", str(net)]) == 0
         assert cli_main(["synthesize", str(net), str(contract)]) == 0
+
+    def test_vacuous_contract_agrees_with_oracle(self, tmp_path, capsys):
+        # no admissible environment: any controller meets even a False guarantee
+        contract = tmp_path / "vacuous.ctr.json"
+        contract.write_text(json.dumps({"assumptions": ["false"], "guarantees": ["false"]}))
+        assert cli_main(["synthesize", SERIAL[0], str(contract), "--oracle", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["success"] and report["closed_loop_verified"]
+        assert report["oracle"] == {"ran": True, "oracle_realizable": True, "agrees": True}
 
 
 class TestUsageErrors:

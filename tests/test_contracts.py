@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from boolsynth.boolfunc import BoolFunc, Valuation, VariableSet, all_valuations
+from boolsynth.boolfunc import BoolFunc, Valuation, VariableSet, all_valuations, conjoin
 from boolsynth.contracts import (
     DistributionGraph,
     build_distribution_graph,
@@ -255,7 +255,7 @@ class TestBicliqueEnumeration:
 
     def test_chain4_distribution_graph_is_fast_and_maximal(self):
         # The first leaf of the four-generator chain splits its one output
-        # from the other 13: a 2 x 8192 graph beyond the subset oracle.
+        # from the other 13: a 2 x 8192 graph, 4 x 8192 subset steps.
         topo = load_topology(FIXTURES / "eps_chain4.topology.json")
         net, contract = compile_to_network(topo)
         leaf = leaves(system_graph(net))[0]
@@ -267,6 +267,7 @@ class TestBicliqueEnumeration:
         pairs = index_pairs(dists)
         assert len(pairs) == 1
         assert_maximal_bicliques(graph, pairs)
+        assert set(pairs) == set(enumerate_bicliques_subset(graph))
 
 
 class TestConjunctiveDecomposition:
@@ -285,6 +286,34 @@ class TestConjunctiveDecomposition:
         f = BoolFunc.const(VariableSet(["e1", "e2"]), True)
         parts = conjunctive_decomposition(f, [VariableSet(["e1"]), VariableSet(["e2"])])
         assert parts is not None and all(p.is_true for p in parts)
+
+    def test_counting_decision_matches_conjunction(self):
+        # product functions (a conjunction of per-block functions) and random
+        # ones, against the definition: f equals the conjunction of its
+        # block projections
+        rng = np.random.default_rng(31)
+
+        def random_func(scope, density):
+            return BoolFunc(scope, rng.random(1 << len(scope)) < density)
+
+        decided = set()
+        for trial in range(300):
+            names = [f"v{i}" for i in range(int(rng.integers(1, 7)))]
+            cuts = sorted(set(rng.integers(1, len(names) + 1, size=2).tolist()) | {len(names)})
+            blocks = [VariableSet(names[a:b]) for a, b in zip([0, *cuts], cuts)]
+            scope = VariableSet(names)
+            if trial % 2:
+                f = conjoin(random_func(b, 0.7) for b in blocks).extend(scope)
+            else:
+                f = random_func(scope, (0.3, 0.7, 0.95)[trial % 3])
+            projections = [f.project(b) for b in blocks]
+            expected = conjoin(projections).equivalent(f)
+            parts = conjunctive_decomposition(f, blocks)
+            assert (parts is not None) == expected, f"trial {trial}"
+            if parts is not None:
+                assert all(p == q for p, q in zip(parts, projections))
+            decided.add(expected)
+        assert decided == {True, False}
 
     def test_partition_must_cover_exactly(self):
         f = BoolFunc.var("e1") & BoolFunc.var("e2")

@@ -371,5 +371,5 @@ class TestEndToEnd:
         topo = load_topology(FIXTURES / "eps_tree.topology.json")
         net, contract = compile_to_network(topo)
         assert distributed_synthesis(net, contract).success
-        # the list keeps every network alive, so ids are not reused
-        assert len(validated) == len({id(n) for n in validated}) == len(net.subsystems)
+        # synthesis walks one leaf order of this network and builds no other
+        assert validated == [net]

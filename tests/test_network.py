@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 from boolsynth.boolfunc import BoolFunc, VariableSet
@@ -17,6 +18,7 @@ from boolsynth.network import (
     external_inputs,
     flatten,
     is_forest,
+    leaf_order,
     leaves,
     remove_subsystem,
     system_graph,
@@ -24,6 +26,7 @@ from boolsynth.network import (
     validate,
 )
 
+from ._random_instances import random_dag_network
 from .conftest import make_system, serial_chain_net, shared_or_guarantee_net, two_parents_net
 
 
@@ -78,6 +81,25 @@ class TestValidate:
         net = BooleanNetwork((s1,), Interconnection((Link("S1", "y1", "SX", "w"),)))
         assert any("unknown subsystem" in p for p in validate(net))
 
+    @pytest.mark.parametrize(
+        "links, cyclic",
+        [
+            # a link into a duplicated name closes no cycle
+            ((Link("S2", "y2", "S1", "a"),), False),
+            # the duplicated name feeds a real cycle S2 <-> S3
+            ((Link("S1", "y1", "S2", "b"), Link("S3", "y3", "S2", "b2"),
+              Link("S2", "y2", "S3", "c")), True),
+        ],
+    )
+    def test_cycle_verdict_with_a_duplicated_subsystem_name(self, links, cyclic):
+        s1 = make_system("S1", ["u1"], ["a"], {"y1": "a & u1"})
+        s1_again = make_system("S1", ["v1"], ["d"], {"z1": "d"})
+        s2 = make_system("S2", ["u2"], ["b", "b2"], {"y2": "b | b2 | u2"})
+        s3 = make_system("S3", ["u3"], ["c"], {"y3": "c & u3"})
+        report = validate(BooleanNetwork((s1, s1_again, s2, s3), Interconnection(links)))
+        assert "duplicate subsystem name 'S1'" in report
+        assert ("interconnection structure contains a cycle" in report) == cyclic
+
     def test_ill_posed_refused_by_graph_operations(self):
         s1 = make_system("S1", ["u1"], ["a"], {"y1": "a & u1"})
         s2 = make_system("S2", ["u2"], ["b"], {"y2": "b | u2"})
@@ -108,6 +130,19 @@ class TestSystemGraph:
         g = system_graph(two_parents_net())
         order = topological_order(g)
         assert order.index("S1") < order.index("S2") < order.index("S3")
+
+    def test_leaf_order_is_repeated_first_leaf_removal(self):
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            net = random_dag_network(rng)
+            for subsystems in (net.subsystems, net.subsystems[::-1]):
+                variant = BooleanNetwork(subsystems, net.wiring)
+                peeled, rest = [], variant
+                while rest.subsystems:
+                    peeled.append(leaves(system_graph(rest))[0])
+                    rest = remove_subsystem(rest, peeled[-1])
+                assert leaf_order(system_graph(variant)) == peeled
+                assert topological_order(system_graph(variant)) == peeled[::-1]
 
 
 class TestClassifyInputs:

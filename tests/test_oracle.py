@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -237,6 +239,14 @@ class TestBicliqueOracle:
         right = VariableSet([f"r{j}" for j in range(6)])
         with pytest.raises(BudgetExceededError):
             enumerate_bicliques_subset(DistributionGraph(left, right, big))
+
+    def test_budget_counts_subsets_of_the_smaller_side(self):
+        # 32 x 32 is 1024 node pairs but 2^32 subsets: refused before any work
+        square = np.zeros((32, 32), dtype=bool)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="2\\^32 x 32"):
+            enumerate_bicliques_subset(self.graph(square.tolist()))
+        assert time.perf_counter() - start < 1.0
 
     def test_maximality_by_definition_on_random_graphs(self):
         rng = np.random.default_rng(5)

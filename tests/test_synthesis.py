@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from boolsynth.boolfunc import BoolFunc, Valuation, VariableSet, all_valuations, conjoin
-from boolsynth.contracts import ContractPair, maximal_distributions
+from boolsynth.contracts import ContractPair, maximal_distributions, project_assumption
 from boolsynth.network import all_outputs, classify_inputs, compose, external_inputs
 from boolsynth.oracle import verify_closed_loop
 from boolsynth.parser import parse_expr
@@ -225,6 +225,21 @@ class TestDistributedSynthesis:
         assert attempts == [("S2", 0), ("S1", 0), ("S2", 1), ("S1", 0)]
         assert verify_closed_loop(net, out.controllers, contract).ok
 
+    def test_backtracking_projects_each_assumption_once(self, shared_or_guarantee, monkeypatch):
+        import boolsynth.synthesis
+
+        projected = []
+
+        def counting(assumption, net, name):
+            projected.append(name)
+            return project_assumption(assumption, net, name)
+
+        monkeypatch.setattr(boolsynth.synthesis, "project_assumption", counting)
+        net, contract = shared_or_guarantee
+        out = distributed_synthesis(net, contract)
+        assert out.success and len(out.trace) > len(net.subsystems)
+        assert sorted(projected) == sorted(net.names)
+
     def test_single_subsystem_degenerates_to_one_qsat(self):
         from boolsynth.network import BooleanNetwork
 
@@ -293,10 +308,10 @@ class TestVacuousContracts:
         assert out.success
         assert verify_closed_loop(net, out.controllers, contract).ok
 
-    def test_false_guarantee_with_false_assumption_is_a_known_blind_spot(self):
-        # Excluding empty-sided guarantee splits makes the recursion give up
-        # on an unsatisfiable guarantee even though a vacuous assumption
-        # would let any controller through; the brute-force search accepts.
+    def test_false_guarantee_with_false_assumption_succeeds(self):
+        # A False guarantee has no usable split, but with no admissible
+        # environment any controller satisfies the contract, as brute force
+        # confirms.
         from boolsynth.network import BooleanNetwork
 
         sys = make_system("S", ["u"], ["e"], {"y": "e & u"})
@@ -307,7 +322,9 @@ class TestVacuousContracts:
         )
         from boolsynth.oracle import brute_force_distributed
 
-        assert not distributed_synthesis(net, contract).success
+        out = distributed_synthesis(net, contract)
+        assert out.success
+        assert verify_closed_loop(net, out.controllers, contract).ok
         assert brute_force_distributed(net, contract) is not None
 
 
