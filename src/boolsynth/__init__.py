@@ -1,7 +1,7 @@
 """Distributed controller synthesis for networks of memoryless boolean
 subsystems, from a global assume-guarantee contract."""
 
-from .boolfunc import BoolFunc, Valuation, VariableSet, all_valuations
+from .boolfunc import BoolFunc, TableTooLargeError, Valuation, VariableSet, all_valuations
 from .contracts import (
     ContractPair,
     Distribution,

@@ -22,6 +22,9 @@ from functools import reduce
 import numpy as np
 
 __all__ = [
+    "MAX_TABLE_CELLS",
+    "TableTooLargeError",
+    "check_table_size",
     "VariableSet",
     "Valuation",
     "BoolFunc",
@@ -31,6 +34,26 @@ __all__ = [
 ]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+MAX_TABLE_CELLS = 1 << 30
+"""Largest truth table, in cells of one byte each, that any operation builds."""
+
+
+class TableTooLargeError(ValueError):
+    """A truth table would exceed `MAX_TABLE_CELLS`; raised before allocating."""
+
+    def __init__(self, variables: int):
+        self.variables = variables
+        super().__init__(
+            f"a truth table over {variables} variables needs 2^{variables} = "
+            f"{1 << variables} cells, above the limit of {MAX_TABLE_CELLS} cells"
+        )
+
+
+def check_table_size(variables: int) -> None:
+    """Raise `TableTooLargeError` unless a table over `variables` variables fits."""
+    if 1 << variables > MAX_TABLE_CELLS:
+        raise TableTooLargeError(variables)
 
 
 def check_name(name: str) -> str:
@@ -154,6 +177,7 @@ def _extended_table(f: "BoolFunc", scope: VariableSet) -> np.ndarray:
     """View of f's table broadcast over `scope` (a superset of f.scope)."""
     if f.scope == scope:
         return f.table
+    check_table_size(len(scope))
     pos = [scope.index(v) for v in f.scope]
     order = np.argsort(pos)
     t = f.table.transpose(tuple(order))
@@ -161,6 +185,44 @@ def _extended_table(f: "BoolFunc", scope: VariableSet) -> np.ndarray:
     for p in pos:
         shape[p] = 2
     return np.broadcast_to(t.reshape(shape), (2,) * len(scope))
+
+
+# Unsigned integer per width in bytes: contiguous bool cells read as one word.
+_WORDS = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+
+
+def _any_over(table: np.ndarray, drop: Sequence[bool]) -> np.ndarray:
+    """OR a C-contiguous table over the axes flagged in `drop`.
+
+    Adjacent axes of one kind merge into one run by a free reshape.  A
+    trailing dropped run is ORed away up to eight cells at a time by testing
+    machine words of its contiguous bytes against zero.  The trailing kept
+    run is then read as words too, so the one reduction over the remaining
+    dropped runs ORs whole words, not single cells.  Returns the kept cells
+    in scope order, shaped by their runs.
+    """
+    sizes: list[int] = []
+    dropped: list[bool] = []
+    for d in drop:
+        if dropped and dropped[-1] == d:
+            sizes[-1] *= 2
+        else:
+            sizes.append(2)
+            dropped.append(d)
+    t = table.reshape(sizes)
+    while dropped and dropped[-1]:
+        width = min(sizes[-1], 8)
+        t = t.view(_WORDS[width]).astype(bool)
+        sizes[-1] //= width
+        if sizes[-1] == 1:
+            sizes.pop()
+            dropped.pop()
+            t = t.reshape(sizes)
+    axes = tuple(i for i, d in enumerate(dropped) if d)
+    if not axes:
+        return t
+    word = _WORDS[min(sizes[-1], 8)]
+    return np.bitwise_or.reduce(t.view(word), axis=axes).view(bool)
 
 
 class BoolFunc:
@@ -187,6 +249,19 @@ class BoolFunc:
         object.__setattr__(self, "scope", scope)
         object.__setattr__(self, "table", arr)
 
+    @classmethod
+    def _wrap(cls, scope: VariableSet, table: np.ndarray) -> "BoolFunc":
+        """Adopt a table no caller can write to, such as an operator's fresh
+        result or another function's table, without copying it."""
+        arr = np.ascontiguousarray(table, dtype=bool)
+        if arr.ndim != len(scope):
+            arr = arr.reshape((2,) * len(scope))
+        arr.setflags(write=False)
+        f = object.__new__(cls)
+        object.__setattr__(f, "scope", scope)
+        object.__setattr__(f, "table", arr)
+        return f
+
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("BoolFunc is immutable")
 
@@ -195,20 +270,32 @@ class BoolFunc:
     @classmethod
     def const(cls, scope: Iterable[str] | VariableSet, value: bool) -> "BoolFunc":
         scope = _as_scope(scope)
+        check_table_size(len(scope))
         fill = np.ones if value else np.zeros
-        return cls(scope, fill((2,) * len(scope), dtype=bool))
+        return cls._wrap(scope, fill((2,) * len(scope), dtype=bool))
 
     @classmethod
     def var(cls, name: str) -> "BoolFunc":
         """The positive literal `name` over the single-variable scope {name}."""
-        return cls(VariableSet([name]), np.array([False, True]))
+        return cls._wrap(VariableSet([name]), np.array([False, True]))
 
     @classmethod
     def exactly(cls, valuation: Valuation) -> "BoolFunc":
         """The minterm satisfied only by `valuation`."""
-        table = np.zeros(1 << len(valuation.scope), dtype=bool)
-        table[valuation.index()] = True
-        return cls(valuation.scope, table)
+        return cls.cube(valuation.scope, valuation.as_dict())
+
+    @classmethod
+    def cube(cls, scope: Iterable[str] | VariableSet, literals: Mapping[str, bool]) -> "BoolFunc":
+        """The conjunction of the literals (variable -> required value), over
+        `scope`: one slice assignment, free in the variables not fixed."""
+        scope = _as_scope(scope)
+        stray = [v for v in literals if v not in scope]
+        if stray:
+            raise ValueError(f"literals mention variables outside the scope: {stray}")
+        check_table_size(len(scope))
+        table = np.zeros((2,) * len(scope), dtype=bool)
+        table[tuple(int(literals[v]) if v in literals else slice(None) for v in scope)] = True
+        return cls._wrap(scope, table)
 
     # -- basic queries -----------------------------------------------------
 
@@ -221,7 +308,7 @@ class BoolFunc:
         return not bool(self.table.any())
 
     def count_satisfying(self) -> int:
-        return int(self.table.sum())
+        return int(np.count_nonzero(self.table))
 
     def evaluate(self, assignment: Mapping[str, bool]) -> bool:
         """Evaluate at an assignment covering (at least) the scope."""
@@ -251,10 +338,10 @@ class BoolFunc:
         if not isinstance(other, BoolFunc):
             return NotImplemented
         scope = self.scope.union(other.scope)
-        return BoolFunc(scope, op(_extended_table(self, scope), _extended_table(other, scope)))
+        return BoolFunc._wrap(scope, op(_extended_table(self, scope), _extended_table(other, scope)))
 
     def __invert__(self) -> "BoolFunc":
-        return BoolFunc(self.scope, np.logical_not(self.table))
+        return BoolFunc._wrap(self.scope, np.logical_not(self.table))
 
     def __and__(self, other: "BoolFunc") -> "BoolFunc":
         return self._binary(other, np.logical_and)
@@ -277,7 +364,7 @@ class BoolFunc:
         missing = [v for v in self.scope if v not in scope]
         if missing:
             raise ValueError(f"extension scope is missing {missing}")
-        return BoolFunc(scope, _extended_table(self, scope))
+        return BoolFunc._wrap(scope, _extended_table(self, scope))
 
     def project(self, keep: Iterable[str] | VariableSet) -> "BoolFunc":
         """Existential projection onto `keep` (a subset of the scope)."""
@@ -285,11 +372,11 @@ class BoolFunc:
         stray = [v for v in keep if v not in self.scope]
         if stray:
             raise ValueError(f"cannot project onto variables outside scope: {stray}")
-        drop_axes = tuple(i for i, v in enumerate(self.scope) if v not in keep)
-        t = self.table.any(axis=drop_axes) if drop_axes else self.table
-        kept_order = [v for v in self.scope if v in keep]
+        kept = set(keep)
+        t = _any_over(self.table, [v not in kept for v in self.scope]).reshape((2,) * len(keep))
+        kept_order = [v for v in self.scope if v in kept]
         perm = tuple(kept_order.index(v) for v in keep)
-        return BoolFunc(keep, t.transpose(perm))
+        return BoolFunc._wrap(keep, t.transpose(perm))
 
     def rename(self, mapping: Mapping[str, str]) -> "BoolFunc":
         """Relabel scope variables; the truth table is unchanged.
@@ -306,7 +393,7 @@ class BoolFunc:
         if clash:
             raise ValueError(f"rename targets collide with existing variables: {clash}")
         new_scope = VariableSet(relevant.get(v, v) for v in self.scope)
-        return BoolFunc(new_scope, self.table)
+        return BoolFunc._wrap(new_scope, self.table)
 
     def substitute(self, mapping: Mapping[str, "BoolFunc"]) -> "BoolFunc":
         """Replace scope variables by boolean functions of other variables.
@@ -339,6 +426,7 @@ class BoolFunc:
         """
         scope = _as_scope(scope)
         n = len(scope)
+        check_table_size(n)
         stray = [v for v in self.scope if v not in mapping and v not in scope]
         for v in self.scope:
             if v in mapping:
@@ -354,7 +442,7 @@ class BoolFunc:
         values = {
             v: mapping[v].evaluate_many(axis) if v in mapping else axis[v] for v in self.scope
         }
-        return BoolFunc(scope, np.broadcast_to(self.evaluate_many(values), (2,) * n))
+        return BoolFunc._wrap(scope, np.broadcast_to(self.evaluate_many(values), (2,) * n))
 
     def support(self) -> VariableSet:
         """The variables the function actually depends on, in scope order."""

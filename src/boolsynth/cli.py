@@ -10,7 +10,9 @@ Subcommands::
                [--oracle] [--json]
 
 Exit codes: 0 success/realizable, 1 unrealizable or verification failure,
-2 input or usage error, 3 the ``--oracle`` cross-check disagrees.
+2 input or usage error, including an instance whose truth tables would
+exceed ``boolfunc.MAX_TABLE_CELLS`` (`TableTooLargeError`, a ValueError),
+3 the ``--oracle`` cross-check disagrees.
 ``--oracle`` cross-checks the command's result against an independent
 reference: brute-force controller enumeration for synthesize/eps (when the
 instance fits the budget), symbolic composition for verify, and the subset

@@ -66,7 +66,10 @@ class DistributionGraph:
 
     ``adjacency[i, j]`` is True iff left valuation ``i`` (over `left_scope`)
     and right valuation ``j`` (over `right_scope`) jointly satisfy the
-    guarantee.  Valuation indices are lexicographic ranks.
+    guarantee.  Valuation indices are lexicographic ranks.  A writable
+    adjacency is copied; a read-only one, such as a view of a function's
+    table, is kept as given, so its memory must not change through
+    another view.
     """
 
     left_scope: VariableSet
@@ -78,8 +81,9 @@ class DistributionGraph:
         want = (1 << len(self.left_scope), 1 << len(self.right_scope))
         if arr.shape != want:
             raise ValueError(f"adjacency shape {arr.shape} does not match scopes {want}")
-        arr = arr.copy()
-        arr.setflags(write=False)
+        if arr.flags.writeable:
+            arr = arr.copy()
+            arr.setflags(write=False)
         object.__setattr__(self, "adjacency", arr)
 
     def left_valuations(self) -> list[Valuation]:
@@ -136,9 +140,11 @@ def _maximal_bicliques(adjacency: np.ndarray) -> list[tuple[frozenset[int], froz
     """All maximal bicliques with both sides nonempty.
 
     Close-by-One over the rows of the smaller side ``m``: the closure of a
-    row set S is ``m[:, m[S].all(0)].all(1)``.  A child extent, the closure
-    of the parent's extent plus row j, is kept only when it agrees with the
-    parent below j, so each concept is generated exactly once.
+    row set S is the set of rows that hold on every column of
+    ``m[S].all(0)``, a reduction masked by those columns.  A child extent,
+    the closure of the parent's extent plus row j, is kept only when it
+    agrees with the parent below j, so each concept is generated exactly
+    once.
     """
     m = np.asarray(adjacency, dtype=bool)
     transposed = m.shape[0] > m.shape[1]
@@ -155,7 +161,7 @@ def _maximal_bicliques(adjacency: np.ndarray) -> list[tuple[frozenset[int], froz
             if extent[j]:
                 continue
             child_intent = intent & m[j]
-            child_extent = m[:, child_intent].all(1)
+            child_extent = m.all(1, where=child_intent)
             if np.array_equal(child_extent[:j], extent[:j]):
                 stack.append((child_extent, child_intent, j + 1))
     pairs = [

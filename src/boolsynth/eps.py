@@ -27,10 +27,11 @@ import json
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
-from .boolfunc import BoolFunc, VariableSet, check_name, conjoin
+from .boolfunc import BoolFunc, VariableSet, check_name, check_table_size, conjoin
 from .contracts import ContractPair
 from .network import (
     BooleanNetwork,
@@ -450,17 +451,14 @@ def _group_tables(
     scope = controls.union(env)
 
     buses = [m for m in group.members if topo.node(m).kind == "bus"]
-    ac_sources = [
-        m
-        for m in group.members
-        if topo.node(m).kind == "generator" and topo.node(m).current == "ac"
-    ]
+    ac_sources = _ac_sources(topo, group)
     couple_pairs = list(combinations(ac_sources, 2))
 
     # One bool vector per node over all valuations of the scope.  Feed
     # entering via an attach node behaves like a generator glued to the
     # child-side endpoints of that node's crossings.
     n = len(scope)
+    check_table_size(n)
     ranks = np.arange(1 << n)
     bit = {v: ((ranks >> (n - 1 - i)) & 1).astype(bool) for i, v in enumerate(scope)}
     always = np.ones(1 << n, dtype=bool)
@@ -482,6 +480,14 @@ def _group_tables(
     for p in export_nodes:
         tables[f"feed_{p}"] = live[p]
     return controls, env, tables, couple_pairs
+
+
+def _ac_sources(topo: PowerTopology, group: _Group) -> list[str]:
+    return [
+        m
+        for m in group.members
+        if topo.node(m).kind == "generator" and topo.node(m).current == "ac"
+    ]
 
 
 def _propagate(
@@ -537,6 +543,12 @@ def compile_to_network(
             parent = group_of[p]
             if topo.node(p).kind != "bus" and p not in exports[parent]:
                 exports[parent].append(p)
+    # The guarantee spans every output: refuse before compiling any group.
+    check_table_size(
+        len(topo.bus_names)
+        + sum(len(e) for e in exports.values())
+        + sum(comb(len(_ac_sources(topo, g)), 2) for g in groups)
+    )
 
     systems: list[BooleanSystem] = []
     links: list[Link] = []
@@ -569,11 +581,8 @@ def compile_to_network(
         + [_any_of(rects) for rects in _rectifier_sides(topo)]
     ).extend(ext)
 
-    outs = all_outputs(net)
-    guarantee = conjoin(
-        [BoolFunc.var(b) for b in topo.bus_names]
-        + [~BoolFunc.var(c) for c in couple_names]
-    ).extend(outs)
+    literals = {b: True for b in topo.bus_names} | {c: False for c in couple_names}
+    guarantee = BoolFunc.cube(all_outputs(net), literals)
     return net, ContractPair(assumption, guarantee)
 
 

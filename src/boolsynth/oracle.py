@@ -16,7 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from .boolfunc import Valuation
+from .boolfunc import Valuation, check_table_size
 from .contracts import ContractPair, DistributionGraph, check_contract
 from .network import (
     BooleanNetwork,
@@ -102,6 +102,7 @@ class _VectorEvaluator:
         self.net = net
         self.ext = external_inputs(net)
         m = len(self.ext)
+        check_table_size(m)
         ranks = np.arange(1 << m, dtype=np.int64)
         self.ext_bits = {
             v: ((ranks >> (m - 1 - i)) & 1).astype(np.int64)

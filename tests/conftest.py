@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,26 @@ from boolsynth.network import all_outputs, external_inputs
 from boolsynth.parser import parse_expr
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+CHILD_MEMORY = 1 << 30  # address-space limit of `run_with_memory_limit`, bytes
+
+
+def run_with_memory_limit(source: str, *args: str) -> subprocess.CompletedProcess:
+    """Run Python `source` (with `args` as sys.argv[1:]) in a child process
+    whose address space is capped at CHILD_MEMORY, with this checkout's
+    sources importable.  Tests of the table-size guard run there, so a
+    missing guard fails with a MemoryError instead of exhausting the
+    machine."""
+    prologue = (
+        "import resource\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({CHILD_MEMORY}, {CHILD_MEMORY}))\n"
+    )
+    env = dict(os.environ)
+    src = str(FIXTURES.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", prologue + source, *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
 
 
 def make_system(name, controls, env_inputs, outputs):

@@ -1,13 +1,25 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boolsynth.boolfunc import BoolFunc, Valuation, VariableSet, all_valuations
+from boolsynth.boolfunc import (
+    MAX_TABLE_CELLS,
+    BoolFunc,
+    TableTooLargeError,
+    Valuation,
+    VariableSet,
+    all_valuations,
+    check_table_size,
+    conjoin,
+)
+
+from .conftest import run_with_memory_limit
 
 NAMES = ["a", "b", "c", "d", "e", "f"]
 
@@ -118,6 +130,117 @@ class TestProjection:
         for val in f.satisfying_valuations():
             restricted = {n: val[n] for n in keep}
             assert p.evaluate(restricted)
+
+
+class TestTableKernels:
+    def test_projection_equals_any_definition(self):
+        # The run-merged, word-wise projection against np.any over the
+        # dropped axes, for kept subsets in permuted order, none and all.
+        rng = np.random.default_rng(5)
+        for trial in range(600):
+            n = int(rng.integers(0, 15))
+            scope = VariableSet([f"x{i}" for i in range(n)])
+            f = BoolFunc(scope, rng.random(1 << n) < rng.choice([0.001, 0.05, 0.5]))
+            kind = trial % 5
+            k = 0 if kind == 0 else n if kind == 1 else int(rng.integers(0, n + 1))
+            keep = [scope[i] for i in rng.permutation(n)[:k]]
+            drop = tuple(i for i, v in enumerate(scope) if v not in keep)
+            reference = f.table.any(axis=drop)
+            kept_order = [v for v in scope if v in keep]
+            want = reference.transpose([kept_order.index(v) for v in keep])
+            got = f.project(keep)
+            assert list(got.scope) == keep
+            assert np.array_equal(got.table, want), (trial, list(scope), keep)
+
+    def test_count_satisfying_equals_sum(self):
+        rng = np.random.default_rng(6)
+        for n in range(15):
+            for density in (0.0, 0.01, 0.5, 1.0):
+                f = BoolFunc([f"x{i}" for i in range(n)], rng.random(1 << n) < density)
+                assert f.count_satisfying() == int(f.table.sum())
+
+    def test_cube_equals_conjoined_literals(self):
+        rng = np.random.default_rng(7)
+        for trial in range(100):
+            scope = VariableSet([f"x{i}" for i in rng.permutation(8)[: int(rng.integers(0, 9))]])
+            literals = {v: bool(rng.random() < 0.5) for v in scope if rng.random() < 0.5}
+            want = conjoin(
+                [BoolFunc.var(v) if b else ~BoolFunc.var(v) for v, b in literals.items()]
+            ).extend(scope)
+            assert BoolFunc.cube(scope, literals) == want, trial
+        with pytest.raises(ValueError, match="outside"):
+            BoolFunc.cube(["a"], {"b": True})
+
+    def test_tables_are_read_only_contiguous_and_private(self):
+        rng = np.random.default_rng(8)
+        raw = rng.random(16) < 0.5
+        f = BoolFunc(["a", "b", "c", "d"], raw)
+        g = BoolFunc(["c", "e"], np.array([True, False, False, True]))
+        results = [
+            f, g, f & g, f | g, ~f,
+            f.project(["d", "a"]), f.project([]), f.extend(["e", "d", "c", "b", "a"]),
+            f.rename({"a": "z"}), f.compose({"a": g}, ["b", "c", "d", "e"]),
+            BoolFunc.const(["a"], True), BoolFunc.var("a"), BoolFunc.cube(["a", "b"], {"a": False}),
+            BoolFunc.exactly(Valuation.from_index(f.scope, 5)),
+        ]
+        for h in results:
+            assert not h.table.flags.writeable and h.table.flags.c_contiguous
+            with pytest.raises(ValueError):
+                h.table[(0,) * h.table.ndim] = True
+        # the constructor copies a caller's writable array
+        before = f.table.copy()
+        raw[:] = ~raw
+        assert np.array_equal(f.table, before)
+
+
+GUARD_CHILD = """
+import json
+from boolsynth.boolfunc import BoolFunc, TableTooLargeError, Valuation, VariableSet
+
+wide = [f"x{i}" for i in range(31)]
+a = BoolFunc.const([f"a{i}" for i in range(16)], True)
+b = BoolFunc.const([f"b{i}" for i in range(16)], False)
+both = a.scope.union(b.scope)
+cases = {
+    "const": lambda: BoolFunc.const(wide, True),
+    "cube": lambda: BoolFunc.cube(wide, {"x0": True}),
+    "exactly": lambda: BoolFunc.exactly(Valuation(VariableSet(wide), (False,) * 31)),
+    "and": lambda: a & b,
+    "or": lambda: a | b,
+    "equivalent": lambda: a.equivalent(b),
+    "extend": lambda: a.extend(both),
+    "compose": lambda: a.compose({"a0": BoolFunc.var("b0")}, both),
+}
+report = {}
+for name, build in cases.items():
+    try:
+        build()
+        report[name] = "built"
+    except TableTooLargeError as exc:
+        report[name] = str(exc)
+    except MemoryError:
+        report[name] = "MemoryError"
+print(json.dumps(report))
+"""
+
+
+class TestTableSizeGuard:
+    def test_limit(self):
+        assert MAX_TABLE_CELLS == 1 << 30
+        check_table_size(30)
+        with pytest.raises(TableTooLargeError, match=r"2\^31"):
+            check_table_size(31)
+
+    def test_constructors_and_operators_refuse_before_allocating(self):
+        # 31-variable constructors; operators on two disjoint 16-variable
+        # functions, whose results span 32 variables.
+        done = run_with_memory_limit(GUARD_CHILD)
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout)
+        for name in ("const", "cube", "exactly"):
+            assert "2^31 = 2147483648 cells" in report[name], name
+        for name in ("and", "or", "equivalent", "extend", "compose"):
+            assert "2^32 = 4294967296 cells" in report[name], name
 
 
 class TestRename:

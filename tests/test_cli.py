@@ -9,7 +9,7 @@ import pytest
 from boolsynth.cli import cli_main
 from boolsynth.network import flatten
 
-from .conftest import FIXTURES
+from .conftest import FIXTURES, run_with_memory_limit
 
 SERIAL = [str(FIXTURES / "serial_chain.net.json"), str(FIXTURES / "serial_chain.contract.json")]
 XOR = [str(FIXTURES / "xor_assumption.net.json"), str(FIXTURES / "xor_assumption.contract.json")]
@@ -189,6 +189,28 @@ class TestEpsCommand:
         assert report["success"] is True
         assert report["closed_loop_verified"] is True
         assert elapsed < 5.0
+
+    def test_six_generator_chain(self, capsys):
+        # the top of the benchmark's k-ladder: a 2^27-cell guarantee, so a
+        # regression instance for the projection, counting and cube kernels
+        code = cli_main(["eps", str(FIXTURES / "eps_chain6.topology.json"), "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["success"] is True
+        assert report["closed_loop_verified"] is True
+
+    def test_seven_generator_chain_is_refused_by_size(self):
+        # Its guarantee needs 2^35 cells; the child's 1 GiB address-space
+        # limit turns a missing guard into a failure, not a full machine.
+        start = time.perf_counter()
+        done = run_with_memory_limit(
+            "import sys\nfrom boolsynth.cli import cli_main\nsys.exit(cli_main(sys.argv[1:]))\n",
+            "eps", str(FIXTURES / "eps_chain7.topology.json"),
+        )
+        elapsed = time.perf_counter() - start
+        assert done.returncode == 2, done.stderr
+        assert "2^35 = 34359738368 cells" in done.stderr
+        assert elapsed < 2.0
 
     def test_malformed_topology(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

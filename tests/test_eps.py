@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 
 import pytest
 
+from boolsynth.boolfunc import BoolFunc, TableTooLargeError, conjoin
 from boolsynth.eps import (
     PowerEdge,
     PowerNode,
@@ -26,7 +28,18 @@ from boolsynth.synthesis import (
     distributed_synthesis,
 )
 
-from .conftest import FIXTURES
+from .conftest import FIXTURES, run_with_memory_limit
+
+
+def chain_topology(k: int) -> PowerTopology:
+    """The k-generator EPS chain for k <= 6: the six-generator fixture
+    restricted to the components numbered k or less."""
+    six = load_topology(FIXTURES / "eps_chain6.topology.json")
+    nodes = [n for n in six.nodes if int(re.search(r"\d+", n.name).group()) <= k]
+    names = {n.name for n in nodes}
+    edges = [e for e in six.edges if e.a in names and e.b in names]
+    contactors = {e.contactor for e in edges}
+    return PowerTopology(tuple(nodes), tuple(edges), tuple(f for f in six.feeders if f in contactors))
 
 
 def mini_topology():
@@ -357,6 +370,54 @@ class TestEndToEnd:
         assert contract.guarantee.evaluate(good)
         assert not contract.guarantee.evaluate({**good, "D1": False})
         assert not contract.guarantee.evaluate({**good, "couple_G1_G2": True})
+
+    def test_guarantee_equals_conjoined_literals(self):
+        # The guarantee is built as one cube; conjoining its literals one at
+        # a time and extending over the outputs is the reference.
+        tree = load_topology(FIXTURES / "eps_tree.topology.json")
+        cases = [(tree, None), (tree, "single")]
+        cases += [(chain_topology(k), None) for k in range(1, 6)]
+        cases += [(chain_topology(k), "single") for k in range(1, 4)]
+        for topo, partition in cases:
+            if partition == "single":
+                partition = [("ALL", [n.name for n in topo.nodes])]
+            net, contract = compile_to_network(topo, partition)
+            outs = all_outputs(net)
+            couples = [y for y in outs if y.startswith("couple_")]
+            want = conjoin(
+                [BoolFunc.var(b) for b in topo.bus_names] + [~BoolFunc.var(c) for c in couples]
+            ).extend(outs)
+            assert contract.guarantee.scope == want.scope
+            assert contract.guarantee == want, (len(topo.bus_names), partition)
+
+    def test_oversized_guarantee_is_refused_before_compiling(self, monkeypatch):
+        # The seven-generator chain's guarantee spans 7 buses, 21 coupling
+        # bits and 7 DC buses.  Compiling a group fails the test, so a
+        # missing guard allocates nothing here.
+        import boolsynth.eps
+
+        def no_compile(*args):
+            raise AssertionError("a group was compiled")
+
+        monkeypatch.setattr(boolsynth.eps, "_group_tables", no_compile)
+        with pytest.raises(TableTooLargeError, match=r"2\^35"):
+            compile_to_network(load_topology(FIXTURES / "eps_chain7.topology.json"))
+
+    def test_oversized_group_is_refused(self):
+        # The six-generator chain as one group has 41 inputs.
+        done = run_with_memory_limit(
+            "import sys\n"
+            "from boolsynth.eps import compile_to_network, load_topology\n"
+            "topo = load_topology(sys.argv[1])\n"
+            "try:\n"
+            "    compile_to_network(topo, [('ALL', [n.name for n in topo.nodes])])\n"
+            "except ValueError as exc:\n"
+            "    print(type(exc).__name__, exc)\n",
+            str(FIXTURES / "eps_chain6.topology.json"),
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("TableTooLargeError")
+        assert "2^41" in done.stdout
 
     def test_each_network_is_validated_once(self, monkeypatch):
         import boolsynth.network

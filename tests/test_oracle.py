@@ -28,7 +28,7 @@ from boolsynth.parser import parse_expr
 from boolsynth.synthesis import completeness_certificate, distributed_synthesis
 
 from ._random_instances import random_contract, random_dag_network, random_forest_instance
-from .conftest import make_system
+from .conftest import make_system, run_with_memory_limit
 
 
 def always(net, value):
@@ -135,6 +135,36 @@ class TestVerifyClosedLoop:
         result = verify_closed_loop(net, always(net, False), contract)
         assert not result.ok and result.counterexample.bits == ()
         assert_matches_composition(net, always(net, False), contract)
+
+    def test_external_inputs_beyond_the_table_limit_are_refused(self):
+        # Two subsystems of 16 environment inputs each: every table fits, but
+        # simulating the closed loop needs vectors over 2^32 valuations.
+        done = run_with_memory_limit(EVALUATOR_CHILD)
+        assert done.returncode == 0, done.stderr
+        assert "2^32 = 4294967296 cells" in done.stdout
+
+
+EVALUATOR_CHILD = """
+from boolsynth.boolfunc import BoolFunc, TableTooLargeError, VariableSet
+from boolsynth.contracts import ContractPair
+from boolsynth.network import BooleanNetwork, BooleanSystem, Controller
+from boolsynth.oracle import verify_closed_loop
+
+systems, controllers = [], {}
+for name in ("S1", "S2"):
+    env = VariableSet([f"{name}_e{i}" for i in range(16)])
+    out = f"{name}_y"
+    systems.append(BooleanSystem(
+        name, VariableSet(), env, VariableSet([out]), {out: BoolFunc.const(env, True)}
+    ))
+    controllers[name] = Controller.constant(name, env, VariableSet())
+net = BooleanNetwork(tuple(systems))
+contract = ContractPair(BoolFunc.const(VariableSet(), True), BoolFunc.var("S1_y"))
+try:
+    verify_closed_loop(net, controllers, contract)
+except TableTooLargeError as exc:
+    print(exc)
+"""
 
 
 class TestBruteForce:
