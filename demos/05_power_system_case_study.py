@@ -53,7 +53,7 @@ print("centralized agrees:", centralized_synthesis(net, contract) is not None)
 # prevents AC coupling.
 ctrl = outcome.controllers["S0"]
 print("S0 controller (inputs", list(ctrl.inputs), "-> controls", list(ctrl.controls), "):")
-for k, row in enumerate(ctrl.rows):
+for k, row in enumerate(ctrl.table.astype(int)):
     env = format(k, f"0{len(ctrl.inputs)}b")
-    bits = "".join("1" if b else "0" for b in row)
+    bits = "".join(map(str, row))
     print(f"  env {env} -> {bits}")

@@ -30,6 +30,8 @@ __all__ = [
     "BoolFunc",
     "check_name",
     "all_valuations",
+    "valuation_ranks",
+    "valuation_bits",
     "conjoin",
 ]
 
@@ -142,14 +144,11 @@ class Valuation:
 
     @classmethod
     def from_index(cls, scope: VariableSet, index: int) -> "Valuation":
-        n = len(scope)
-        bits = tuple(bool((index >> (n - 1 - i)) & 1) for i in range(n))
-        return cls(scope, bits)
+        return cls(scope, tuple(valuation_bits(index, len(scope)).tolist()))
 
     def index(self) -> int:
         """Lexicographic rank of this valuation (False < True)."""
-        n = len(self.scope)
-        return sum(int(b) << (n - 1 - i) for i, b in enumerate(self.bits))
+        return int(valuation_ranks(self.bits))
 
     def __getitem__(self, name: str) -> bool:
         return self.bits[self.scope.index(name)]
@@ -167,6 +166,26 @@ def all_valuations(scope: VariableSet) -> Iterator[Valuation]:
     """All valuations of `scope` in canonical (lexicographic) order."""
     for index in range(1 << len(scope)):
         yield Valuation.from_index(scope, index)
+
+
+def valuation_ranks(bits: Iterable) -> np.ndarray:
+    """Lexicographic rank of each valuation, from one 0/1 array per variable
+    in scope order (the first variable is the most significant bit); the
+    arrays broadcast against each other.  No arrays give rank 0."""
+    rank = np.int64(0)
+    for b in bits:
+        rank = np.bitwise_or(rank << 1, b, dtype=np.int64)
+    return rank
+
+
+def valuation_bits(ranks, n: int) -> np.ndarray:
+    """Inverse of `valuation_ranks`: bool array of shape ``(n, *ranks.shape)``
+    whose row ``i`` holds bit ``i`` of each rank, most significant first."""
+    ranks = np.asarray(ranks, dtype=np.int64)
+    bits = np.empty((n,) + ranks.shape, dtype=bool)
+    for i in range(n):
+        bits[i] = (ranks >> (n - 1 - i)) & 1
+    return bits
 
 
 def _as_scope(scope: Iterable[str] | VariableSet) -> VariableSet:
@@ -317,15 +336,11 @@ class BoolFunc:
 
     def evaluate_many(self, assignments: Mapping[str, np.ndarray]) -> np.ndarray:
         """Vectorized evaluation; each scope variable maps to a 0/1 array."""
-        n = len(self.scope)
-        if n == 0:
+        if not self.scope:
             probe = next(iter(assignments.values()), None)
             shape = () if probe is None else np.shape(probe)
             return np.broadcast_to(self.table, shape).copy()
-        flat = np.zeros_like(np.asarray(assignments[self.scope[0]], dtype=np.int64))
-        for i, v in enumerate(self.scope):
-            flat = flat + (np.asarray(assignments[v], dtype=np.int64) << (n - 1 - i))
-        return self.table.reshape(-1)[flat]
+        return self.table.reshape(-1)[valuation_ranks(assignments[v] for v in self.scope)]
 
     def satisfying_valuations(self) -> list[Valuation]:
         """The satisfying set, in canonical (lexicographic) order."""

@@ -27,9 +27,11 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import eps as eps_mod
 from . import formats
-from .contracts import ContractPair, build_distribution_graph, maximal_distributions
+from .contracts import ContractPair, build_distribution_graph, distributions_from_graph
 from .network import (
     BooleanNetwork,
     Controller,
@@ -189,7 +191,8 @@ def _cmd_distribute(args) -> int:
     if args.subsystem not in net.names:
         print(f"unknown subsystem {args.subsystem!r}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    dists = maximal_distributions(contract.guarantee, net, args.subsystem)
+    graph = build_distribution_graph(contract.guarantee, net, args.subsystem)
+    dists = distributions_from_graph(graph)
     report = {
         "command": "distribute",
         "subsystem": args.subsystem,
@@ -202,14 +205,7 @@ def _cmd_distribute(args) -> int:
         lines.append(f"  {k}: down = {d.down.to_expr()} | up = {d.up.to_expr()}")
     agrees = True
     if args.oracle:
-        graph = build_distribution_graph(contract.guarantee, net, args.subsystem)
-        got = {
-            (
-                frozenset(v.index() for v in d.down.satisfying_valuations()),
-                frozenset(v.index() for v in d.up.satisfying_valuations()),
-            )
-            for d in dists
-        }
+        got = {tuple(frozenset(np.flatnonzero(f.table).tolist()) for f in (d.down, d.up)) for d in dists}
         agrees = got == set(enumerate_bicliques_subset(graph))
         report["oracle"] = {"ran": True, "agrees": agrees}
         lines.append(f"biclique cross-check: {'agrees' if agrees else 'DISAGREES'}")

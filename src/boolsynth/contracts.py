@@ -136,8 +136,9 @@ def build_distribution_graph(
     return DistributionGraph(left, right, adjacency)
 
 
-def _maximal_bicliques(adjacency: np.ndarray) -> list[tuple[frozenset[int], frozenset[int]]]:
-    """All maximal bicliques with both sides nonempty.
+def _maximal_bicliques(adjacency: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """All maximal bicliques with both sides nonempty, as (left, right) bool
+    masks over the adjacency's rows and columns.
 
     Close-by-One over the rows of the smaller side ``m``: the closure of a
     row set S is the set of rows that hold on every column of
@@ -164,17 +165,7 @@ def _maximal_bicliques(adjacency: np.ndarray) -> list[tuple[frozenset[int], froz
             child_extent = m.all(1, where=child_intent)
             if np.array_equal(child_extent[:j], extent[:j]):
                 stack.append((child_extent, child_intent, j + 1))
-    pairs = [
-        (frozenset(np.flatnonzero(e).tolist()), frozenset(np.flatnonzero(i).tolist()))
-        for e, i in concepts
-    ]
-    return [(r, l) for l, r in pairs] if transposed else pairs
-
-
-def _side_func(scope: VariableSet, indices: frozenset[int]) -> BoolFunc:
-    table = np.zeros(1 << len(scope), dtype=bool)
-    table[sorted(indices)] = True
-    return BoolFunc(scope, table)
+    return [(i, e) for e, i in concepts] if transposed else concepts
 
 
 def distributions_from_graph(graph: DistributionGraph) -> list[Distribution]:
@@ -182,12 +173,10 @@ def distributions_from_graph(graph: DistributionGraph) -> list[Distribution]:
     permissive first (descending product of side sizes), ties broken by the
     lexicographically least left satisfying set."""
     pairs = _maximal_bicliques(graph.adjacency)
-    pairs.sort(key=lambda lr: (-(len(lr[0]) * len(lr[1])), tuple(sorted(lr[0])), tuple(sorted(lr[1]))))
+    pairs.sort(key=lambda lr: (-np.count_nonzero(lr[0]) * np.count_nonzero(lr[1]),
+                               np.flatnonzero(lr[0]).tolist(), np.flatnonzero(lr[1]).tolist()))
     return [
-        Distribution(
-            down=_side_func(graph.left_scope, l),
-            up=_side_func(graph.right_scope, r),
-        )
+        Distribution(BoolFunc._wrap(graph.left_scope, l), BoolFunc._wrap(graph.right_scope, r))
         for l, r in pairs
     ]
 

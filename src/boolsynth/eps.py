@@ -23,7 +23,6 @@ attach to more than one parent node.  Dummy nodes never fail.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import combinations
@@ -31,8 +30,9 @@ from math import comb
 
 import numpy as np
 
-from .boolfunc import BoolFunc, VariableSet, check_name, check_table_size, conjoin
+from .boolfunc import BoolFunc, VariableSet, check_name, check_table_size, conjoin, valuation_bits
 from .contracts import ContractPair
+from .formats import array_field, read_document
 from .network import (
     BooleanNetwork,
     BooleanSystem,
@@ -146,38 +146,34 @@ class PowerTopology:
 
 def load_topology(path) -> PowerTopology:
     """Read a topology document (JSON: nodes, edges, feeders)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise TopologyError(f"{path}: not valid JSON ({exc})") from exc
+    doc = read_document(path, TopologyError)
     try:
         nodes = tuple(
-            PowerNode(str(n["name"]), str(n["kind"]), str(n["current"])) for n in doc["nodes"]
+            PowerNode(str(n["name"]), str(n["kind"]), str(n["current"]))
+            for n in array_field(doc, "nodes", path, error=TopologyError)
         )
         edges = []
-        for e in doc["edges"]:
+        for e in array_field(doc, "edges", path, error=TopologyError):
             if "contactor" in e:
                 edges.append(PowerEdge(str(e["a"]), str(e["b"]), str(e["contactor"])))
             elif e.get("solid"):
                 edges.append(PowerEdge(str(e["a"]), str(e["b"]), None))
             else:
                 raise TopologyError(f"edge {e!r} is neither a contactor nor marked solid")
-        feeders = tuple(str(f) for f in doc.get("feeders", ()))
-    except (KeyError, TypeError) as exc:
+        feeders = tuple(str(f) for f in array_field(doc, "feeders", path, default=[], error=TopologyError))
+    except (KeyError, TypeError, AttributeError) as exc:
         raise TopologyError(f"{path}: malformed topology document ({exc!r})") from exc
     return PowerTopology(nodes, tuple(edges), feeders)
 
 
 def load_partition(path) -> list[tuple[str, list[str]]]:
     """Read an explicit grouping: {"groups": [{"name", "nodes": [...]}]}."""
+    doc = read_document(path, TopologyError)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise TopologyError(f"{path}: not valid JSON ({exc})") from exc
-    try:
-        return [(str(g["name"]), [str(n) for n in g["nodes"]]) for g in doc["groups"]]
+        return [
+            (str(g["name"]), [str(n) for n in array_field(g, "nodes", path, error=TopologyError)])
+            for g in array_field(doc, "groups", path, error=TopologyError)
+        ]
     except (KeyError, TypeError) as exc:
         raise TopologyError(f"{path}: malformed partition document ({exc!r})") from exc
 
@@ -459,8 +455,7 @@ def _group_tables(
     # child-side endpoints of that node's crossings.
     n = len(scope)
     check_table_size(n)
-    ranks = np.arange(1 << n)
-    bit = {v: ((ranks >> (n - 1 - i)) & 1).astype(bool) for i, v in enumerate(scope)}
+    bit = dict(zip(scope, valuation_bits(np.arange(1 << n), n)))
     always = np.ones(1 << n, dtype=bool)
     passable: dict[object, np.ndarray] = {
         m: bit[m] if topo.node(m).kind in HEALTH_KINDS else always for m in group.members

@@ -44,6 +44,7 @@ from .network import (
     Controller,
     Interconnection,
     Link,
+    all_controls,
     all_outputs,
     external_inputs,
 )
@@ -58,6 +59,8 @@ __all__ = [
     "parse_controllers_document",
     "load_controllers",
     "dump_document",
+    "read_document",
+    "array_field",
 ]
 
 
@@ -65,28 +68,48 @@ class FormatError(ValueError):
     """A document does not match its schema."""
 
 
-def _field(doc, key, context):
-    try:
-        return doc[key]
-    except (KeyError, TypeError, IndexError):
-        raise FormatError(f"{context}: missing field {key!r}") from None
-
-
-def load_network(path) -> BooleanNetwork:
+def read_document(path, error: type[ValueError] = FormatError) -> dict:
+    """Parse a JSON document whose top level is an object; a file that is
+    not such a document raises `error` naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+            raise error(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{path}: the document must be a JSON object")
+    return doc
+
+
+def _field(doc, key, context, error: type[ValueError] = FormatError):
+    try:
+        return doc[key]
+    except (KeyError, TypeError, IndexError):
+        raise error(f"{context}: missing field {key!r}") from None
+
+
+def array_field(doc, key, context, default=None, error: type[ValueError] = FormatError) -> list:
+    """`doc[key]`, which must be a JSON array; `default` stands in for an
+    absent key when given, otherwise the key is required."""
+    if default is not None and key not in doc:
+        return default
+    value = _field(doc, key, context, error)
+    if not isinstance(value, list):
+        raise error(f"{context}: field {key!r} must be a JSON array")
+    return value
+
+
+def load_network(path) -> BooleanNetwork:
+    doc = read_document(path)
     systems = []
-    for entry in _field(doc, "subsystems", path):
+    for entry in array_field(doc, "subsystems", path):
         name = str(_field(entry, "name", path))
-        controls = VariableSet(str(v) for v in _field(entry, "controls", name))
-        env = VariableSet(str(v) for v in _field(entry, "env_inputs", name))
+        controls = VariableSet(str(v) for v in array_field(entry, "controls", name))
+        env = VariableSet(str(v) for v in array_field(entry, "env_inputs", name))
         scope = controls.union(env)
         outputs = []
         functions = {}
-        for out in _field(entry, "outputs", name):
+        for out in array_field(entry, "outputs", name):
             y = str(_field(out, "name", name))
             outputs.append(y)
             functions[y] = parse_expr(str(_field(out, "expr", y)), scope)
@@ -98,31 +121,23 @@ def load_network(path) -> BooleanNetwork:
             str(_field(w, "to_sys", "wiring")),
             str(_field(w, "to_input", "wiring")),
         )
-        for w in doc.get("wiring", ())
+        for w in array_field(doc, "wiring", path, default=[])
     )
     return BooleanNetwork(tuple(systems), Interconnection(links))
 
 
 def load_contract(path, net: BooleanNetwork) -> ContractPair:
     """Parse a contract against `net`; entries conjoin into a single pair."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    doc = read_document(path)
     ext = external_inputs(net)
     outs = all_outputs(net)
     assumption = BoolFunc.const(ext, True)
-    for text in _field(doc, "assumptions", path):
+    for text in array_field(doc, "assumptions", path):
         assumption = assumption & parse_expr(str(text), ext)
     guarantee = BoolFunc.const(outs, True)
-    for text in _field(doc, "guarantees", path):
+    for text in array_field(doc, "guarantees", path):
         guarantee = guarantee & parse_expr(str(text), outs)
     return ContractPair(assumption, guarantee)
-
-
-def _bits(values) -> str:
-    return "".join("1" if b else "0" for b in values)
 
 
 def _controller_entry(ctrl: Controller) -> dict:
@@ -132,8 +147,8 @@ def _controller_entry(ctrl: Controller) -> dict:
         "inputs": list(ctrl.inputs),
         "controls": list(ctrl.controls),
         "rows": [
-            {"env": format(k, f"0{n}b") if n else "", "controls": _bits(row)}
-            for k, row in enumerate(ctrl.rows)
+            {"env": format(k, f"0{n}b") if n else "", "controls": "".join("01"[b] for b in row)}
+            for k, row in enumerate(ctrl.table.tolist())
         ],
     }
 
@@ -175,43 +190,47 @@ def central_document(controller: Controller) -> dict:
 def parse_controllers_document(doc: Mapping, net: BooleanNetwork) -> tuple[str, dict[str, Controller]]:
     """Rebuild controllers from a document; returns (mode, by-subsystem map).
 
-    Distributed entries must match the named subsystem's interface; a
-    central document holds a single controller over all external inputs and
-    all controls.
+    The mode is "distributed" (the default) or "central", and each
+    subsystem has at most one entry.  Distributed entries must match the
+    named subsystem's interface; a central document holds exactly one
+    controller, over all external inputs and all controls.
     """
-    mode = str(doc.get("mode", "distributed"))
+    mode = doc.get("mode", "distributed")
+    if mode not in ("distributed", "central"):
+        raise FormatError(f"unknown controller document mode {mode!r}")
+    entries = array_field(doc, "controllers", "controllers")
+    if mode == "central" and len(entries) != 1:
+        raise FormatError(f"a central document holds one controller, found {len(entries)}")
     controllers: dict[str, Controller] = {}
-    for entry in _field(doc, "controllers", "controllers"):
+    for entry in entries:
         name = str(_field(entry, "subsystem", "controller"))
-        inputs = VariableSet(str(v) for v in _field(entry, "inputs", name))
-        controls = VariableSet(str(v) for v in _field(entry, "controls", name))
+        if name in controllers:
+            raise FormatError(f"more than one controller for subsystem {name!r}")
+        inputs = VariableSet(str(v) for v in array_field(entry, "inputs", name))
+        controls = VariableSet(str(v) for v in array_field(entry, "controls", name))
         if mode == "distributed":
             try:
                 sys = net.subsystem(name)
             except KeyError:
                 raise FormatError(f"controller for unknown subsystem {name!r}") from None
-            if inputs != sys.env_inputs or controls != sys.controls:
-                raise FormatError(f"{name}: controller interface does not match the network")
-        rows_doc = _field(entry, "rows", name)
+            interface = (sys.env_inputs, sys.controls)
+        else:
+            interface = (external_inputs(net), all_controls(net))
+        if (inputs, controls) != interface:
+            raise FormatError(f"{name}: controller interface does not match the network")
+        rows_doc = array_field(entry, "rows", name)
         if len(rows_doc) != 1 << len(inputs):
             raise FormatError(f"{name}: expected {1 << len(inputs)} rows, found {len(rows_doc)}")
-        rows = []
-        for k, row in enumerate(rows_doc):
-            bits = str(_field(row, "controls", name))
-            if len(bits) != len(controls) or any(ch not in "01" for ch in bits):
+        rows = [str(_field(row, "controls", name)) for row in rows_doc]
+        for k, bits in enumerate(rows):
+            if len(bits) != len(controls) or bits.strip("01"):
                 raise FormatError(f"{name}: row {k} control bits {bits!r} are malformed")
-            rows.append(tuple(ch == "1" for ch in bits))
-        controllers[name] = Controller(name, inputs, controls, tuple(rows))
+        controllers[name] = Controller(name, inputs, controls, [[ch == "1" for ch in bits] for bits in rows])
     return mode, controllers
 
 
 def load_controllers(path, net: BooleanNetwork) -> tuple[str, dict[str, Controller]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON ({exc})") from exc
-    return parse_controllers_document(doc, net)
+    return parse_controllers_document(read_document(path), net)
 
 
 def dump_document(path, doc: Mapping) -> None:

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .boolfunc import BoolFunc, Valuation, VariableSet, check_name
+from .boolfunc import BoolFunc, VariableSet, check_name, valuation_ranks
 
 __all__ = [
     "BooleanSystem",
@@ -295,47 +295,52 @@ def all_controls(net: BooleanNetwork) -> VariableSet:
     return VariableSet(v for s in net.subsystems for v in s.controls)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Controller:
     """Total lookup table from environment-input valuations to control values.
 
-    Rows are indexed by the lexicographic rank of the input valuation; each
-    row lists control bits in control declaration order.
+    `table` is a read-only bool array of shape ``(2^|inputs|, |controls|)``:
+    row ``k`` holds the control bits, in control declaration order, chosen
+    at the input valuation of lexicographic rank ``k``.  Any array-like of
+    that shape is accepted and copied.
     """
 
     subsystem: str
     inputs: VariableSet
     controls: VariableSet
-    rows: tuple[tuple[bool, ...], ...]
+    table: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.rows) != 1 << len(self.inputs):
+        want = (1 << len(self.inputs), len(self.controls))
+        table = np.array(self.table, dtype=bool, order="C")  # a jagged table raises ValueError
+        if table.shape != want:
             raise ValueError(
-                f"controller for {self.subsystem} has {len(self.rows)} rows, "
-                f"expected {1 << len(self.inputs)}"
+                f"controller for {self.subsystem} has a table of shape {table.shape}, expected {want}"
             )
-        rows = tuple(tuple(bool(b) for b in row) for row in self.rows)
-        for row in rows:
-            if len(row) != len(self.controls):
-                raise ValueError(f"controller row {row} does not match control count")
-        object.__setattr__(self, "rows", rows)
+        table.setflags(write=False)
+        object.__setattr__(self, "table", table)
 
     @classmethod
     def constant(
         cls, subsystem: str, inputs: VariableSet, controls: VariableSet, value: bool = False
     ) -> "Controller":
-        row = (bool(value),) * len(controls)
-        return cls(subsystem, inputs, controls, (row,) * (1 << len(inputs)))
+        return cls(subsystem, inputs, controls, np.full((1 << len(inputs), len(controls)), bool(value)))
 
     def __call__(self, env: Mapping[str, bool]) -> dict[str, bool]:
-        idx = Valuation(self.inputs, tuple(env[v] for v in self.inputs)).index()
-        return dict(zip(self.controls, self.rows[idx]))
+        return dict(zip(self.controls, self.table[valuation_ranks(env[v] for v in self.inputs)].tolist()))
 
     def control_function(self, control: str) -> BoolFunc:
         """The chosen value of one control as a BoolFunc of the inputs."""
-        k = self.controls.index(control)
-        col = np.array([row[k] for row in self.rows], dtype=bool)
-        return BoolFunc(self.inputs, col)
+        return BoolFunc(self.inputs, self.table[:, self.controls.index(control)])
+
+    def _key(self) -> tuple:
+        return self.subsystem, self.inputs, self.controls, self.table.tobytes()
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if isinstance(other, Controller) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def _closed_loop_functions(

@@ -16,7 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from .boolfunc import Valuation, check_table_size
+from .boolfunc import Valuation, VariableSet, check_table_size, valuation_bits, valuation_ranks
 from .contracts import ContractPair, DistributionGraph, check_contract
 from .network import (
     BooleanNetwork,
@@ -82,7 +82,7 @@ def verify_closed_loop(
         ctrl = controllers[sys.name]
         if ctrl.inputs != sys.env_inputs or ctrl.controls != sys.controls:
             raise ValueError(f"controller for {sys.name!r} does not match its interface")
-        tables[sys.name] = np.array(ctrl.rows, dtype=bool)
+        tables[sys.name] = ctrl.table
     evaluator = _VectorEvaluator(net)
     violated = evaluator.violations(tables, contract)
     if not violated.any():
@@ -94,8 +94,8 @@ class _VectorEvaluator:
     """Vectorized closed-loop evaluation over all external valuations at once.
 
     Built once per network; `outputs_for` takes one controller table per
-    subsystem (as a 2^|E| x |U| boolean array) and returns each output's
-    value array indexed by external-valuation rank.
+    subsystem (as a 2^|E| x |U| boolean array) and returns each variable's
+    bool value array indexed by external-valuation rank.
     """
 
     def __init__(self, net: BooleanNetwork):
@@ -103,11 +103,7 @@ class _VectorEvaluator:
         self.ext = external_inputs(net)
         m = len(self.ext)
         check_table_size(m)
-        ranks = np.arange(1 << m, dtype=np.int64)
-        self.ext_bits = {
-            v: ((ranks >> (m - 1 - i)) & 1).astype(np.int64)
-            for i, v in enumerate(self.ext)
-        }
+        self.ext_bits = dict(zip(self.ext, valuation_bits(np.arange(1 << m), m)))
         self.order = topological_order(system_graph(net))
         self.drivers = {
             name: {l.to_input: l.from_output for l in net.wiring.into(name)}
@@ -115,23 +111,20 @@ class _VectorEvaluator:
         }
 
     def outputs_for(self, tables: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """Values of every external input, environment input, control and
+        output.  Each subsystem looks its control rows up in one gather and
+        computes one flat index per distinct function scope."""
         values: dict[str, np.ndarray] = dict(self.ext_bits)
         for name in self.order:
             sys = self.net.subsystem(name)
-            drivers = self.drivers[name]
-            env_arrays = {
-                v: values[drivers.get(v, v)] for v in sys.env_inputs
-            }
-            ne = len(sys.env_inputs)
-            env_rank = np.zeros(1 << len(self.ext), dtype=np.int64)
-            for i, v in enumerate(sys.env_inputs):
-                env_rank = env_rank + (env_arrays[v] << (ne - 1 - i))
-            table = tables[name]
-            point = dict(env_arrays)
-            for k, u in enumerate(sys.controls):
-                point[u] = table[env_rank, k].astype(np.int64)
+            values.update({v: values[y] for v, y in self.drivers[name].items()})
+            rows = tables[name][valuation_ranks(values[v] for v in sys.env_inputs)]
+            values.update(zip(sys.controls, rows.T))
+            ranks: dict[VariableSet, np.ndarray] = {}
             for y, f in sys.functions.items():
-                values[y] = f.evaluate_many(point).astype(np.int64)
+                if f.scope not in ranks:
+                    ranks[f.scope] = valuation_ranks(values[v] for v in f.scope)
+                values[y] = f.table.reshape(-1)[ranks[f.scope]]
         return values
 
     def violations(self, tables: Mapping[str, np.ndarray], contract: ContractPair) -> np.ndarray:
@@ -150,11 +143,7 @@ def _decode_table(code: int, env_count: int, control_count: int) -> np.ndarray:
     """Controller table number `code` in lexicographic order: the flattened
     row-major bit string (first bit most significant) counts up with `code`,
     so 0 is the all-False table."""
-    rows = 1 << env_count
-    bits = rows * control_count
-    shifts = np.arange(bits - 1, -1, -1, dtype=np.int64)
-    flat = ((np.int64(code) >> shifts) & 1).astype(bool)
-    table = flat.reshape(rows, control_count)
+    table = valuation_bits(code, (1 << env_count) * control_count).reshape(-1, control_count)
     table.setflags(write=False)
     return table
 
@@ -178,24 +167,12 @@ def brute_force_distributed(
             f"{budget.max_total_controller_bits}"
         )
     evaluator = _VectorEvaluator(net)
-    names = list(net.names)
-    sizes = [(len(s.env_inputs), len(s.controls)) for s in net.subsystems]
-    code_ranges = [range(1 << ((1 << ne) * nc)) for ne, nc in sizes]
-    for combo in product(*code_ranges):
-        tables = {
-            name: _decode_table(combo[i], sizes[i][0], sizes[i][1])
-            for i, name in enumerate(names)
-        }
+    systems = net.subsystems
+    sizes = [(len(s.env_inputs), len(s.controls)) for s in systems]
+    for combo in product(*(range(1 << ((1 << ne) * nc)) for ne, nc in sizes)):
+        tables = {s.name: _decode_table(code, *size) for s, code, size in zip(systems, combo, sizes)}
         if evaluator.satisfies(tables, contract):
-            return {
-                name: Controller(
-                    name,
-                    net.subsystem(name).env_inputs,
-                    net.subsystem(name).controls,
-                    tuple(tuple(bool(b) for b in row) for row in tables[name]),
-                )
-                for name in names
-            }
+            return {s.name: Controller(s.name, s.env_inputs, s.controls, tables[s.name]) for s in systems}
     return None
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfunc import BoolFunc, Valuation, VariableSet
+from .boolfunc import BoolFunc, Valuation, VariableSet, valuation_bits
 from .contracts import (
     ContractPair,
     check_contract,
@@ -124,11 +124,7 @@ def extract_controller(sys: BooleanSystem, assumption: BoolFunc, guarantee: Bool
             f"{sys.name}: no control satisfies the guarantee at admissible input ({witness})"
         )
     choice = np.where(any_u, np.argmax(table, axis=1), 0)
-    nc = len(ctr)
-    rows = tuple(
-        tuple(bool((int(c) >> (nc - 1 - k)) & 1) for k in range(nc)) for c in choice
-    )
-    return Controller(sys.name, env, ctr, rows)
+    return Controller(sys.name, env, ctr, valuation_bits(choice, len(ctr)).T)
 
 
 def least_restrictive_assumption(
@@ -245,10 +241,10 @@ def centralized_synthesis(net: BooleanNetwork, contract: ContractPair) -> Contro
     """One controller for the whole network (all controls read all external
     inputs), or None when even full information does not suffice."""
     check_contract(net, contract)
-    plant = net.plant
-    if not check_realizable(plant, contract.assumption, contract.guarantee):
+    try:
+        return extract_controller(net.plant, contract.assumption, contract.guarantee)
+    except UnrealizableError:
         return None
-    return extract_controller(plant, contract.assumption, contract.guarantee)
 
 
 def completeness_certificate(net: BooleanNetwork, contract: ContractPair) -> bool:

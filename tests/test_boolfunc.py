@@ -17,6 +17,8 @@ from boolsynth.boolfunc import (
     all_valuations,
     check_table_size,
     conjoin,
+    valuation_bits,
+    valuation_ranks,
 )
 
 from .conftest import run_with_memory_limit
@@ -374,6 +376,21 @@ class TestValuation:
     def test_length_checked(self):
         with pytest.raises(ValueError):
             Valuation(VariableSet(["a"]), (True, False))
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 13])
+    def test_ranks_and_bits_are_inverse(self, n):
+        ranks = np.arange(1 << n)
+        bits = valuation_bits(ranks, n)
+        assert bits.dtype == bool and bits.shape == (n, 1 << n)
+        assert np.array_equal(valuation_ranks(bits), ranks if n else 0)
+        assert np.array_equal(valuation_ranks(list(bits.astype(np.uint8))), ranks if n else 0)
+        scope = VariableSet(f"x{i}" for i in range(n))
+        for r in (0, (1 << n) - 1, (1 << n) // 3):
+            assert Valuation.from_index(scope, r).bits == tuple(bits[:, r].tolist())
+
+    def test_ranks_broadcast(self):
+        column, row = np.array([[0], [1]]), np.array([[0, 1, 1]], dtype=bool)
+        assert valuation_ranks([column, row]).tolist() == [[0, 1, 1], [2, 3, 3]]
 
 
 class TestEquality:

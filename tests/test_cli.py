@@ -249,3 +249,118 @@ class TestUsageErrors:
 
     def test_unknown_command(self, capsys):
         assert cli_main(["frobnicate"]) == 2
+
+
+def _documents(tmp_path) -> dict:
+    """One valid document of each kind the command line reads."""
+    ctrl = tmp_path / "ctrl.json"
+    assert cli_main(["synthesize", *SERIAL, "--out", str(ctrl)]) == 0
+    topology = json.loads((FIXTURES / "eps_tree.topology.json").read_text())
+    return {
+        "network": json.loads((FIXTURES / "serial_chain.net.json").read_text()),
+        "contract": json.loads((FIXTURES / "serial_chain.contract.json").read_text()),
+        "controllers": json.loads(ctrl.read_text()),
+        "topology": topology,
+        "partition": {"groups": [{"name": "ALL", "nodes": [n["name"] for n in topology["nodes"]]}]},
+    }
+
+
+def _run_with(tmp_path, capsys, docs: dict, kind: str, text: str | None = None) -> tuple[int, str]:
+    """Write the documents, the one of `kind` as raw `text` when given, and
+    run the command that reads `kind`: `eps` for a topology or partition,
+    `verify` otherwise.  Returns the exit code and stderr."""
+    paths = {k: tmp_path / f"{k}.json" for k in docs}
+    for k, doc in docs.items():
+        paths[k].write_text(text if k == kind and text is not None else json.dumps(doc))
+    if kind in ("topology", "partition"):
+        argv = ["eps", str(paths["topology"]), "--partition", str(paths["partition"])]
+    else:
+        argv = ["verify", str(paths["network"]), str(paths["contract"]), str(paths["controllers"])]
+    capsys.readouterr()
+    code = cli_main(argv)
+    return code, capsys.readouterr().err
+
+
+class TestDocumentValidation:
+    @pytest.mark.parametrize("kind", ["network", "topology"])
+    def test_valid_documents_pass(self, tmp_path, capsys, kind):
+        docs = _documents(tmp_path)
+        assert _run_with(tmp_path, capsys, docs, kind)[0] == 0
+
+    @pytest.mark.parametrize(
+        "kind, path, field, value",
+        [
+            ("network", ["subsystems", 0], "controls", 5),
+            ("network", ["subsystems", 0], "outputs", "y1"),
+            ("network", [], "wiring", {}),
+            ("contract", [], "assumptions", "e1"),
+            ("contract", [], "guarantees", 5),
+            ("controllers", [], "controllers", {}),
+            ("controllers", ["controllers", 0], "rows", 5),
+            ("controllers", ["controllers", 0], "inputs", "e1"),
+            ("topology", [], "nodes", 5),
+            ("topology", [], "feeders", "k_r1a"),
+            ("partition", [], "groups", {}),
+            ("partition", ["groups", 0], "nodes", "G1"),
+        ],
+    )
+    def test_list_fields_must_be_arrays(self, tmp_path, capsys, kind, path, field, value):
+        docs = _documents(tmp_path)
+        target = docs[kind]
+        for key in path:
+            target = target[key]
+        target[field] = value
+        code, err = _run_with(tmp_path, capsys, docs, kind)
+        assert code == 2
+        assert f"{field!r} must be a JSON array" in err
+
+    @pytest.mark.parametrize("kind", ["network", "contract", "controllers", "topology", "partition"])
+    @pytest.mark.parametrize("text", ["{", "[]", "5"])
+    def test_documents_must_be_json_objects(self, tmp_path, capsys, kind, text):
+        code, err = _run_with(tmp_path, capsys, _documents(tmp_path), kind, text)
+        assert code == 2
+        assert str(tmp_path / f"{kind}.json") in err
+
+
+class TestAmbiguousControllerDocuments:
+    def _verify(self, tmp_path, capsys, doc) -> tuple[int, str]:
+        docs = _documents(tmp_path)
+        docs["controllers"] = doc
+        return _run_with(tmp_path, capsys, docs, "controllers")
+
+    def _synthesized(self, tmp_path, *flags) -> dict:
+        out = tmp_path / "synthesized.json"
+        assert cli_main(["synthesize", *SERIAL, *flags, "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    def test_unknown_mode(self, tmp_path, capsys):
+        doc = self._synthesized(tmp_path, "--central")
+        doc["mode"] = "bogus"
+        code, err = self._verify(tmp_path, capsys, doc)
+        assert code == 2 and "'bogus'" in err
+
+    @pytest.mark.parametrize("flipped_first", [True, False])
+    def test_subsystem_listed_twice(self, tmp_path, capsys, flipped_first):
+        doc = self._synthesized(tmp_path)
+        (good,) = [c for c in doc["controllers"] if c["subsystem"] == "S1"]
+        flipped = dict(good, rows=[dict(r, controls="0" if r["controls"] == "1" else "1") for r in good["rows"]])
+        if flipped_first:
+            doc["controllers"].insert(0, flipped)
+        else:
+            doc["controllers"].append(flipped)
+        code, err = self._verify(tmp_path, capsys, doc)
+        assert code == 2 and "more than one controller for subsystem 'S1'" in err
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_central_document_holds_one_controller(self, tmp_path, capsys, count):
+        doc = self._synthesized(tmp_path, "--central")
+        doc["controllers"] = doc["controllers"] * count
+        code, err = self._verify(tmp_path, capsys, doc)
+        assert code == 2 and f"found {count}" in err
+
+    @pytest.mark.parametrize("field, value", [("inputs", ["e2", "e1"]), ("controls", ["u2", "u1"])])
+    def test_central_interface_is_all_external_inputs_and_controls(self, tmp_path, capsys, field, value):
+        doc = self._synthesized(tmp_path, "--central")
+        doc["controllers"][0][field] = value
+        code, err = self._verify(tmp_path, capsys, doc)
+        assert code == 2 and "interface" in err

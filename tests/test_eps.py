@@ -170,7 +170,7 @@ class TestDummyNodes:
         assert out.success
         assert verify_closed_loop(net, out.controllers, contract).ok
         ctrl = out.controllers[net.names[0]]
-        for row in ctrl.rows:
+        for row in ctrl.table:
             assert sum(row[ctrl.controls.index(k)] for k in ("ka", "kb")) <= 1
 
 

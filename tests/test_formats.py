@@ -12,6 +12,7 @@ from boolsynth.formats import (
     load_contract,
     load_controllers,
     load_network,
+    parse_controllers_document,
 )
 from boolsynth.network import all_outputs, external_inputs
 from boolsynth.oracle import verify_closed_loop
@@ -97,3 +98,28 @@ def test_mismatched_interface_rejected(tmp_path):
     dump_document(path, doc)
     with pytest.raises(FormatError, match="interface"):
         load_controllers(path, net)
+
+
+@pytest.mark.parametrize(
+    "in_entry, change, message",
+    [
+        (False, {"mode": "bogus"}, "mode 'bogus'"),
+        (False, {"controllers": []}, "found 0"),
+        (True, {"inputs": ["e2", "e1"]}, "interface"),
+        (True, {"controls": ["u1"]}, "interface"),
+    ],
+)
+def test_ambiguous_central_documents_rejected(in_entry, change, message):
+    net = serial_chain_net()
+    doc = central_document(centralized_synthesis(net, make_contract(net, "e1", "y2")))
+    (doc["controllers"][0] if in_entry else doc).update(change)
+    with pytest.raises(FormatError, match=message):
+        parse_controllers_document(doc, net)
+
+
+def test_duplicate_subsystem_rejected():
+    net = serial_chain_net()
+    doc = controllers_document(net, distributed_synthesis(net, make_contract(net, "e1", "y2")))
+    doc["controllers"].append(doc["controllers"][0])
+    with pytest.raises(FormatError, match="more than one controller"):
+        parse_controllers_document(doc, net)

@@ -317,3 +317,30 @@ class TestController:
         f = ctrl.control_function("u")
         assert f.evaluate({"e1": True, "e2": False})
         assert not f.evaluate({"e1": True, "e2": True})
+
+    def test_table_is_one_read_only_bool_array(self):
+        rows = ((False, True), (True, True))
+        ctrl = Controller("S", VariableSet(["e"]), VariableSet(["u", "v"]), rows)
+        assert ctrl.table.dtype == bool and ctrl.table.shape == (2, 2)
+        assert ctrl.table.tolist() == [list(r) for r in rows]
+        assert not ctrl.table.flags.writeable and ctrl.table.flags.c_contiguous
+        source = np.array(rows)
+        assert not np.shares_memory(Controller("S", ctrl.inputs, ctrl.controls, source).table, source)
+
+    @pytest.mark.parametrize(
+        "table",
+        [((True,), (True, False)), ((True, False), (True, False)), (True, False), np.zeros((2, 1, 1))],
+        ids=["jagged", "too-many-controls", "flat", "three-axes"],
+    )
+    def test_malformed_tables_are_refused(self, table):
+        with pytest.raises(ValueError):
+            Controller("S", VariableSet(["e"]), VariableSet(["u"]), table)
+
+    def test_equality_and_hash_compare_tables(self):
+        inputs, controls = VariableSet(["e"]), VariableSet(["u"])
+        a = Controller("S", inputs, controls, ((False,), (True,)))
+        b = Controller("S", inputs, controls, np.array([[False], [True]]))
+        assert a == b and hash(a) == hash(b)
+        assert a != Controller("S", inputs, controls, ((True,), (True,)))
+        assert a != Controller("T", inputs, controls, ((False,), (True,)))
+        assert Controller.constant("S", inputs, controls, True) == Controller("S", inputs, controls, ((True,),) * 2)

@@ -52,7 +52,7 @@ def assert_matches_composition(net, controllers, contract):
 
 
 def flip_one_bit(ctrl, rng):
-    rows = [list(row) for row in ctrl.rows]
+    rows = [list(row) for row in ctrl.table]
     r, c = int(rng.integers(0, len(rows))), int(rng.integers(0, len(ctrl.controls)))
     rows[r][c] = not rows[r][c]
     return Controller(ctrl.subsystem, ctrl.inputs, ctrl.controls, tuple(map(tuple, rows)))
@@ -199,7 +199,7 @@ class TestBruteForce:
         found = brute_force_distributed(net, contract)
         assert found is not None
         for ctrl in found.values():
-            assert all(row == (False,) for row in ctrl.rows)
+            assert all(row == (False,) for row in ctrl.table)
 
     def test_budget_is_enforced(self, serial_chain):
         net, contract = serial_chain

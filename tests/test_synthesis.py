@@ -7,6 +7,7 @@ from boolsynth.boolfunc import BoolFunc, Valuation, VariableSet, all_valuations,
 from boolsynth.contracts import ContractPair, maximal_distributions, project_assumption
 from boolsynth.network import all_outputs, classify_inputs, compose, external_inputs
 from boolsynth.oracle import verify_closed_loop
+from boolsynth import synthesis
 from boolsynth.parser import parse_expr
 from boolsynth.synthesis import (
     UnrealizableError,
@@ -75,7 +76,7 @@ class TestExtractController:
         ctrl = extract_controller(
             s1, BoolFunc.const(VariableSet(["e1"]), True), BoolFunc.const(s1.outputs, True)
         )
-        assert all(row == (False,) for row in ctrl.rows)
+        assert all(row == (False,) for row in ctrl.table)
 
     def test_root_controller_sets_output_when_admissible(self, serial_chain):
         net, _ = serial_chain
@@ -256,6 +257,17 @@ class TestDistributedSynthesis:
         )
         assert not distributed_synthesis(net, bad).success
         assert centralized_synthesis(net, bad) is None
+
+    @pytest.mark.parametrize("fixture", ["serial_chain", "xor_assumption", "shared_or_guarantee", "two_parents"])
+    def test_central_synthesis_builds_the_plant_game_once(self, fixture, request, monkeypatch):
+        net, contract = request.getfixturevalue(fixture)
+        calls = []
+        original = synthesis._guarantee_over_inputs
+        monkeypatch.setattr(synthesis, "_guarantee_over_inputs", lambda *a: calls.append(a) or original(*a))
+        controller = centralized_synthesis(net, contract)
+        assert len(calls) == 1
+        realizable = check_realizable(net.plant, contract.assumption, contract.guarantee)
+        assert (controller is not None) == realizable
 
     def test_two_parents_first_elimination_and_success(self, two_parents):
         net, contract = two_parents
