@@ -33,7 +33,6 @@ from .network import (
 )
 from .oracle import (
     BudgetExceededError,
-    OracleBudget,
     VerificationResult,
     brute_force_distributed,
     enumerate_bicliques_subset,
@@ -41,7 +40,6 @@ from .oracle import (
 )
 from .parser import ExprSyntaxError, UnknownIdentifierError, parse_expr
 from .synthesis import (
-    LocalSynthesisResult,
     SynthesisOutcome,
     TraceEntry,
     UnrealizableError,
@@ -51,7 +49,6 @@ from .synthesis import (
     distributed_synthesis,
     extract_controller,
     least_restrictive_assumption,
-    local_synthesis,
     rewire_to_parent_outputs,
     update_contract,
 )

@@ -43,9 +43,7 @@ from .network import (
 )
 from .oracle import (
     BudgetExceededError,
-    OracleBudget,
     brute_force_distributed,
-    controller_table_bits,
     enumerate_bicliques_subset,
     verify_closed_loop,
 )
@@ -71,12 +69,10 @@ def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
 
 
 def _oracle_cross_check(net: BooleanNetwork, contract: ContractPair, claimed: bool) -> dict:
-    bits = controller_table_bits(net)
-    budget = OracleBudget()
-    if bits > budget.max_total_controller_bits:
-        return {"ran": False, "reason": f"needs {bits} table bits, budget is "
-                                        f"{budget.max_total_controller_bits}"}
-    found = brute_force_distributed(net, contract, budget)
+    try:
+        found = brute_force_distributed(net, contract)
+    except BudgetExceededError as exc:
+        return {"ran": False, "reason": str(exc)}
     return {"ran": True, "oracle_realizable": found is not None, "agrees": (found is not None) == claimed}
 
 

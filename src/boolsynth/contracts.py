@@ -173,8 +173,10 @@ def distributions_from_graph(graph: DistributionGraph) -> list[Distribution]:
     permissive first (descending product of side sizes), ties broken by the
     lexicographically least left satisfying set."""
     pairs = _maximal_bicliques(graph.adjacency)
+    # A maximal biclique's left side determines its right side, so the left
+    # index list breaks every tie.
     pairs.sort(key=lambda lr: (-np.count_nonzero(lr[0]) * np.count_nonzero(lr[1]),
-                               np.flatnonzero(lr[0]).tolist(), np.flatnonzero(lr[1]).tolist()))
+                               np.flatnonzero(lr[0]).tolist()))
     return [
         Distribution(BoolFunc._wrap(graph.left_scope, l), BoolFunc._wrap(graph.right_scope, r))
         for l, r in pairs

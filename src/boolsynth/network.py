@@ -31,6 +31,7 @@ __all__ = [
     "leaf_order",
     "is_forest",
     "topological_order",
+    "check_controllers",
     "compose",
     "flatten",
     "remove_subsystem",
@@ -343,6 +344,17 @@ class Controller:
         return hash(self._key())
 
 
+def check_controllers(net: BooleanNetwork, controllers: Mapping[str, Controller]) -> None:
+    """Raise unless every subsystem of `net` has a controller reading its
+    environment inputs and setting its controls."""
+    for sys in net.subsystems:
+        if sys.name not in controllers:
+            raise ValueError(f"missing controller for subsystem {sys.name!r}")
+        ctrl = controllers[sys.name]
+        if ctrl.inputs != sys.env_inputs or ctrl.controls != sys.controls:
+            raise ValueError(f"controller for {sys.name!r} does not match its interface")
+
+
 def _closed_loop_functions(
     net: BooleanNetwork, controllers: Mapping[str, Controller] | None
 ) -> dict[str, BoolFunc]:
@@ -351,14 +363,9 @@ def _closed_loop_functions(
     closed: dict[str, BoolFunc] = {}
     for name in topological_order(system_graph(net)):
         sys = net.subsystem(name)
-        ctrl_funcs: dict[str, BoolFunc] = {}
-        if controllers is not None:
-            if name not in controllers:
-                raise ValueError(f"missing controller for subsystem {name!r}")
-            ctrl = controllers[name]
-            if ctrl.inputs != sys.env_inputs or ctrl.controls != sys.controls:
-                raise ValueError(f"controller for {name!r} does not match its interface")
-            ctrl_funcs = {u: ctrl.control_function(u) for u in sys.controls}
+        ctrl_funcs = {} if controllers is None else {
+            u: controllers[name].control_function(u) for u in sys.controls
+        }
         drivers = {
             l.to_input: closed[l.from_output] for l in net.wiring.into(name)
         }
@@ -388,6 +395,7 @@ def compose(
     eliminates internal inputs along the wiring; every returned function is
     scoped over the full external-input set.
     """
+    check_controllers(net, controllers)
     ext = external_inputs(net)
     closed = _closed_loop_functions(net, controllers)
     return {y: closed[y].extend(ext) for y in all_outputs(net)}

@@ -21,13 +21,13 @@ from .contracts import ContractPair, DistributionGraph, check_contract
 from .network import (
     BooleanNetwork,
     Controller,
+    check_controllers,
     external_inputs,
     system_graph,
     topological_order,
 )
 
 __all__ = [
-    "OracleBudget",
     "BudgetExceededError",
     "VerificationResult",
     "controller_table_bits",
@@ -37,16 +37,16 @@ __all__ = [
 ]
 
 
+# Cap on the exhaustive controller search: the summed table size
+# ``sum_i |U_i| * 2^|E_i|`` of all controllers.
+MAX_CONTROLLER_BITS = 24
+# Cap on the subset biclique oracle: 2^(smaller side) subsets times the
+# larger side.
+MAX_BICLIQUE_WORK = 1 << 16
+
+
 class BudgetExceededError(ValueError):
-    """The requested enumeration is larger than the configured budget."""
-
-
-@dataclass(frozen=True)
-class OracleBudget:
-    """Cap on the exhaustive controller search: the summed table size
-    ``sum_i |U_i| * 2^|E_i|`` may not exceed `max_total_controller_bits`."""
-
-    max_total_controller_bits: int = 24
+    """The requested enumeration is larger than the oracle's budget."""
 
 
 @dataclass(frozen=True)
@@ -75,16 +75,9 @@ def verify_closed_loop(
     canonical order, if any.
     """
     check_contract(net, contract)
-    tables: dict[str, np.ndarray] = {}
-    for sys in net.subsystems:
-        if sys.name not in controllers:
-            raise ValueError(f"missing controller for subsystem {sys.name!r}")
-        ctrl = controllers[sys.name]
-        if ctrl.inputs != sys.env_inputs or ctrl.controls != sys.controls:
-            raise ValueError(f"controller for {sys.name!r} does not match its interface")
-        tables[sys.name] = ctrl.table
+    check_controllers(net, controllers)
     evaluator = _VectorEvaluator(net)
-    violated = evaluator.violations(tables, contract)
+    violated = evaluator.violations({n: c.table for n, c in controllers.items()}, contract)
     if not violated.any():
         return VerificationResult(True)
     return VerificationResult(False, Valuation.from_index(evaluator.ext, int(np.argmax(violated))))
@@ -149,9 +142,7 @@ def _decode_table(code: int, env_count: int, control_count: int) -> np.ndarray:
 
 
 def brute_force_distributed(
-    net: BooleanNetwork,
-    contract: ContractPair,
-    budget: OracleBudget = OracleBudget(),
+    net: BooleanNetwork, contract: ContractPair
 ) -> dict[str, Controller] | None:
     """Search every tuple of local controller tables for one whose closed
     loop satisfies the contract; None when the search space is exhausted.
@@ -161,10 +152,9 @@ def brute_force_distributed(
     """
     check_contract(net, contract)
     bits = controller_table_bits(net)
-    if bits > budget.max_total_controller_bits:
+    if bits > MAX_CONTROLLER_BITS:
         raise BudgetExceededError(
-            f"controller search needs {bits} table bits, budget allows "
-            f"{budget.max_total_controller_bits}"
+            f"controller search needs {bits} table bits, budget allows {MAX_CONTROLLER_BITS}"
         )
     evaluator = _VectorEvaluator(net)
     systems = net.subsystems
@@ -176,15 +166,14 @@ def brute_force_distributed(
     return None
 
 
-def enumerate_bicliques_subset(
-    graph: DistributionGraph, max_work: int = 1 << 16
-) -> frozenset[tuple[frozenset[int], frozenset[int]]]:
+def enumerate_bicliques_subset(graph: DistributionGraph) -> frozenset[tuple[frozenset[int], frozenset[int]]]:
     """Maximal bicliques (both sides nonempty) by subset closure.
 
     For every nonempty subset of the smaller side, intersect the other
     side's neighborhoods, close back, and keep the resulting pair.  Exact
     but exponential in the smaller side; refuses graphs whose work,
-    2^(smaller side) subsets times the larger side, exceeds `max_work`.
+    2^(smaller side) subsets times the larger side, exceeds
+    `MAX_BICLIQUE_WORK`.
     """
     adjacency = graph.adjacency
     n_left, n_right = adjacency.shape
@@ -192,9 +181,10 @@ def enumerate_bicliques_subset(
     if transposed:
         adjacency = adjacency.T
         n_left, n_right = n_right, n_left
-    if n_right << n_left > max_work:
+    if n_right << n_left > MAX_BICLIQUE_WORK:
         raise BudgetExceededError(
-            f"biclique oracle limited to {max_work} subset steps, got 2^{n_left} x {n_right}"
+            f"biclique oracle limited to {MAX_BICLIQUE_WORK} subset steps, "
+            f"got 2^{n_left} x {n_right}"
         )
 
     # Python ints as bit sets: numpy indices would overflow past bit 63.

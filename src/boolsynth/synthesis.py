@@ -7,7 +7,9 @@ procedure peels leaf subsystems off the system graph in one fixed order,
 `leaf_order`: it projects the assumption once per leaf, tries each maximal
 guarantee split, constrains the leaf's internal inputs by the least
 restrictive assumption, turns that constraint into a guarantee for the
-remaining subsystems, and recurses, backtracking over splits.
+remaining subsystems, and recurses, backtracking over splits.  The search
+yields one local contract per subsystem; a controller is extracted from
+each of them once the search has succeeded.
 """
 
 from __future__ import annotations
@@ -37,13 +39,11 @@ from .network import (
 __all__ = [
     "UnrealizableError",
     "UndrivenInputError",
-    "LocalSynthesisResult",
     "TraceEntry",
     "SynthesisOutcome",
     "check_realizable",
     "extract_controller",
     "least_restrictive_assumption",
-    "local_synthesis",
     "rewire_to_parent_outputs",
     "update_contract",
     "distributed_synthesis",
@@ -54,15 +54,6 @@ __all__ = [
 
 class UnrealizableError(ValueError):
     """Controller extraction was asked for an unrealizable contract."""
-
-
-@dataclass(frozen=True)
-class LocalSynthesisResult:
-    """Least restrictive assumption over the internal inputs, plus the local
-    controller (present exactly when the assumption is not constant False)."""
-
-    lra: BoolFunc
-    controller: Controller | None
 
 
 @dataclass(frozen=True)
@@ -146,20 +137,6 @@ def least_restrictive_assumption(
     return ~losing.extend(losing.scope.union(internal)).project(internal)
 
 
-def local_synthesis(
-    sys: BooleanSystem,
-    assumption: BoolFunc,
-    guarantee: BoolFunc,
-    internal: VariableSet,
-) -> LocalSynthesisResult:
-    """Compute the least restrictive assumption and, when it is satisfiable,
-    the controller for the strengthened local contract."""
-    lra = least_restrictive_assumption(sys, assumption, guarantee, internal)
-    if lra.is_false:
-        return LocalSynthesisResult(lra, None)
-    return LocalSynthesisResult(lra, extract_controller(sys, assumption & lra, guarantee))
-
-
 class UndrivenInputError(ValueError):
     def __init__(self, subsystem: str, variable: str):
         super().__init__(
@@ -188,8 +165,9 @@ def update_contract(contract: ContractPair, up: BoolFunc, lra_rewired: BoolFunc)
 def distributed_synthesis(net: BooleanNetwork, contract: ContractPair) -> SynthesisOutcome:
     """Recursive leaf-elimination synthesis with backtracking over splits.
 
-    Succeeds with one controller and one realizable local contract per
-    subsystem, or fails after exhausting every split at some leaf.  The
+    The search finds one realizable local contract per subsystem, or fails
+    after exhausting every split at some leaf; on success each subsystem's
+    controller is extracted from its local contract, once.  The
     trace logs each attempt in exploration order, so on failure its tail
     shows the subsystem whose candidates ran out.  Under an unsatisfiable
     assumption any controller satisfies ``A -> G``: the guarantee becomes True.
@@ -205,36 +183,38 @@ def distributed_synthesis(net: BooleanNetwork, contract: ContractPair) -> Synthe
         for name in leaf_order(system_graph(net))
     )
     trace: list[TraceEntry] = []
-    ok, controllers, local_contracts = _synthesize(net, steps, contract, trace)
-    return SynthesisOutcome(
-        success=ok,
-        controllers=controllers if ok else {},
-        local_contracts=local_contracts if ok else {},
-        trace=tuple(trace),
-    )
+    local_contracts = _synthesize(net, steps, contract, trace)
+    if local_contracts is None:
+        return SynthesisOutcome(False, {}, {}, tuple(trace))
+    controllers = {
+        name: extract_controller(net.subsystem(name), lc.assumption, lc.guarantee)
+        for name, lc in local_contracts.items()
+    }
+    return SynthesisOutcome(True, controllers, local_contracts, tuple(trace))
 
 
 def _synthesize(
     net: BooleanNetwork, steps: tuple, contract: ContractPair, trace: list[TraceEntry]
-) -> tuple[bool, dict[str, Controller], dict[str, ContractPair]]:
+) -> dict[str, ContractPair] | None:
+    """The local contract of every leaf in `steps`, or None once every split
+    of some leaf has failed."""
     if not steps:
-        return True, {}, {}
+        return {}
     name, sys, internal, local_assumption = steps[0]
     for idx, gamma in enumerate(maximal_distributions(contract.guarantee, net, name)):
-        result = local_synthesis(sys, local_assumption, gamma.down, internal)
-        trace.append(TraceEntry(name, idx, result.lra))
-        if result.controller is None:
+        lra = least_restrictive_assumption(sys, local_assumption, gamma.down, internal)
+        trace.append(TraceEntry(name, idx, lra))
+        if lra.is_false:
             continue
-        ok, controllers, local_contracts = _synthesize(
+        local_contracts = _synthesize(
             net, steps[1:],
-            update_contract(contract, gamma.up, rewire_to_parent_outputs(result.lra, net, name)),
+            update_contract(contract, gamma.up, rewire_to_parent_outputs(lra, net, name)),
             trace,
         )
-        if ok:
-            controllers[name] = result.controller
-            local_contracts[name] = ContractPair(local_assumption & result.lra, gamma.down)
-            return True, controllers, local_contracts
-    return False, {}, {}
+        if local_contracts is not None:
+            local_contracts[name] = ContractPair(local_assumption & lra, gamma.down)
+            return local_contracts
+    return None
 
 
 def centralized_synthesis(net: BooleanNetwork, contract: ContractPair) -> Controller | None:

@@ -37,7 +37,7 @@ from boolsynth.synthesis import (
     completeness_certificate,
     distributed_synthesis,
     extract_controller,
-    local_synthesis,
+    least_restrictive_assumption,
     rewire_to_parent_outputs,
     update_contract,
 )
@@ -133,9 +133,11 @@ def test_criterion_04_two_parent_elimination():
     s3 = net.subsystem("S3")
     internal, _ = classify_inputs(net, "S3")
     (gamma,) = maximal_distributions(contract.guarantee, net, "S3")
-    result = local_synthesis(s3, BoolFunc.const(VariableSet(), True), gamma.down, internal)
+    lra = least_restrictive_assumption(
+        s3, BoolFunc.const(VariableSet(), True), gamma.down, internal
+    )
     updated = update_contract(
-        contract, gamma.up, rewire_to_parent_outputs(result.lra, net, "S3")
+        contract, gamma.up, rewire_to_parent_outputs(lra, net, "S3")
     )
     assert updated.assumption.is_true
     assert updated.guarantee.equivalent(BoolFunc.var("y1") | BoolFunc.var("y2"))

@@ -230,7 +230,8 @@ def assert_maximal_bicliques(graph: DistributionGraph, pairs) -> None:
 
 
 class TestBicliqueEnumeration:
-    # Shapes within the subset oracle's 1024-pair budget, both orientations.
+    # Shapes within the subset oracle's budget, 2^(smaller side) x (larger
+    # side) <= 2^16, both orientations.
     SHAPES = [(1, 1), (1, 2), (2, 1), (2, 4), (4, 2), (4, 8), (8, 4), (8, 8), (2, 128), (128, 8)]
 
     def test_matches_subset_oracle_on_random_graphs(self):

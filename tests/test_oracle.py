@@ -16,9 +16,9 @@ from boolsynth.network import (
     compose,
     external_inputs,
 )
+from boolsynth import oracle
 from boolsynth.oracle import (
     BudgetExceededError,
-    OracleBudget,
     brute_force_distributed,
     controller_table_bits,
     enumerate_bicliques_subset,
@@ -201,11 +201,12 @@ class TestBruteForce:
         for ctrl in found.values():
             assert all(row == (False,) for row in ctrl.table)
 
-    def test_budget_is_enforced(self, serial_chain):
+    def test_budget_is_enforced(self, serial_chain, monkeypatch):
         net, contract = serial_chain
         assert controller_table_bits(net) == 6
+        monkeypatch.setattr(oracle, "MAX_CONTROLLER_BITS", 5)
         with pytest.raises(BudgetExceededError):
-            brute_force_distributed(net, contract, OracleBudget(max_total_controller_bits=5))
+            brute_force_distributed(net, contract)
 
     def test_engine_success_confirmed_by_oracle(self, serial_chain, shared_or_guarantee):
         for net, contract in (serial_chain, shared_or_guarantee):

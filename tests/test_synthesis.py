@@ -17,7 +17,6 @@ from boolsynth.synthesis import (
     distributed_synthesis,
     extract_controller,
     least_restrictive_assumption,
-    local_synthesis,
     rewire_to_parent_outputs,
     update_contract,
 )
@@ -142,13 +141,13 @@ class TestLeastRestrictiveAssumption:
         for val in all_valuations(internal):
             assert lra.evaluate(val.as_dict()) == check_realizable(s2, a & BoolFunc.exactly(val), g)
 
-    def test_local_synthesis_controller_presence_matches_lra(self, xor_assumption):
+    def test_lra_is_false_when_no_control_wins(self, xor_assumption):
         net, _ = xor_assumption
         s1 = net.subsystem("S1")
-        res = local_synthesis(
+        lra = least_restrictive_assumption(
             s1, BoolFunc.const(VariableSet(["e1"]), True), BoolFunc.var("y1"), VariableSet()
         )
-        assert res.lra.is_false and res.controller is None
+        assert lra.is_false
 
 
 class TestRewire:
@@ -274,11 +273,11 @@ class TestDistributedSynthesis:
         internal, _ = classify_inputs(net, "S3")
         s3 = net.subsystem("S3")
         gamma = maximal_distributions(contract.guarantee, net, "S3")[0]
-        res = local_synthesis(
+        lra = least_restrictive_assumption(
             s3, BoolFunc.const(VariableSet(), True), gamma.down, internal
         )
         updated = update_contract(
-            contract, gamma.up, rewire_to_parent_outputs(res.lra, net, "S3")
+            contract, gamma.up, rewire_to_parent_outputs(lra, net, "S3")
         )
         assert updated.assumption.is_true
         assert updated.guarantee.equivalent(BoolFunc.var("y1") | BoolFunc.var("y2"))
@@ -304,6 +303,27 @@ class TestDistributedSynthesis:
                     point = env.as_dict() | ctrl(env.as_dict())
                     outputs = {y: f.evaluate(point) for y, f in sys.functions.items()}
                     assert lc.guarantee.evaluate(outputs)
+
+    @pytest.mark.parametrize(
+        "fixture", ["serial_chain", "xor_assumption", "shared_or_guarantee", "two_parents"]
+    )
+    def test_controllers_are_extracted_once_from_the_local_contracts(
+        self, fixture, request, monkeypatch
+    ):
+        net, contract = request.getfixturevalue(fixture)
+        calls = []
+        original = synthesis.extract_controller
+        monkeypatch.setattr(
+            synthesis, "extract_controller", lambda *a: calls.append(a) or original(*a)
+        )
+        out = distributed_synthesis(net, contract)
+        if not out.success:
+            assert fixture == "xor_assumption"
+            assert calls == []
+            return
+        assert sorted(sys.name for sys, _, _ in calls) == sorted(net.names)
+        for sys, assumption, guarantee in calls:
+            assert out.local_contracts[sys.name] == ContractPair(assumption, guarantee)
 
 
 class TestVacuousContracts:
