@@ -10,6 +10,7 @@ Run:  python demos/03_guarantee_distribution.py
 from pathlib import Path
 
 from boolsynth import (
+    all_valuations,
     build_distribution_graph,
     enumerate_bicliques_subset,
     maximal_distributions,
@@ -28,7 +29,7 @@ print("guarantee:", contract.guarantee.to_expr())
 graph = build_distribution_graph(contract.guarantee, net, "S2")
 print("left scope:", list(graph.left_scope), "| right scope:", list(graph.right_scope))
 print("adjacency:")
-for i, lv in enumerate(graph.left_valuations()):
+for i, lv in enumerate(all_valuations(graph.left_scope)):
     row = " ".join("1" if graph.adjacency[i, j] else "." for j in range(graph.adjacency.shape[1]))
     print(f"  {lv}: {row}")
 

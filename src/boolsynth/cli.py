@@ -17,8 +17,10 @@ exceed ``boolfunc.MAX_TABLE_CELLS`` (`TableTooLargeError`, a ValueError),
 reference: brute-force controller enumeration for synthesize/eps (when the
 instance fits the budget), symbolic composition for verify, and the subset
 biclique oracle for distribute.  Every synthesized controller, central or
-distributed, is verified on the closed loop before it is reported; a central
-controller is checked as the only subsystem of the flattened network.
+distributed, is verified on the closed loop of the network itself before it
+is reported, and `verify` checks a controller document the same way: a
+central controller is simulated on the network it controls, not on the
+flattened system it was synthesized against.
 """
 
 from __future__ import annotations
@@ -32,22 +34,13 @@ import numpy as np
 from . import eps as eps_mod
 from . import formats
 from .contracts import ContractPair, build_distribution_graph, distributions_from_graph
-from .network import (
-    BooleanNetwork,
-    Controller,
-    IllPosedNetworkError,
-    all_outputs,
-    compose,
-    external_inputs,
-    system_graph,
-)
+from .network import BooleanNetwork, all_outputs, compose, external_inputs, system_graph
 from .oracle import (
     BudgetExceededError,
     brute_force_distributed,
     enumerate_bicliques_subset,
     verify_closed_loop,
 )
-from .parser import ExprSyntaxError, UnknownIdentifierError
 from .synthesis import (
     centralized_synthesis,
     completeness_certificate,
@@ -84,18 +77,6 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if not problems else EXIT_INPUT_ERROR
 
 
-def _checked_loop(
-    net: BooleanNetwork, mode: str, controllers: dict[str, Controller]
-) -> tuple[BooleanNetwork, dict[str, Controller]]:
-    """The network and controllers whose closed loop is verified: a central
-    controller drives the flattened network as its only subsystem."""
-    if mode == "distributed":
-        return net, controllers
-    (controller,) = controllers.values()
-    plant = net.plant
-    return BooleanNetwork((plant,)), {plant.name: controller}
-
-
 def _synthesize_and_report(args, net: BooleanNetwork, contract: ContractPair,
                            report: dict, lines: list[str]) -> int:
     """Shared by `synthesize` and `eps`: central or distributed synthesis,
@@ -106,7 +87,7 @@ def _synthesize_and_report(args, net: BooleanNetwork, contract: ContractPair,
         success = controller is not None
         lines.append(f"centralized synthesis: {'realizable' if success else 'unrealizable'}")
         if success:
-            mode, controllers = "central", {controller.subsystem: controller}
+            controllers = {controller.subsystem: controller}
             document = formats.central_document(controller)
     else:
         outcome = distributed_synthesis(net, contract)
@@ -114,7 +95,7 @@ def _synthesize_and_report(args, net: BooleanNetwork, contract: ContractPair,
         report["trace"] = formats.trace_document(outcome)
         lines.append(f"distributed synthesis: {'success' if success else 'failure'}")
         if success:
-            mode, controllers = "distributed", outcome.controllers
+            controllers = outcome.controllers
             document = formats.controllers_document(net, outcome)
         else:
             lines.append("trace:")
@@ -125,7 +106,7 @@ def _synthesize_and_report(args, net: BooleanNetwork, contract: ContractPair,
     report["success"] = success
     verified = False
     if success:
-        verified = verify_closed_loop(*_checked_loop(net, mode, controllers), contract).ok
+        verified = verify_closed_loop(net, controllers, contract).ok
         report["closed_loop_verified"] = verified
         lines.append(f"closed loop verified: {verified}")
         if args.out:
@@ -158,8 +139,8 @@ def _cmd_synthesize(args) -> int:
 def _cmd_verify(args) -> int:
     net = formats.load_network(args.network)
     contract = formats.load_contract(args.contract, net)
-    loop_net, controllers = _checked_loop(net, *formats.load_controllers(args.controllers, net))
-    result = verify_closed_loop(loop_net, controllers, contract)
+    _, controllers = formats.load_controllers(args.controllers, net)
+    result = verify_closed_loop(net, controllers, contract)
     ok, counterexample = result.ok, result.counterexample
     report = {"command": "verify", "ok": ok,
               "counterexample": str(counterexample) if counterexample else None}
@@ -168,7 +149,7 @@ def _cmd_verify(args) -> int:
     agrees = True
     if args.oracle:
         # independent route: symbolic composition instead of simulation
-        funcs = compose(loop_net, controllers)
+        funcs = compose(net, controllers)
         closed = contract.guarantee.substitute(
             {y: funcs[y] for y in contract.guarantee.scope}
         )
@@ -288,17 +269,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT_ERROR if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (
-        OSError,
-        ValueError,
-        KeyError,
-        ExprSyntaxError,
-        UnknownIdentifierError,
-        IllPosedNetworkError,
-        BudgetExceededError,
-        eps_mod.TopologyError,
-        formats.FormatError,
-    ) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

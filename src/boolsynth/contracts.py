@@ -23,7 +23,7 @@ from math import prod
 
 import numpy as np
 
-from .boolfunc import BoolFunc, Valuation, VariableSet
+from .boolfunc import BoolFunc, VariableSet
 from .network import BooleanNetwork, all_outputs, classify_inputs, external_inputs
 
 __all__ = [
@@ -85,12 +85,6 @@ class DistributionGraph:
             arr = arr.copy()
             arr.setflags(write=False)
         object.__setattr__(self, "adjacency", arr)
-
-    def left_valuations(self) -> list[Valuation]:
-        return [Valuation.from_index(self.left_scope, i) for i in range(self.adjacency.shape[0])]
-
-    def right_valuations(self) -> list[Valuation]:
-        return [Valuation.from_index(self.right_scope, j) for j in range(self.adjacency.shape[1])]
 
 
 def check_contract(net: BooleanNetwork, contract: ContractPair) -> None:

@@ -28,7 +28,8 @@ Controller file (written by synthesis, read back for verification)::
      "trace": [{"subsystem": str, "distribution": int, "lra": expr}]}
 
 Bit strings use "0"/"1" in variable order; rows are listed in valuation
-order, so row k belongs to the environment valuation of rank k.
+order, so row k belongs to the environment valuation of rank k, and its
+"env" label must be that valuation's bit string.
 """
 
 from __future__ import annotations
@@ -140,6 +141,11 @@ def load_contract(path, net: BooleanNetwork) -> ContractPair:
     return ContractPair(assumption, guarantee)
 
 
+def _env_label(k: int, n: int) -> str:
+    """The bit string of the valuation of rank `k` over `n` inputs."""
+    return format(k, f"0{n}b") if n else ""
+
+
 def _controller_entry(ctrl: Controller) -> dict:
     n = len(ctrl.inputs)
     return {
@@ -147,7 +153,7 @@ def _controller_entry(ctrl: Controller) -> dict:
         "inputs": list(ctrl.inputs),
         "controls": list(ctrl.controls),
         "rows": [
-            {"env": format(k, f"0{n}b") if n else "", "controls": "".join("01"[b] for b in row)}
+            {"env": _env_label(k, n), "controls": "".join("01"[b] for b in row)}
             for k, row in enumerate(ctrl.table.tolist())
         ],
     }
@@ -193,7 +199,8 @@ def parse_controllers_document(doc: Mapping, net: BooleanNetwork) -> tuple[str, 
     The mode is "distributed" (the default) or "central", and each
     subsystem has at most one entry.  Distributed entries must match the
     named subsystem's interface; a central document holds exactly one
-    controller, over all external inputs and all controls.
+    controller, over all external inputs and all controls.  Row k must be
+    labelled with the bit string of the input valuation of rank k.
     """
     mode = doc.get("mode", "distributed")
     if mode not in ("distributed", "central"):
@@ -221,10 +228,14 @@ def parse_controllers_document(doc: Mapping, net: BooleanNetwork) -> tuple[str, 
         rows_doc = array_field(entry, "rows", name)
         if len(rows_doc) != 1 << len(inputs):
             raise FormatError(f"{name}: expected {1 << len(inputs)} rows, found {len(rows_doc)}")
-        rows = [str(_field(row, "controls", name)) for row in rows_doc]
-        for k, bits in enumerate(rows):
+        rows = []
+        for k, row in enumerate(rows_doc):
+            env, bits = (str(_field(row, key, name)) for key in ("env", "controls"))
+            if env != _env_label(k, len(inputs)):
+                raise FormatError(f"{name}: row {k} has env {env!r}, expected {_env_label(k, len(inputs))!r}")
             if len(bits) != len(controls) or bits.strip("01"):
                 raise FormatError(f"{name}: row {k} control bits {bits!r} are malformed")
+            rows.append(bits)
         controllers[name] = Controller(name, inputs, controls, [[ch == "1" for ch in bits] for bits in rows])
     return mode, controllers
 

@@ -135,8 +135,7 @@ class BooleanNetwork:
     """Subsystems plus interconnection.  Construction never raises on wiring
     problems; `validate` reports them and well-posedness-requiring operations
     refuse to run until the report is empty.  The network is frozen, so its
-    report is computed once and cached as `violations`, and likewise its
-    flattened form as `plant`."""
+    report is computed once and cached as `violations`."""
 
     subsystems: tuple[BooleanSystem, ...]
     wiring: Interconnection = field(default_factory=Interconnection)
@@ -158,12 +157,6 @@ class BooleanNetwork:
     def violations(self) -> tuple[str, ...]:
         """The `validate` report of this network, computed on first use."""
         return tuple(validate(self))
-
-    @cached_property
-    def plant(self) -> BooleanSystem:
-        """`flatten(self)`, computed on first use: central synthesis and the
-        verification of its controller share one flattening."""
-        return flatten(self)
 
 
 def validate(net: BooleanNetwork) -> list[str]:
@@ -345,27 +338,35 @@ class Controller:
 
 
 def check_controllers(net: BooleanNetwork, controllers: Mapping[str, Controller]) -> None:
-    """Raise unless every subsystem of `net` has a controller reading its
-    environment inputs and setting its controls."""
+    """Raise unless `controllers` is one controller per subsystem, reading its
+    environment inputs and setting its controls, or a single central
+    controller reading all external inputs and setting all controls."""
+    if len(controllers) == 1:
+        (ctrl,) = controllers.values()
+        if ctrl.inputs == external_inputs(net) and ctrl.controls == all_controls(net):
+            return
     for sys in net.subsystems:
         if sys.name not in controllers:
             raise ValueError(f"missing controller for subsystem {sys.name!r}")
         ctrl = controllers[sys.name]
         if ctrl.inputs != sys.env_inputs or ctrl.controls != sys.controls:
             raise ValueError(f"controller for {sys.name!r} does not match its interface")
+    extra = [name for name in controllers if name not in net.names]
+    if extra:
+        raise ValueError(f"controllers for no subsystem of the network: {extra}")
 
 
 def _closed_loop_functions(
     net: BooleanNetwork, controllers: Mapping[str, Controller] | None
 ) -> dict[str, BoolFunc]:
     """Output functions after substituting controllers (if given) and
-    eliminating internal inputs through the wiring, in topological order."""
+    eliminating internal inputs through the wiring, in topological order.
+    Each control is read from whichever controller sets it."""
+    setter = {} if controllers is None else {u: c for c in controllers.values() for u in c.controls}
     closed: dict[str, BoolFunc] = {}
     for name in topological_order(system_graph(net)):
         sys = net.subsystem(name)
-        ctrl_funcs = {} if controllers is None else {
-            u: controllers[name].control_function(u) for u in sys.controls
-        }
+        ctrl_funcs = {u: setter[u].control_function(u) for u in sys.controls if u in setter}
         drivers = {
             l.to_input: closed[l.from_output] for l in net.wiring.into(name)
         }
@@ -391,9 +392,9 @@ def compose(
 ) -> dict[str, BoolFunc]:
     """Closed-loop output functions over all external inputs.
 
-    Substitutes each subsystem's controller into its output functions and
-    eliminates internal inputs along the wiring; every returned function is
-    scoped over the full external-input set.
+    Substitutes the controllers, one per subsystem or one central one, into
+    the output functions and eliminates internal inputs along the wiring;
+    every returned function is scoped over the full external-input set.
     """
     check_controllers(net, controllers)
     ext = external_inputs(net)

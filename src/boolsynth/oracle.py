@@ -9,10 +9,9 @@ by subset closure.  All of it is bounded to desk scale.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -20,6 +19,7 @@ from .boolfunc import Valuation, VariableSet, check_table_size, valuation_bits, 
 from .contracts import ContractPair, DistributionGraph, check_contract
 from .network import (
     BooleanNetwork,
+    BooleanSystem,
     Controller,
     check_controllers,
     external_inputs,
@@ -77,7 +77,7 @@ def verify_closed_loop(
     check_contract(net, contract)
     check_controllers(net, controllers)
     evaluator = _VectorEvaluator(net)
-    violated = evaluator.violations({n: c.table for n, c in controllers.items()}, contract)
+    violated = evaluator.violations(controllers, contract)
     if not violated.any():
         return VerificationResult(True)
     return VerificationResult(False, Valuation.from_index(evaluator.ext, int(np.argmax(violated))))
@@ -86,9 +86,9 @@ def verify_closed_loop(
 class _VectorEvaluator:
     """Vectorized closed-loop evaluation over all external valuations at once.
 
-    Built once per network; `outputs_for` takes one controller table per
-    subsystem (as a 2^|E| x |U| boolean array) and returns each variable's
-    bool value array indexed by external-valuation rank.
+    Built once per network; `outputs_for` takes controllers that pass
+    `check_controllers`, one per subsystem or one central one, and returns
+    each variable's bool value array indexed by external-valuation rank.
     """
 
     def __init__(self, net: BooleanNetwork):
@@ -103,16 +103,23 @@ class _VectorEvaluator:
             for name in self.order
         }
 
-    def outputs_for(self, tables: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    def outputs_for(self, controllers: Mapping[str, Controller]) -> dict[str, np.ndarray]:
         """Values of every external input, environment input, control and
-        output.  Each subsystem looks its control rows up in one gather and
-        computes one flat index per distinct function scope."""
+        output.  Each control comes from the controller that sets it, whose
+        rows are gathered once, at the rank of its own inputs, when the first
+        subsystem it drives is evaluated; each subsystem computes one flat
+        index per distinct function scope."""
         values: dict[str, np.ndarray] = dict(self.ext_bits)
+        setter = {u: name for name, c in controllers.items() for u in c.controls}
+        pending = dict(controllers)
         for name in self.order:
             sys = self.net.subsystem(name)
             values.update({v: values[y] for v, y in self.drivers[name].items()})
-            rows = tables[name][valuation_ranks(values[v] for v in sys.env_inputs)]
-            values.update(zip(sys.controls, rows.T))
+            for u in sys.controls:
+                ctrl = pending.pop(setter[u], None)
+                if ctrl is not None:
+                    rows = ctrl.table[valuation_ranks(values[v] for v in ctrl.inputs)]
+                    values.update(zip(ctrl.controls, rows.T))
             ranks: dict[VariableSet, np.ndarray] = {}
             for y, f in sys.functions.items():
                 if f.scope not in ranks:
@@ -120,15 +127,15 @@ class _VectorEvaluator:
                 values[y] = f.table.reshape(-1)[ranks[f.scope]]
         return values
 
-    def violations(self, tables: Mapping[str, np.ndarray], contract: ContractPair) -> np.ndarray:
+    def violations(self, controllers: Mapping[str, Controller], contract: ContractPair) -> np.ndarray:
         """Mask over external-valuation ranks: admissible but not guaranteed."""
-        values = self.outputs_for(tables)
+        values = self.outputs_for(controllers)
         admissible = contract.assumption.evaluate_many(self.ext_bits)
         good = contract.guarantee.evaluate_many(values)
         return np.broadcast_to(admissible & ~good, (1 << len(self.ext),))
 
-    def satisfies(self, tables: Mapping[str, np.ndarray], contract: ContractPair) -> bool:
-        return not self.violations(tables, contract).any()
+    def satisfies(self, controllers: Mapping[str, Controller], contract: ContractPair) -> bool:
+        return not self.violations(controllers, contract).any()
 
 
 @lru_cache(maxsize=65536)
@@ -136,7 +143,7 @@ def _decode_table(code: int, env_count: int, control_count: int) -> np.ndarray:
     """Controller table number `code` in lexicographic order: the flattened
     row-major bit string (first bit most significant) counts up with `code`,
     so 0 is the all-False table."""
-    table = valuation_bits(code, (1 << env_count) * control_count).reshape(-1, control_count)
+    table = valuation_bits(code, (1 << env_count) * control_count).reshape(1 << env_count, control_count)
     table.setflags(write=False)
     return table
 
@@ -157,13 +164,25 @@ def brute_force_distributed(
             f"controller search needs {bits} table bits, budget allows {MAX_CONTROLLER_BITS}"
         )
     evaluator = _VectorEvaluator(net)
-    systems = net.subsystems
-    sizes = [(len(s.env_inputs), len(s.controls)) for s in systems]
-    for combo in product(*(range(1 << ((1 << ne) * nc)) for ne, nc in sizes)):
-        tables = {s.name: _decode_table(code, *size) for s, code, size in zip(systems, combo, sizes)}
-        if evaluator.satisfies(tables, contract):
-            return {s.name: Controller(s.name, s.env_inputs, s.controls, tables[s.name]) for s in systems}
+    for controllers in _candidates(net.subsystems):
+        if evaluator.satisfies(controllers, contract):
+            return controllers
     return None
+
+
+def _candidates(systems: tuple[BooleanSystem, ...]) -> Iterator[dict[str, Controller]]:
+    """Every tuple of controller tables for `systems` in lexicographic order,
+    the first subsystem's table counting slowest.  Lazy: 2^24 table codes
+    built up front would take hundreds of megabytes before the first try."""
+    if not systems:
+        yield {}
+        return
+    s = systems[0]
+    ne, nc = len(s.env_inputs), len(s.controls)
+    for code in range(1 << ((1 << ne) * nc)):
+        ctrl = Controller(s.name, s.env_inputs, s.controls, _decode_table(code, ne, nc))
+        for rest in _candidates(systems[1:]):
+            yield {s.name: ctrl, **rest}
 
 
 def enumerate_bicliques_subset(graph: DistributionGraph) -> frozenset[tuple[frozenset[int], frozenset[int]]]:

@@ -31,6 +31,7 @@ from .network import (
     BooleanSystem,
     Controller,
     classify_inputs,
+    flatten,
     is_forest,
     leaf_order,
     system_graph,
@@ -222,7 +223,7 @@ def centralized_synthesis(net: BooleanNetwork, contract: ContractPair) -> Contro
     inputs), or None when even full information does not suffice."""
     check_contract(net, contract)
     try:
-        return extract_controller(net.plant, contract.assumption, contract.guarantee)
+        return extract_controller(flatten(net), contract.assumption, contract.guarantee)
     except UnrealizableError:
         return None
 

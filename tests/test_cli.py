@@ -6,8 +6,9 @@ import time
 
 import pytest
 
+from boolsynth.boolfunc import BoolFunc
 from boolsynth.cli import cli_main
-from boolsynth.network import flatten
+from boolsynth.network import BooleanSystem, flatten
 
 from .conftest import FIXTURES, run_with_memory_limit
 
@@ -18,6 +19,21 @@ SHARED = [
     str(FIXTURES / "shared_or_guarantee.contract.json"),
 ]
 TOPOLOGY = str(FIXTURES / "eps_tree.topology.json")
+
+
+def patch_flatten(monkeypatch, replacement):
+    """Rebind `flatten` in every boolsynth module that binds it, so no call
+    escapes `replacement`."""
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("boolsynth") and getattr(module, "flatten", None) is flatten:
+            monkeypatch.setattr(module, "flatten", replacement)
+
+
+def counting_flatten(monkeypatch) -> list:
+    """Count the calls of `flatten`; returns the list of networks flattened."""
+    calls = []
+    patch_flatten(monkeypatch, lambda net: calls.append(net) or flatten(net))
+    return calls
 
 
 class TestValidateCommand:
@@ -78,16 +94,7 @@ class TestSynthesizeCommand:
 
     @pytest.mark.parametrize("argv", [["synthesize", *SERIAL], ["eps", TOPOLOGY]])
     def test_central_run_flattens_once(self, argv, monkeypatch, capsys):
-        calls = []
-
-        def counting(net, *args):
-            calls.append(net)
-            return flatten(net, *args)
-
-        # every module that binds the name, so no call goes uncounted
-        for module in list(sys.modules.values()):
-            if module.__name__.startswith("boolsynth") and getattr(module, "flatten", None) is flatten:
-                monkeypatch.setattr(module, "flatten", counting)
+        calls = counting_flatten(monkeypatch)
         assert cli_main([*argv, "--central", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["closed_loop_verified"] is True
         assert len(calls) == 1
@@ -128,6 +135,33 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert cli_main(["verify", *SERIAL, str(out_file), "--oracle"]) == 0
         assert "symbolic cross-check: agrees" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [[], ["--oracle"]])
+    def test_verify_central_controller_on_the_network(self, tmp_path, monkeypatch, capsys, flags):
+        out_file = tmp_path / "central.json"
+        assert cli_main(["synthesize", *SERIAL, "--central", "--out", str(out_file)]) == 0
+        calls = counting_flatten(monkeypatch)
+        assert cli_main(["verify", *SERIAL, str(out_file), *flags]) == 0
+        assert calls == []
+
+    def test_central_controller_checked_independently_of_the_flattening(self, tmp_path, monkeypatch, capsys):
+        # A flattening in which the plant's y2 reads !u1: the controller
+        # synthesized against it sets u1 = 0, which the network itself
+        # defeats at e1=T, e2=F (y2 = (e2 | u1) & u2).
+        def miswired(net):
+            plant = flatten(net)
+            functions = dict(plant.functions, y2=~BoolFunc.var("u1"))
+            return BooleanSystem(plant.name, plant.controls, plant.env_inputs, plant.outputs, functions)
+
+        patch_flatten(monkeypatch, miswired)
+        out_file = tmp_path / "central.json"
+        assert cli_main(["synthesize", *SERIAL, "--central", "--json", "--out", str(out_file)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["success"] is True and report["closed_loop_verified"] is False
+        assert cli_main(["verify", *SERIAL, str(out_file), "--json", "--oracle"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["counterexample"] == "e1=T, e2=F"
+        assert report["oracle"] == {"ran": True, "agrees": True}
 
     def test_verify_oracle_cross_check(self, tmp_path, capsys):
         out_file = tmp_path / "ctrl.json"
@@ -357,6 +391,20 @@ class TestAmbiguousControllerDocuments:
         doc["controllers"] = doc["controllers"] * count
         code, err = self._verify(tmp_path, capsys, doc)
         assert code == 2 and f"found {count}" in err
+
+    def test_env_labels_must_be_bit_strings(self, tmp_path, capsys):
+        doc = self._synthesized(tmp_path)
+        for entry in doc["controllers"]:
+            entry["rows"] = [dict(row, env="zz") for row in entry["rows"]]
+        code, err = self._verify(tmp_path, capsys, doc)
+        assert code == 2 and "S1: row 0 has env 'zz', expected '0'" in err
+
+    def test_rows_must_be_listed_in_valuation_order(self, tmp_path, capsys):
+        doc = self._synthesized(tmp_path)
+        (s2,) = [c for c in doc["controllers"] if c["subsystem"] == "S2"]
+        s2["rows"].reverse()
+        code, err = self._verify(tmp_path, capsys, doc)
+        assert code == 2 and "S2: row 0 has env '11', expected '00'" in err
 
     @pytest.mark.parametrize("field, value", [("inputs", ["e2", "e1"]), ("controls", ["u2", "u1"])])
     def test_central_interface_is_all_external_inputs_and_controls(self, tmp_path, capsys, field, value):

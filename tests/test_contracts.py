@@ -25,8 +25,8 @@ from .conftest import FIXTURES, serial_chain_net, shared_or_guarantee_net, xor_a
 
 def edge_pairs(graph: DistributionGraph) -> set[tuple[tuple[bool, ...], tuple[bool, ...]]]:
     out = set()
-    for i, left in enumerate(graph.left_valuations()):
-        for j, right in enumerate(graph.right_valuations()):
+    for i, left in enumerate(all_valuations(graph.left_scope)):
+        for j, right in enumerate(all_valuations(graph.right_scope)):
             if graph.adjacency[i, j]:
                 out.add((left.bits, right.bits))
     return out

@@ -13,6 +13,8 @@ from boolsynth.network import (
     IllPosedNetworkError,
     Interconnection,
     Link,
+    all_controls,
+    check_controllers,
     classify_inputs,
     compose,
     external_inputs,
@@ -260,6 +262,33 @@ class TestCompose:
             y2 = (assign["e2"] or True) and not y1
             assert funcs["y1"].evaluate(assign) == y1
             assert funcs["y2"].evaluate(assign) == y2
+
+    def test_central_controller_sets_every_control(self):
+        net = serial_chain_net()
+        # u1 = e2 and u2 = e1, one row per (e1, e2) in rank order
+        rows = [(e2, e1) for e1, e2 in itertools.product([False, True], repeat=2)]
+        central = Controller("network", external_inputs(net), all_controls(net), rows)
+        funcs = compose(net, {"network": central})
+        e1, e2 = map(BoolFunc.var, ["e1", "e2"])
+        assert funcs["y1"].equivalent(e2)
+        assert funcs["y2"].equivalent(e1 & e2)
+
+    @pytest.mark.parametrize(
+        "inputs, controls", [(["e2", "e1"], ["u1", "u2"]), (["e1", "e2"], ["u2", "u1"])]
+    )
+    def test_reordered_central_controller_rejected(self, inputs, controls):
+        net = serial_chain_net()
+        central = Controller.constant("network", VariableSet(inputs), VariableSet(controls))
+        with pytest.raises(ValueError, match="missing controller"):
+            check_controllers(net, {"network": central})
+
+    @pytest.mark.parametrize("beside", [["S1"], ["S1", "S2"]])
+    def test_central_controller_beside_subsystem_controllers_rejected(self, beside):
+        net = serial_chain_net()
+        ctrls = {name: constant_controllers(net)[name] for name in beside}
+        ctrls["network"] = Controller.constant("network", external_inputs(net), all_controls(net))
+        with pytest.raises(ValueError, match="missing controller|no subsystem"):
+            check_controllers(net, ctrls)
 
 
 class TestFlatten:

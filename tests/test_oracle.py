@@ -12,9 +12,11 @@ from boolsynth.network import (
     Controller,
     Interconnection,
     Link,
+    all_controls,
     all_outputs,
     compose,
     external_inputs,
+    flatten,
 )
 from boolsynth import oracle
 from boolsynth.oracle import (
@@ -24,11 +26,12 @@ from boolsynth.oracle import (
     enumerate_bicliques_subset,
     verify_closed_loop,
 )
+from boolsynth.formats import load_contract, load_network
 from boolsynth.parser import parse_expr
-from boolsynth.synthesis import completeness_certificate, distributed_synthesis
+from boolsynth.synthesis import centralized_synthesis, completeness_certificate, distributed_synthesis
 
 from ._random_instances import random_contract, random_dag_network, random_forest_instance
-from .conftest import make_system, run_with_memory_limit
+from .conftest import FIXTURES, make_system, run_with_memory_limit
 
 
 def always(net, value):
@@ -167,6 +170,45 @@ except TableTooLargeError as exc:
 """
 
 
+def random_central(rng, net):
+    ext, controls = external_inputs(net), all_controls(net)
+    table = rng.integers(0, 2, size=(1 << len(ext), len(controls))).astype(bool)
+    return Controller("network", ext, controls, table)
+
+
+def matches_flattened_route(net, central, contract):
+    """A central controller simulated and composed on the network itself
+    gives the verdict, counterexample and closed-loop functions of the
+    reference route: the flattened network as its only subsystem."""
+    flat = BooleanNetwork((flatten(net),))
+    result = verify_closed_loop(net, {central.subsystem: central}, contract)
+    assert result == verify_closed_loop(flat, {"network": central}, contract)
+    assert compose(net, {central.subsystem: central}) == compose(flat, {"network": central})
+    return result.ok
+
+
+class TestCentralController:
+    @pytest.mark.parametrize("name", sorted(p.name.split(".")[0] for p in FIXTURES.glob("*.net.json")))
+    def test_fixtures_match_the_flattened_route(self, name):
+        net = load_network(FIXTURES / f"{name}.net.json")
+        contract = load_contract(FIXTURES / f"{name}.contract.json", net)
+        rng = np.random.default_rng(7)
+        centrals = [random_central(rng, net) for _ in range(8)]
+        synthesized = centralized_synthesis(net, contract)
+        if synthesized is not None:
+            assert matches_flattened_route(net, synthesized, contract)
+        for central in centrals:
+            matches_flattened_route(net, central, contract)
+
+    def test_random_networks_match_the_flattened_route(self):
+        rng = np.random.default_rng(59)
+        verdicts = set()
+        for _ in range(100):
+            net = random_dag_network(rng)
+            verdicts.add(matches_flattened_route(net, random_central(rng, net), random_contract(rng, net)))
+        assert verdicts == {True, False}
+
+
 class TestBruteForce:
     def test_serial_chain_found_and_verified(self, serial_chain):
         net, contract = serial_chain
@@ -201,6 +243,27 @@ class TestBruteForce:
         for ctrl in found.values():
             assert all(row == (False,) for row in ctrl.table)
 
+    def test_enumeration_is_lazy(self):
+        # 3 controls x 2^3 rows = 24 table bits, inside the budget; the
+        # all-False table wins, so a lazy search builds one candidate.
+        done = run_with_memory_limit(LAZY_SEARCH_CHILD)
+        assert done.returncode == 0, done.stderr
+        grown_kb, rows = done.stdout.split()
+        assert rows == "False"
+        assert int(grown_kb) < 100 * 1024
+
+    def test_subsystems_without_controls_or_environment(self):
+        # S1 has no controls, so its only table is the empty one.  S2 sees
+        # (w2a, w2b) = (u0, !u0), so y2 = u2 and the least tables set u0 = 0
+        # and u2 = 1 at row (0, 1) only.
+        net = sparse_net()
+        contract = ContractPair(BoolFunc.const(VariableSet(), True), BoolFunc.var("y2"))
+        found = brute_force_distributed(net, contract)
+        assert {name: ctrl.table.tolist() for name, ctrl in found.items()} == {
+            "S0": [[False]], "S1": [[]] * 2, "S2": [[False], [True], [False], [False]]
+        }
+        assert verify_closed_loop(net, found, contract).ok
+
     def test_budget_is_enforced(self, serial_chain, monkeypatch):
         net, contract = serial_chain
         assert controller_table_bits(net) == 6
@@ -234,6 +297,26 @@ class TestBruteForce:
             elif completeness_certificate(net, contract):
                 assert found is None
         assert checked > 10
+
+
+LAZY_SEARCH_CHILD = """
+import resource
+
+from boolsynth.boolfunc import BoolFunc, VariableSet
+from boolsynth.contracts import ContractPair
+from boolsynth.network import BooleanNetwork, BooleanSystem
+from boolsynth.oracle import MAX_CONTROLLER_BITS, brute_force_distributed, controller_table_bits
+
+controls, env = VariableSet(["u1", "u2", "u3"]), VariableSet(["e1", "e2", "e3"])
+y = BoolFunc.var("u1") | BoolFunc.var("e1")
+net = BooleanNetwork((BooleanSystem("S", controls, env, VariableSet(["y"]), {"y": y}),))
+assert controller_table_bits(net) == MAX_CONTROLLER_BITS == 24
+contract = ContractPair(BoolFunc.const(env, True), BoolFunc.const(VariableSet(["y"]), True))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+found = brute_force_distributed(net, contract)
+grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+print(grown, "True" if found["S"].table.any() else "False")
+"""
 
 
 class TestBicliqueOracle:

@@ -5,7 +5,7 @@ import pytest
 
 from boolsynth.boolfunc import BoolFunc, Valuation, VariableSet, all_valuations, conjoin
 from boolsynth.contracts import ContractPair, maximal_distributions, project_assumption
-from boolsynth.network import all_outputs, classify_inputs, compose, external_inputs
+from boolsynth.network import all_outputs, classify_inputs, compose, external_inputs, flatten
 from boolsynth.oracle import verify_closed_loop
 from boolsynth import synthesis
 from boolsynth.parser import parse_expr
@@ -265,7 +265,7 @@ class TestDistributedSynthesis:
         monkeypatch.setattr(synthesis, "_guarantee_over_inputs", lambda *a: calls.append(a) or original(*a))
         controller = centralized_synthesis(net, contract)
         assert len(calls) == 1
-        realizable = check_realizable(net.plant, contract.assumption, contract.guarantee)
+        realizable = check_realizable(flatten(net), contract.assumption, contract.guarantee)
         assert (controller is not None) == realizable
 
     def test_two_parents_first_elimination_and_success(self, two_parents):
