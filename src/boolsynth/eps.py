@@ -16,9 +16,11 @@ coupling bit per same-group pair of AC sources so the "no AC coupling"
 requirement stays a function of outputs.
 
 The compositional encoding is exact only when power cannot re-enter a group
-region it left, so compilation rejects topologies where (a) a generator
-sits in a non-root group, or (b) the feeders entering a group's subtree
-attach to more than one parent node.  Dummy nodes never fail.
+region it left, so compilation rejects topologies where (a) a crossing
+cannot be oriented because both its groups are at the same distance from
+generation, which refuses every generator below a crossing, or (b) the
+crossings entering a group leave from more than one parent node: feed
+enters each group at one node.  Dummy nodes never fail.
 """
 
 from __future__ import annotations
@@ -294,6 +296,8 @@ def _validate_partition(
     out: list[tuple[str, list[str]]] = []
     for name, members in partition:
         check_name(name)
+        if any(name == other for other, _ in out):
+            raise TopologyError(f"partition names group {name!r} more than once")
         members = [str(m) for m in members]
         for m in members:
             topo.node(m)
@@ -312,7 +316,13 @@ class _Group:
     name: str
     members: tuple[str, ...]
     local_edges: tuple[PowerEdge, ...]
-    incoming: tuple[tuple[PowerEdge, str, str], ...]  # (edge, attach node, inner node)
+    incoming: tuple[tuple[PowerEdge, str], ...]  # (crossing, inner endpoint)
+    attach: str | None  # the parent node every incoming crossing leaves from
+
+    @property
+    def feed(self) -> str:
+        """The environment input carrying power in from the attach node."""
+        return f"{self.name}_from_{self.attach}"
 
 
 def _orient_groups(
@@ -320,8 +330,8 @@ def _orient_groups(
 ) -> tuple[list[_Group], dict[str, str]]:
     """Split edges into local and cross, derive feed direction per cross edge.
 
-    Returns the groups (with their incoming crossings) and a map from node
-    name to group name.
+    Returns the groups (with their incoming crossings and attach node) and a
+    map from node name to group name.
     """
     group_of = {m: name for name, members in partition for m in members}
     gen_groups = {
@@ -332,7 +342,8 @@ def _orient_groups(
         raise TopologyError("cross-group edges exist but no group contains a generator")
 
     # Breadth-first depth from the generator-bearing groups fixes power-flow
-    # direction; equal depths would leave a crossing unoriented.
+    # direction; equal depths would leave a crossing unoriented.  Every
+    # generator group sits at depth 0, so no generator is ever fed.
     adj: dict[str, set[str]] = {name: set() for name, _ in partition}
     for e in cross:
         adj[group_of[e.a]].add(group_of[e.b])
@@ -353,8 +364,8 @@ def _orient_groups(
             f"groups {unreached} are wired to others but unreachable from any generator group"
         )
 
-    incoming: dict[str, list[tuple[PowerEdge, str, str]]] = {name: [] for name, _ in partition}
-    children: dict[str, set[str]] = {name: set() for name, _ in partition}
+    incoming: dict[str, list[tuple[PowerEdge, str]]] = {name: [] for name, _ in partition}
+    attach: dict[str, set[str]] = {name: set() for name, _ in partition}
     for e in cross:
         ga, gb = group_of[e.a], group_of[e.b]
         if depth[ga] == depth[gb]:
@@ -362,47 +373,18 @@ def _orient_groups(
                 f"cannot orient feed between {ga} and {gb}: both are at the same "
                 "distance from generation"
             )
-        if depth[ga] < depth[gb]:
-            parent_node, child_node, child = e.a, e.b, gb
-            children[ga].add(gb)
-        else:
-            parent_node, child_node, child = e.b, e.a, ga
-            children[gb].add(ga)
-        incoming[child].append((e, parent_node, child_node))
+        parent_node, child_node = (e.a, e.b) if depth[ga] < depth[gb] else (e.b, e.a)
+        incoming[group_of[child_node]].append((e, child_node))
+        attach[group_of[child_node]].add(parent_node)
 
-    # Generators power subtrees from above only: a generator below a crossing
-    # or feeders attaching at two different parent nodes would let power
-    # re-enter a region it left, which the one-directional encoding cannot
-    # express.
-    for name, members in partition:
-        if depth.get(name, 0) > 0:
-            gens = [m for m in members if topo.node(m).kind == "generator"]
-            if gens:
-                raise TopologyError(
-                    f"group {name} contains generator(s) {gens} but receives feed "
-                    "from another group"
-                )
-
-    def subtree(root: str) -> set[str]:
-        out = {root}
-        stack = [root]
-        while stack:
-            g = stack.pop()
-            for h in children[g]:
-                if h not in out:
-                    out.add(h)
-                    stack.append(h)
-        return out
-
+    # Feed enters each group at one node.  Feed from two parent nodes would
+    # let power re-enter a region it left, which the one-directional
+    # encoding cannot express.
     for name, _ in partition:
-        if not incoming[name]:
-            continue
-        region = subtree(name)
-        attach = {p for g in region for (_, p, _) in incoming[g] if group_of[p] not in region}
-        if len(attach) > 1:
+        if len(attach[name]) > 1:
             raise TopologyError(
-                f"feeders into the subtree of {name} attach at multiple parent nodes "
-                f"{sorted(attach)}; power could re-enter the region"
+                f"feeders into {name} attach at multiple parent nodes "
+                f"{sorted(attach[name])}; power could re-enter the region"
             )
 
     groups = [
@@ -415,6 +397,7 @@ def _orient_groups(
                 if group_of[e.a] == name and group_of[e.b] == name
             ),
             tuple(incoming[name]),
+            next(iter(attach[name]), None),
         )
         for name, members in partition
     ]
@@ -430,20 +413,15 @@ def _group_tables(
     Liveness is propagated over all valuations of the group's scope at once,
     so the tables agree with `live_path` and `bus_status` pointwise.  Returns
     (controls, env_inputs, table per output, coupling pairs).  The
-    environment inputs are the group's health bits followed by one feed bit
-    per attach node of its incoming crossings.
+    environment inputs are the group's health bits followed by its feed bit,
+    if it has an attach node.
     """
     controls = VariableSet(
         [e.contactor for e in group.local_edges if e.contactor is not None]
-        + [e.contactor for (e, _, _) in group.incoming if e.contactor is not None]
+        + [e.contactor for (e, _) in group.incoming if e.contactor is not None]
     )
     health_vars = [m for m in group.members if topo.node(m).kind in HEALTH_KINDS]
-    attach_nodes: list[str] = []
-    for _, p, _ in group.incoming:
-        if p not in attach_nodes:
-            attach_nodes.append(p)
-    feed_vars = {p: f"{group.name}_from_{p}" for p in attach_nodes}
-    env = VariableSet(health_vars + [feed_vars[p] for p in attach_nodes])
+    env = VariableSet(health_vars + ([] if group.attach is None else [group.feed]))
     scope = controls.union(env)
 
     buses = [m for m in group.members if topo.node(m).kind == "bus"]
@@ -451,8 +429,8 @@ def _group_tables(
     couple_pairs = list(combinations(ac_sources, 2))
 
     # One bool vector per node over all valuations of the scope.  Feed
-    # entering via an attach node behaves like a generator glued to the
-    # child-side endpoints of that node's crossings.
+    # entering via the attach node behaves like a generator glued to the
+    # child-side endpoints of the incoming crossings.
     n = len(scope)
     check_table_size(n)
     bit = dict(zip(scope, valuation_bits(np.arange(1 << n), n)))
@@ -460,14 +438,17 @@ def _group_tables(
     passable: dict[object, np.ndarray] = {
         m: bit[m] if topo.node(m).kind in HEALTH_KINDS else always for m in group.members
     }
-    passable.update({("feed", p): bit[feed_vars[p]] for p in attach_nodes})
+    feed = ("feed", group.attach)
     edges = [
         (e.a, e.b, always if e.solid else bit[e.contactor]) for e in group.local_edges
     ] + [
-        (("feed", p), q, always if e.solid else bit[e.contactor]) for e, p, q in group.incoming
+        (feed, q, always if e.solid else bit[e.contactor]) for e, q in group.incoming
     ]
     sources = [m for m in group.members if topo.node(m).kind == "generator"]
-    live = _propagate(passable, edges, sources + [("feed", p) for p in attach_nodes])
+    if group.attach is not None:
+        passable[feed] = bit[group.feed]
+        sources.append(feed)
+    live = _propagate(passable, edges, sources)
     tables = {b: live[b] for b in buses}
     reach = {s: _propagate(passable, edges, [s]) for s in ac_sources}
     for s, t in couple_pairs:
@@ -534,10 +515,9 @@ def compile_to_network(
     # the attach node is a bus.
     exports: dict[str, list[str]] = {g.name: [] for g in groups}
     for g in groups:
-        for _, p, _ in g.incoming:
-            parent = group_of[p]
-            if topo.node(p).kind != "bus" and p not in exports[parent]:
-                exports[parent].append(p)
+        p = g.attach
+        if p is not None and topo.node(p).kind != "bus" and p not in exports[group_of[p]]:
+            exports[group_of[p]].append(p)
     # The guarantee spans every output: refuse before compiling any group.
     check_table_size(
         len(topo.bus_names)
@@ -555,13 +535,10 @@ def compile_to_network(
         functions = {y: BoolFunc(scope, t) for y, t in tables.items()}
         systems.append(BooleanSystem(g.name, controls, env, outputs, functions))
         couple_names.extend(f"couple_{s}_{t}" for s, t in couple_pairs)
-        attach_seen: set[str] = set()
-        for _, p, _ in g.incoming:
-            if p in attach_seen:
-                continue
-            attach_seen.add(p)
+        if g.attach is not None:
+            p = g.attach
             source = p if topo.node(p).kind == "bus" else f"feed_{p}"
-            links.append(Link(group_of[p], source, g.name, f"{g.name}_from_{p}"))
+            links.append(Link(group_of[p], source, g.name, g.feed))
 
     net = BooleanNetwork(tuple(systems), Interconnection(tuple(links)))
     if net.violations:

@@ -106,15 +106,6 @@ class Interconnection:
     def __post_init__(self) -> None:
         object.__setattr__(self, "links", tuple(self.links))
 
-    def into(self, sys_name: str) -> list[Link]:
-        return [l for l in self.links if l.to_sys == sys_name]
-
-    def driver_of(self, sys_name: str, env_input: str) -> Link | None:
-        for l in self.links:
-            if l.to_sys == sys_name and l.to_input == env_input:
-                return l
-        return None
-
 
 @dataclass(frozen=True)
 class SystemGraph:
@@ -135,7 +126,8 @@ class BooleanNetwork:
     """Subsystems plus interconnection.  Construction never raises on wiring
     problems; `validate` reports them and well-posedness-requiring operations
     refuse to run until the report is empty.  The network is frozen, so its
-    report is computed once and cached as `violations`."""
+    report is computed once and cached as `violations`, and so is the wiring
+    of a well-posed one, as `drivers`."""
 
     subsystems: tuple[BooleanSystem, ...]
     wiring: Interconnection = field(default_factory=Interconnection)
@@ -157,6 +149,13 @@ class BooleanNetwork:
     def violations(self) -> tuple[str, ...]:
         """The `validate` report of this network, computed on first use."""
         return tuple(validate(self))
+
+    @cached_property
+    def drivers(self) -> dict[str, str]:
+        """Each internal input's driving output, computed on first use and
+        shared, so not to be mutated; refuses an ill-posed network."""
+        _require_well_posed(self)
+        return {l.to_input: l.from_output for l in self.wiring.links}
 
 
 def validate(net: BooleanNetwork) -> list[str]:
@@ -231,11 +230,10 @@ def system_graph(net: BooleanNetwork) -> SystemGraph:
 
 def classify_inputs(net: BooleanNetwork, name: str) -> tuple[VariableSet, VariableSet]:
     """Split a subsystem's environment inputs into (internal, external)."""
-    _require_well_posed(net)
+    drivers = net.drivers
     sys = net.subsystem(name)
-    driven = {l.to_input for l in net.wiring.into(name)}
-    internal = VariableSet(v for v in sys.env_inputs if v in driven)
-    external = VariableSet(v for v in sys.env_inputs if v not in driven)
+    internal = VariableSet(v for v in sys.env_inputs if v in drivers)
+    external = VariableSet(v for v in sys.env_inputs if v not in drivers)
     return internal, external
 
 
@@ -273,12 +271,8 @@ def topological_order(g: SystemGraph) -> list[str]:
 
 def external_inputs(net: BooleanNetwork) -> VariableSet:
     """All external environment inputs, in declaration order."""
-    _require_well_posed(net)
-    out: list[str] = []
-    for s in net.subsystems:
-        _, ext = classify_inputs(net, s.name)
-        out.extend(ext)
-    return VariableSet(out)
+    drivers = net.drivers
+    return VariableSet(v for s in net.subsystems for v in s.env_inputs if v not in drivers)
 
 
 def all_outputs(net: BooleanNetwork) -> VariableSet:
@@ -367,9 +361,7 @@ def _closed_loop_functions(
     for name in topological_order(system_graph(net)):
         sys = net.subsystem(name)
         ctrl_funcs = {u: setter[u].control_function(u) for u in sys.controls if u in setter}
-        drivers = {
-            l.to_input: closed[l.from_output] for l in net.wiring.into(name)
-        }
+        drivers = {v: closed[net.drivers[v]] for v in sys.env_inputs if v in net.drivers}
         for y, f in sys.functions.items():
             closed[y] = _gather(_gather(f, ctrl_funcs), drivers)
     return closed

@@ -76,8 +76,8 @@ def verify_closed_loop(
     """
     check_contract(net, contract)
     check_controllers(net, controllers)
-    evaluator = _VectorEvaluator(net)
-    violated = evaluator.violations(controllers, contract)
+    evaluator = _VectorEvaluator(net, contract)
+    violated = evaluator.violations(controllers)
     if not violated.any():
         return VerificationResult(True)
     return VerificationResult(False, Valuation.from_index(evaluator.ext, int(np.argmax(violated))))
@@ -86,22 +86,21 @@ def verify_closed_loop(
 class _VectorEvaluator:
     """Vectorized closed-loop evaluation over all external valuations at once.
 
-    Built once per network; `outputs_for` takes controllers that pass
-    `check_controllers`, one per subsystem or one central one, and returns
-    each variable's bool value array indexed by external-valuation rank.
+    Built once per network and contract, whose admissible mask it computes
+    once; `outputs_for` takes controllers that pass `check_controllers`, one
+    per subsystem or one central one, and returns each variable's bool value
+    array indexed by external-valuation rank.
     """
 
-    def __init__(self, net: BooleanNetwork):
+    def __init__(self, net: BooleanNetwork, contract: ContractPair):
         self.net = net
+        self.guarantee = contract.guarantee
         self.ext = external_inputs(net)
         m = len(self.ext)
         check_table_size(m)
         self.ext_bits = dict(zip(self.ext, valuation_bits(np.arange(1 << m), m)))
+        self.admissible = np.broadcast_to(contract.assumption.evaluate_many(self.ext_bits), (1 << m,))
         self.order = topological_order(system_graph(net))
-        self.drivers = {
-            name: {l.to_input: l.from_output for l in net.wiring.into(name)}
-            for name in self.order
-        }
 
     def outputs_for(self, controllers: Mapping[str, Controller]) -> dict[str, np.ndarray]:
         """Values of every external input, environment input, control and
@@ -110,11 +109,12 @@ class _VectorEvaluator:
         subsystem it drives is evaluated; each subsystem computes one flat
         index per distinct function scope."""
         values: dict[str, np.ndarray] = dict(self.ext_bits)
+        drivers = self.net.drivers
         setter = {u: name for name, c in controllers.items() for u in c.controls}
         pending = dict(controllers)
         for name in self.order:
             sys = self.net.subsystem(name)
-            values.update({v: values[y] for v, y in self.drivers[name].items()})
+            values.update({v: values[drivers[v]] for v in sys.env_inputs if v in drivers})
             for u in sys.controls:
                 ctrl = pending.pop(setter[u], None)
                 if ctrl is not None:
@@ -127,15 +127,9 @@ class _VectorEvaluator:
                 values[y] = f.table.reshape(-1)[ranks[f.scope]]
         return values
 
-    def violations(self, controllers: Mapping[str, Controller], contract: ContractPair) -> np.ndarray:
+    def violations(self, controllers: Mapping[str, Controller]) -> np.ndarray:
         """Mask over external-valuation ranks: admissible but not guaranteed."""
-        values = self.outputs_for(controllers)
-        admissible = contract.assumption.evaluate_many(self.ext_bits)
-        good = contract.guarantee.evaluate_many(values)
-        return np.broadcast_to(admissible & ~good, (1 << len(self.ext),))
-
-    def satisfies(self, controllers: Mapping[str, Controller], contract: ContractPair) -> bool:
-        return not self.violations(controllers, contract).any()
+        return self.admissible & ~self.guarantee.evaluate_many(self.outputs_for(controllers))
 
 
 @lru_cache(maxsize=65536)
@@ -163,9 +157,9 @@ def brute_force_distributed(
         raise BudgetExceededError(
             f"controller search needs {bits} table bits, budget allows {MAX_CONTROLLER_BITS}"
         )
-    evaluator = _VectorEvaluator(net)
+    evaluator = _VectorEvaluator(net, contract)
     for controllers in _candidates(net.subsystems):
-        if evaluator.satisfies(controllers, contract):
+        if not evaluator.violations(controllers).any():
             return controllers
     return None
 

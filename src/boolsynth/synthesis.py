@@ -147,13 +147,10 @@ class UndrivenInputError(ValueError):
 
 def rewire_to_parent_outputs(lra: BoolFunc, net: BooleanNetwork, name: str) -> BoolFunc:
     """Rename each internal input in `lra` to the parent output driving it."""
-    mapping: dict[str, str] = {}
-    for v in lra.scope:
-        link = net.wiring.driver_of(name, v)
-        if link is None:
-            raise UndrivenInputError(name, v)
-        mapping[v] = link.from_output
-    return lra.rename(mapping)
+    undriven = [v for v in lra.scope if v not in net.drivers]
+    if undriven:
+        raise UndrivenInputError(name, undriven[0])
+    return lra.rename({v: net.drivers[v] for v in lra.scope})
 
 
 def update_contract(contract: ContractPair, up: BoolFunc, lra_rewired: BoolFunc) -> ContractPair:

@@ -6,6 +6,7 @@ import numpy as np
 
 from boolsynth.boolfunc import BoolFunc, VariableSet, conjoin
 from boolsynth.contracts import ContractPair
+from boolsynth.eps import NODE_KINDS, PowerEdge, PowerNode, PowerTopology
 from boolsynth.network import (
     BooleanNetwork,
     BooleanSystem,
@@ -101,3 +102,37 @@ def random_forest_instance(rng: np.random.Generator) -> tuple[BooleanNetwork, Co
         conjoin(guarantees).extend(all_outputs(net)),
     )
     return net, contract
+
+
+# generator, rectifier, transformer, bus, dummy: mostly sources and loads
+KIND_WEIGHTS = (0.3, 0.1, 0.1, 0.4, 0.1)
+
+
+def random_topology(rng: np.random.Generator) -> tuple[PowerTopology, list[tuple[str, list[str]]]]:
+    """A connected power topology of three to six nodes, with at most ten
+    health and contactor bits, and a random partition of it into up to three
+    groups.  Many draws are refused by the compiler; the rest are small
+    enough to sweep pointwise."""
+    while True:
+        n = int(rng.integers(3, 7))
+        nodes = [
+            PowerNode(f"N{i}", str(rng.choice(NODE_KINDS, p=KIND_WEIGHTS)), str(rng.choice(["ac", "dc"])))
+            for i in range(n)
+        ]
+        pairs = [(int(rng.integers(0, i)), i) for i in range(1, n)]
+        if rng.random() < 0.5:
+            a, b = sorted(int(x) for x in rng.choice(n, size=2, replace=False))
+            if (a, b) not in pairs:
+                pairs.append((a, b))
+        edges = [
+            PowerEdge(f"N{a}", f"N{b}", f"k{a}_{b}" if rng.random() < 0.6 else None)
+            for a, b in pairs
+        ]
+        topo = PowerTopology(tuple(nodes), tuple(edges))
+        if len(topo.health_names) + len(topo.contactor_names) <= 10:
+            break
+    group = rng.integers(0, 3, size=n)
+    partition = [
+        (f"P{g}", [f"N{i}" for i in range(n) if group[i] == g]) for g in sorted(set(group.tolist()))
+    ]
+    return topo, partition

@@ -212,6 +212,15 @@ class TestEpsCommand:
         part.write_text(json.dumps({"groups": [{"name": "ALL", "nodes": members}]}))
         assert cli_main(["eps", TOPOLOGY, "--partition", str(part), "--json"]) == 0
 
+    def test_partition_naming_a_group_twice(self, tmp_path, capsys):
+        topo = json.loads((FIXTURES / "eps_tree.topology.json").read_text())
+        members = [n["name"] for n in topo["nodes"]]
+        part = tmp_path / "partition.json"
+        groups = [{"name": "A", "nodes": members[:2]}, {"name": "A", "nodes": members[2:]}]
+        part.write_text(json.dumps({"groups": groups}))
+        assert cli_main(["eps", TOPOLOGY, "--partition", str(part)]) == 2
+        assert "group 'A' more than once" in capsys.readouterr().err
+
     def test_five_generator_chain(self, capsys):
         # the EPS k-chain at k=5: a regression instance for the biclique,
         # composition and compile layers together

@@ -4,6 +4,7 @@ import itertools
 import json
 import re
 
+import numpy as np
 import pytest
 
 from boolsynth.boolfunc import BoolFunc, TableTooLargeError, conjoin
@@ -28,6 +29,7 @@ from boolsynth.synthesis import (
     distributed_synthesis,
 )
 
+from ._random_instances import random_topology
 from .conftest import FIXTURES, run_with_memory_limit
 
 
@@ -243,7 +245,7 @@ class TestCompile:
             PowerEdge("G2", "B2", "k3"),
         )
         topo = PowerTopology(nodes, edges, feeders=("k2",))
-        with pytest.raises(TopologyError):
+        with pytest.raises(TopologyError, match="same distance"):
             compile_to_network(topo)
 
     def test_multiple_attach_points_rejected(self):
@@ -263,6 +265,52 @@ class TestCompile:
         with pytest.raises(TopologyError, match="attach"):
             compile_to_network(topo)
 
+    def test_two_parent_groups_feeding_one_child_rejected(self):
+        # A diamond: P feeds Q and R, which both feed S, so power leaving S's
+        # region through one parent could come back through the other.
+        nodes = (
+            PowerNode("G", "generator", "ac"),
+            PowerNode("BP", "bus", "ac"),
+            PowerNode("BQ", "bus", "ac"),
+            PowerNode("BR", "bus", "ac"),
+            PowerNode("BS", "bus", "ac"),
+        )
+        edges = (
+            PowerEdge("G", "BP", "k0"),
+            PowerEdge("BP", "BQ", "k1"),
+            PowerEdge("BP", "BR", "k2"),
+            PowerEdge("BQ", "BS", "k3"),
+            PowerEdge("BR", "BS", "k4"),
+        )
+        partition = [("P", ["G", "BP"]), ("Q", ["BQ"]), ("R", ["BR"]), ("S", ["BS"])]
+        with pytest.raises(TopologyError, match=r"feeders into S attach .*\['BQ', 'BR'\]"):
+            compile_to_network(PowerTopology(nodes, edges), partition)
+
+    def test_group_unreachable_from_generation_rejected(self):
+        nodes = (
+            PowerNode("G", "generator", "ac"),
+            PowerNode("B1", "bus", "ac"),
+            PowerNode("B2", "bus", "ac"),
+            PowerNode("B3", "bus", "ac"),
+        )
+        edges = (PowerEdge("G", "B1", "k1"), PowerEdge("B2", "B3", "k2"))
+        topo = PowerTopology(nodes, edges, feeders=("k2",))
+        with pytest.raises(TopologyError, match=r"\['S1', 'S2'\] .* unreachable from any generator group"):
+            compile_to_network(topo)
+
+    def test_crossings_without_generation_rejected(self):
+        nodes = (PowerNode("B1", "bus", "ac"), PowerNode("B2", "bus", "ac"))
+        topo = PowerTopology(nodes, (PowerEdge("B1", "B2", "k1"),), feeders=("k1",))
+        with pytest.raises(TopologyError, match="no group contains a generator"):
+            compile_to_network(topo)
+
+    def test_duplicate_group_name_rejected(self):
+        topo = load_topology(FIXTURES / "eps_tree.topology.json")
+        names = [n.name for n in topo.nodes]
+        partition = [("A", names[:2]), ("A", names[2:])]
+        with pytest.raises(TopologyError, match="'A' more than once"):
+            compile_to_network(topo, partition)
+
     # (fixture or None for the mini topology, partition or None for the
     # default one); the single-group chain at k=4 has 27 inputs, too many
     # for tables per output or a pointwise sweep.
@@ -273,16 +321,31 @@ class TestCompile:
         ("eps_tree", "single"),
         ("eps_chain4", None),
     ]
+    # Seeded random multi-group topologies and partitions that compile.
+    RANDOM_CASES = 200
 
-    def test_compiled_outputs_match_live_path_oracle_exhaustively(self):
-        # Every output of every group against the pointwise live-path
-        # semantics, on all valuations of the group's inputs.
+    def cases(self):
+        """(topology, partition, sweep the flattened plant?): CASES, then
+        RANDOM_CASES random draws, skipping those the compiler refuses."""
         for fixture, partition in self.CASES:
             topo = mini_topology() if fixture is None else load_topology(FIXTURES / f"{fixture}.topology.json")
             if partition is None:
                 partition = _default_partition(topo)
             elif partition == "single":
                 partition = [("ALL", [n.name for n in topo.nodes])]
+            yield topo, partition, fixture is None
+        rng = np.random.default_rng(20161)
+        found = 0
+        while found < self.RANDOM_CASES:
+            topo, partition = random_topology(rng)
+            if len(partition) > 1 and compiles(topo, partition):
+                found += 1
+                yield topo, partition, True
+
+    def test_compiled_outputs_match_live_path_oracle_exhaustively(self):
+        # Every output of every group against the pointwise live-path
+        # semantics, on all valuations of the group's inputs.
+        for topo, partition, sweep_plant in self.cases():
             net, _ = compile_to_network(topo, partition)
             members = dict(partition)
             for sys in net.subsystems:
@@ -295,8 +358,8 @@ class TestCompile:
                     closed = {c: point[c] for c in local.contactor_names}
                     for y in sys.outputs:
                         got = sys.functions[y].evaluate(point)
-                        assert got == reference[y](health, closed), (fixture, y, point)
-            if fixture is None:
+                        assert got == reference[y](health, closed), (partition, y, point)
+            if sweep_plant:
                 # and the flattened plant against the whole topology
                 plant = flatten(net)
                 hs, cs = topo.health_names, topo.contactor_names
@@ -304,7 +367,15 @@ class TestCompile:
                     h = dict(zip(hs, bits[: len(hs)]))
                     c = dict(zip(cs, bits[len(hs):]))
                     for b in topo.bus_names:
-                        assert plant.functions[b].evaluate({**h, **c}) == bus_status(topo, h, c, b)
+                        assert plant.functions[b].evaluate({**h, **c}) == bus_status(topo, h, c, b), (partition, b)
+
+
+def compiles(topo, partition) -> bool:
+    try:
+        compile_to_network(topo, partition)
+    except TopologyError:
+        return False
+    return True
 
 
 def group_reference(topo, sys, members):

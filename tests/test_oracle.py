@@ -230,6 +230,23 @@ class TestBruteForce:
         )
         assert brute_force_distributed(net, contract) is None
 
+    def test_assumption_is_evaluated_once_per_search(self, serial_chain, monkeypatch):
+        # The admissible mask does not depend on the controllers: a search
+        # through all 2^6 candidates evaluates the assumption once.
+        net, contract = serial_chain
+        contract = ContractPair(contract.assumption, BoolFunc.const(all_outputs(net), False))
+        calls = []
+        evaluate_many = BoolFunc.evaluate_many
+
+        def counting(self, assignments):
+            if self is contract.assumption:
+                calls.append(self)
+            return evaluate_many(self, assignments)
+
+        monkeypatch.setattr(BoolFunc, "evaluate_many", counting)
+        assert brute_force_distributed(net, contract) is None
+        assert len(calls) == 1
+
     def test_first_hit_is_lexicographically_least(self, serial_chain):
         net, _ = serial_chain
         # trivial contract: every controller tuple works, so the all-False
