@@ -510,6 +510,9 @@ def compile_to_network(
     else:
         groups_spec = _validate_partition(topo, partition)
     groups, group_of = _orient_groups(topo, groups_spec)
+    generators = [n.name for n in topo.nodes if n.kind == "generator"]
+    if not generators:
+        raise TopologyError("topology has no generators; nothing can be powered")
 
     # Attach nodes exported by each parent group; reuse the bus output when
     # the attach node is a bus.
@@ -545,9 +548,6 @@ def compile_to_network(
         raise TopologyError("compiled network is ill-posed: " + "; ".join(net.violations))
 
     ext = external_inputs(net)
-    generators = [n.name for n in topo.nodes if n.kind == "generator"]
-    if not generators:
-        raise TopologyError("topology has no generators; nothing can be powered")
     assumption = conjoin(
         [_any_of(generators)]
         + [_any_of(rects) for rects in _rectifier_sides(topo)]

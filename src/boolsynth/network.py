@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .boolfunc import BoolFunc, VariableSet, check_name, valuation_ranks
+from .boolfunc import BoolFunc, VariableSet, check_name, check_table_size, valuation_ranks
 
 __all__ = [
     "BooleanSystem",
@@ -55,7 +55,8 @@ class BooleanSystem:
 
     `functions` maps each output name to its defining BoolFunc, whose scope
     must lie inside ``controls + env_inputs``.  Controls and environment
-    inputs are disjoint.
+    inputs are disjoint.  The system is frozen, so the rank table of each
+    output scope is computed once and kept, as `output_ranks`.
     """
 
     name: str
@@ -63,6 +64,9 @@ class BooleanSystem:
     env_inputs: VariableSet
     outputs: VariableSet
     functions: dict[str, BoolFunc]
+    _ranks: dict[VariableSet, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         check_name(self.name)
@@ -87,6 +91,29 @@ class BooleanSystem:
         if extra:
             raise ValueError(f"{self.name}: functions for undeclared outputs {extra}")
         object.__setattr__(self, "functions", ordered)
+
+    def output_ranks(self, outputs: VariableSet) -> np.ndarray:
+        """Rank over `outputs`, in that order, of the output valuation at
+        each input valuation: a read-only array of shape
+        ``(2^|env_inputs|, 2^|controls|)``, so ``G.table.reshape(-1)[ranks]``
+        is ``G(f(u, e))`` for a guarantee ``G`` over `outputs`.  Computed on
+        first use per scope and shared, so not to be mutated."""
+        ranks = self._ranks.get(outputs)
+        if ranks is not None:
+            return ranks
+        stray = [y for y in outputs if y not in self.outputs]
+        if stray:
+            raise ValueError(f"{self.name} has no outputs {stray}")
+        inputs = self.env_inputs.union(self.controls)
+        check_table_size(len(inputs))
+        shape = (1 << len(self.env_inputs), 1 << len(self.controls))
+        ranks = np.zeros(shape, np.min_scalar_type((1 << len(outputs)) - 1))
+        for y in outputs:
+            ranks <<= 1
+            ranks |= self.functions[y].extend(inputs).table.reshape(shape)
+        ranks.setflags(write=False)
+        self._ranks[outputs] = ranks
+        return ranks
 
 
 @dataclass(frozen=True)

@@ -2,19 +2,26 @@
 
 A local contract is realizable when for every admissible environment
 valuation some control valuation makes the guarantee hold; the witness of
-that forall-exists question is a controller table.  The distributed
-procedure peels leaf subsystems off the system graph in one fixed order,
-`leaf_order`: it projects the assumption once per leaf, tries each maximal
-guarantee split, constrains the leaf's internal inputs by the least
-restrictive assumption, turns that constraint into a guarantee for the
-remaining subsystems, and recurses, backtracking over splits.  The search
-yields one local contract per subsystem; a controller is extracted from
-each of them once the search has succeeded.
+that forall-exists question is a controller table.  Realizability, the
+least restrictive assumption and extraction all read one matrix, G(f(u, e))
+with a row per environment valuation and a column per control valuation.
+A subsystem's output functions never change, so the matrix is a gather from
+the guarantee's flat table at the subsystem's memoized rank table
+(`BooleanSystem.output_ranks`), not a fresh composition per attempt;
+`distributed_synthesis` searches on a fresh copy of each subsystem, so these
+tables last for one call.  The distributed procedure peels leaf subsystems
+off the system graph in one fixed order, `leaf_order`: it projects the
+assumption once per leaf, tries each maximal guarantee split, constrains the
+leaf's internal inputs by the least restrictive assumption, turns that
+constraint into a guarantee for the remaining subsystems, and recurses,
+backtracking over splits.  The search yields one local contract per
+subsystem; a controller is extracted from each of them once the search has
+succeeded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,25 +84,26 @@ class SynthesisOutcome:
     trace: tuple[TraceEntry, ...]
 
 
-def _guarantee_over_inputs(sys: BooleanSystem, guarantee: BoolFunc) -> BoolFunc:
-    """G(f(u, e)) over the environment inputs followed by the controls."""
-    stray = [v for v in guarantee.scope if v not in sys.outputs]
-    if stray:
-        raise ValueError(f"guarantee mentions variables outside {sys.name}'s outputs: {stray}")
-    return guarantee.compose(
-        {y: sys.functions[y] for y in guarantee.scope}, sys.env_inputs.union(sys.controls)
-    )
+def _guarantee_over_inputs(sys: BooleanSystem, guarantee: BoolFunc) -> np.ndarray:
+    """G(f(u, e)) as a bool array with one row per environment valuation and
+    one column per control valuation: a gather from G's flat table."""
+    return guarantee.table.reshape(-1)[sys.output_ranks(guarantee.scope)]
+
+
+def _losing(sys: BooleanSystem, assumption: BoolFunc, win: np.ndarray) -> np.ndarray:
+    """Flat mask over environment valuations: admissible, yet no control
+    valuation makes `win` hold.  `assumption` must be over `sys.env_inputs`."""
+    return assumption.extend(sys.env_inputs).table.reshape(-1) & ~win.any(axis=1)
 
 
 def check_realizable(sys: BooleanSystem, assumption: BoolFunc, guarantee: BoolFunc) -> bool:
     """Decide ``forall e exists u: A(e) -> G(f(u, e))``.
 
     `assumption` is over environment inputs (internal-input constraints may
-    be conjoined in); `guarantee` is over outputs.
+    be conjoined in), and any other variable in it is refused with
+    ValueError; `guarantee` is over outputs.
     """
-    g_inputs = _guarantee_over_inputs(sys, guarantee)
-    can_win = g_inputs.project(g_inputs.scope.without(sys.controls))
-    return assumption.implies(can_win).is_true
+    return not _losing(sys, assumption, _guarantee_over_inputs(sys, guarantee)).any()
 
 
 def extract_controller(sys: BooleanSystem, assumption: BoolFunc, guarantee: BoolFunc) -> Controller:
@@ -106,16 +114,15 @@ def extract_controller(sys: BooleanSystem, assumption: BoolFunc, guarantee: Bool
     and must be inadmissible, otherwise the contract is unrealizable.
     """
     env, ctr = sys.env_inputs, sys.controls
-    table = _guarantee_over_inputs(sys, guarantee).table.reshape(1 << len(env), 1 << len(ctr))
-    adm = assumption.extend(env).table.reshape(-1)
-    any_u = table.any(axis=1)
-    bad = adm & ~any_u
+    win = _guarantee_over_inputs(sys, guarantee)
+    bad = _losing(sys, assumption, win)
     if bad.any():
         witness = Valuation.from_index(env, int(np.argmax(bad)))
         raise UnrealizableError(
             f"{sys.name}: no control satisfies the guarantee at admissible input ({witness})"
         )
-    choice = np.where(any_u, np.argmax(table, axis=1), 0)
+    # argmax picks column 0, all-False, on a row that no control wins
+    choice = np.argmax(win, axis=1)
     return Controller(sys.name, env, ctr, valuation_bits(choice, len(ctr)).T)
 
 
@@ -126,16 +133,16 @@ def least_restrictive_assumption(
     internal: VariableSet,
 ) -> BoolFunc:
     """The set of internal-input valuations under which the local contract is
-    realizable, as a function over `internal`.
+    realizable, as a function over `internal`, a subset of the environment
+    inputs.
 
     Constant False means no internal valuation helps; internal valuations
     outside the satisfying set make the guarantee unachievable.  Computed in
     one pass as ``forall e_ext: A -> exists u: G(f)``, i.e. the complement of
     the internal projection of ``A & ~exists u: G(f)``.
     """
-    g_inputs = _guarantee_over_inputs(sys, guarantee)
-    losing = assumption & ~g_inputs.project(g_inputs.scope.without(sys.controls))
-    return ~losing.extend(losing.scope.union(internal)).project(internal)
+    losing = _losing(sys, assumption, _guarantee_over_inputs(sys, guarantee))
+    return ~BoolFunc._wrap(sys.env_inputs, losing).project(internal)
 
 
 class UndrivenInputError(ValueError):
@@ -175,8 +182,10 @@ def distributed_synthesis(net: BooleanNetwork, contract: ContractPair) -> Synthe
         contract = ContractPair(contract.assumption, BoolFunc.const(VariableSet(), True))
     # (name, system, internal inputs, local assumption) per leaf: removing a
     # leaf leaves the induced subgraph, so none depends on the recursion level.
+    # Each system is a fresh copy, so the rank tables it memoizes serve this
+    # call's attempts and extractions and are freed when the call returns.
     steps = tuple(
-        (name, net.subsystem(name), classify_inputs(net, name)[0],
+        (name, replace(net.subsystem(name)), classify_inputs(net, name)[0],
          project_assumption(contract.assumption, net, name))
         for name in leaf_order(system_graph(net))
     )
@@ -184,8 +193,9 @@ def distributed_synthesis(net: BooleanNetwork, contract: ContractPair) -> Synthe
     local_contracts = _synthesize(net, steps, contract, trace)
     if local_contracts is None:
         return SynthesisOutcome(False, {}, {}, tuple(trace))
+    systems = {name: sys for name, sys, _, _ in steps}
     controllers = {
-        name: extract_controller(net.subsystem(name), lc.assumption, lc.guarantee)
+        name: extract_controller(systems[name], lc.assumption, lc.guarantee)
         for name, lc in local_contracts.items()
     }
     return SynthesisOutcome(True, controllers, local_contracts, tuple(trace))

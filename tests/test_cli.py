@@ -255,6 +255,16 @@ class TestEpsCommand:
         assert "2^35 = 34359738368 cells" in done.stderr
         assert elapsed < 2.0
 
+    def test_generatorless_topology_is_refused(self, tmp_path, capsys):
+        buses = [f"B{i}" for i in range(31)]
+        topo = tmp_path / "buses.topology.json"
+        topo.write_text(json.dumps({
+            "nodes": [{"name": b, "kind": "bus", "current": "ac"} for b in buses],
+            "edges": [{"a": a, "b": b, "contactor": f"k{i}"} for i, (a, b) in enumerate(zip(buses, buses[1:]))],
+        }))
+        assert cli_main(["eps", str(topo)]) == 2
+        assert "generators" in capsys.readouterr().err
+
     def test_malformed_topology(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{")

@@ -44,6 +44,13 @@ def chain_topology(k: int) -> PowerTopology:
     return PowerTopology(tuple(nodes), tuple(edges), tuple(f for f in six.feeders if f in contactors))
 
 
+def bus_chain_topology(n: int) -> PowerTopology:
+    """`n` AC buses in a row, joined by contactors, with no generator."""
+    nodes = tuple(PowerNode(f"B{i}", "bus", "ac") for i in range(n))
+    edges = tuple(PowerEdge(f"B{i}", f"B{i + 1}", f"k{i}") for i in range(n - 1))
+    return PowerTopology(nodes, edges)
+
+
 def mini_topology():
     """gen --k1-- bus --solid-- rect --k2-- dc bus, plus a transformer stub."""
     nodes = (
@@ -302,6 +309,12 @@ class TestCompile:
         nodes = (PowerNode("B1", "bus", "ac"), PowerNode("B2", "bus", "ac"))
         topo = PowerTopology(nodes, (PowerEdge("B1", "B2", "k1"),), feeders=("k1",))
         with pytest.raises(TopologyError, match="no group contains a generator"):
+            compile_to_network(topo)
+
+    def test_generatorless_topology_refused_before_sizing_the_guarantee(self):
+        # 31 buses: the guarantee alone would need 2^31 cells.
+        topo = bus_chain_topology(31)
+        with pytest.raises(TopologyError, match="topology has no generators"):
             compile_to_network(topo)
 
     def test_duplicate_group_name_rejected(self):

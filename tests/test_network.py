@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from boolsynth.boolfunc import BoolFunc, VariableSet
+from boolsynth.boolfunc import BoolFunc, TableTooLargeError, Valuation, VariableSet, all_valuations
 from boolsynth.network import (
     BooleanNetwork,
     BooleanSystem,
@@ -47,6 +47,47 @@ class TestBooleanSystem:
         rogue = BoolFunc.var("z")
         with pytest.raises(ValueError):
             BooleanSystem("S", cs, es, VariableSet(["y"]), {"y": rogue})
+
+
+class TestOutputRanks:
+    def test_ranks_enumerate_output_valuations_pointwise(self):
+        sys = make_system("S", ["u"], ["e1", "e2"], {"a": "u & e1", "b": "u | e2", "c": "e1 ^ e2"})
+        outputs = VariableSet(["c", "a"])
+        ranks = sys.output_ranks(outputs)
+        assert ranks.shape == (4, 2) and ranks.dtype == np.uint8
+        for e in all_valuations(sys.env_inputs):
+            for u in all_valuations(sys.controls):
+                point = e.as_dict() | u.as_dict()
+                want = Valuation(outputs, tuple(sys.functions[y].evaluate(point) for y in outputs))
+                assert ranks[e.index(), u.index()] == want.index()
+
+    def test_ranks_are_memoized_per_scope_and_read_only(self):
+        sys = make_system("S", ["u"], ["e"], {"a": "u", "b": "e"})
+        ab = sys.output_ranks(VariableSet(["a", "b"]))
+        assert sys.output_ranks(VariableSet(["a", "b"])) is ab
+        assert sys.output_ranks(VariableSet(["b", "a"])) is not ab
+        assert not ab.flags.writeable
+        empty = sys.output_ranks(VariableSet())
+        assert empty.shape == (2, 2) and not empty.any()
+
+    @pytest.mark.parametrize("n, dtype", [(8, np.uint8), (9, np.uint16), (17, np.uint32)])
+    def test_smallest_unsigned_dtype_holds_the_rank(self, n, dtype):
+        sys = make_system("S", ["u"], [], {f"y{k}": "u" for k in range(n)})
+        ranks = sys.output_ranks(sys.outputs)
+        assert ranks.dtype == dtype
+        assert ranks.tolist() == [[0, (1 << n) - 1]]
+
+    def test_unknown_output_rejected(self):
+        sys = make_system("S", ["u"], [], {"y": "u"})
+        with pytest.raises(ValueError, match="no outputs"):
+            sys.output_ranks(VariableSet(["z"]))
+
+    def test_oversized_input_scope_refused_before_allocating(self):
+        # Output functions may read a few inputs only; the rank table spans all.
+        env = VariableSet(f"e{k}" for k in range(31))
+        sys = BooleanSystem("S", VariableSet(["u"]), env, VariableSet(["y"]), {"y": BoolFunc.var("u")})
+        with pytest.raises(TableTooLargeError, match=r"2\^32"):
+            sys.output_ranks(sys.outputs)
 
 
 class TestValidate:

@@ -5,7 +5,15 @@ import pytest
 
 from boolsynth.boolfunc import BoolFunc, Valuation, VariableSet, all_valuations, conjoin
 from boolsynth.contracts import ContractPair, maximal_distributions, project_assumption
-from boolsynth.network import all_outputs, classify_inputs, compose, external_inputs, flatten
+from boolsynth.network import (
+    BooleanNetwork,
+    BooleanSystem,
+    all_outputs,
+    classify_inputs,
+    compose,
+    external_inputs,
+    flatten,
+)
 from boolsynth.oracle import verify_closed_loop
 from boolsynth import synthesis
 from boolsynth.parser import parse_expr
@@ -148,6 +156,122 @@ class TestLeastRestrictiveAssumption:
             s1, BoolFunc.const(VariableSet(["e1"]), True), BoolFunc.var("y1"), VariableSet()
         )
         assert lra.is_false
+
+
+def random_subset(rng, names) -> VariableSet:
+    """A random subset of `names` in random order."""
+    names = list(names)
+    return VariableSet(names[i] for i in rng.permutation(len(names))[: rng.integers(0, len(names) + 1)])
+
+
+def random_system(rng) -> BooleanSystem:
+    """0-3 environment inputs, 0-2 controls, 1-3 outputs; each output reads
+    a random subset of the inputs in random order."""
+    controls = VariableSet(f"u{k}" for k in range(rng.integers(0, 3)))
+    env = VariableSet(f"e{k}" for k in range(rng.integers(0, 4)))
+    outputs = VariableSet(f"y{k}" for k in range(rng.integers(1, 4)))
+    inputs = controls.union(env)
+    functions = {y: random_boolfunc(rng, random_subset(rng, inputs)) for y in outputs}
+    return BooleanSystem("S", controls, env, outputs, functions)
+
+
+def record_output_ranks(monkeypatch) -> list:
+    """Patch `BooleanSystem.output_ranks` to log ``(system name, outputs,
+    ranks)`` per call; returns the log."""
+    calls = []
+    original = BooleanSystem.output_ranks
+
+    def recording(sys, outputs):
+        calls.append((sys.name, outputs, original(sys, outputs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(BooleanSystem, "output_ranks", recording)
+    return calls
+
+
+class TestGameAgainstSubstitution:
+    """The rank gather against the existential route ``guarantee.substitute``."""
+
+    @staticmethod
+    def reference(sys, assumption, guarantee, internal):
+        g_f = guarantee.substitute(sys.functions).extend(sys.env_inputs.union(sys.controls))
+        can_win = g_f.project(sys.env_inputs)
+        losing = assumption & ~can_win
+        rows = []
+        for e in all_valuations(sys.env_inputs):
+            wins = [u for u in all_valuations(sys.controls) if g_f.evaluate(e.as_dict() | u.as_dict())]
+            rows.append(wins[0].bits if wins else (False,) * len(sys.controls))
+        return losing.is_false, ~losing.project(internal), rows
+
+    def test_random_systems(self):
+        rng = np.random.default_rng(2024)
+        realizable = unrealizable = 0
+        for _ in range(300):
+            sys = random_system(rng)
+            for g_scope in (VariableSet(), random_subset(rng, sys.outputs), random_subset(rng, sys.outputs)):
+                guarantee = random_boolfunc(rng, g_scope)
+                assumption = random_boolfunc(rng, random_subset(rng, sys.env_inputs))
+                internal = random_subset(rng, sys.env_inputs)
+                ok, lra, rows = self.reference(sys, assumption, guarantee, internal)
+                assert check_realizable(sys, assumption, guarantee) == ok
+                assert least_restrictive_assumption(sys, assumption, guarantee, internal) == lra
+                if ok:
+                    realizable += 1
+                    ctrl = extract_controller(sys, assumption, guarantee)
+                    assert [tuple(r) for r in ctrl.table.tolist()] == rows
+                else:
+                    unrealizable += 1
+                    with pytest.raises(UnrealizableError):
+                        extract_controller(sys, assumption, guarantee)
+        assert realizable > 100 and unrealizable > 100
+
+    def test_wide_output_set_with_a_narrow_guarantee(self):
+        # 31 outputs: ranks over all of them would need a 2^31-cell guarantee
+        # table; the game ranks only the guarantee's scope.
+        sys = make_system("S", ["u"], ["e"], {f"y{k}": "u ^ e" if k == 3 else "u" for k in range(31)})
+        net = BooleanNetwork((sys,))
+        contract = ContractPair(BoolFunc.const(VariableSet(["e"]), True), BoolFunc.var("y3"))
+        assert check_realizable(sys, contract.assumption, contract.guarantee)
+        central = centralized_synthesis(net, contract)
+        assert central is not None
+        assert verify_closed_loop(net, {central.subsystem: central}, contract).ok
+
+    @pytest.mark.parametrize(
+        "fixture", ["serial_chain", "xor_assumption", "shared_or_guarantee", "two_parents"]
+    )
+    def test_each_subsystem_ranks_each_scope_once(self, fixture, request, monkeypatch):
+        net, contract = request.getfixturevalue(fixture)
+        calls = record_output_ranks(monkeypatch)
+        out = distributed_synthesis(net, contract)
+        first = {}
+        for name, outputs, ranks in calls:
+            assert first.setdefault((name, outputs), ranks) is ranks
+        assert {name for name, _ in first} == set(net.names)
+        # each extraction after a success reuses the ranks of the winning attempt
+        assert len(calls) - len(first) >= (len(net.names) if out.success else 0)
+
+    def test_rank_tables_last_one_call(self, two_parents, monkeypatch):
+        net, contract = two_parents
+        calls = record_output_ranks(monkeypatch)
+        distributed_synthesis(net, contract)
+        first_call = [ranks for _, _, ranks in calls]
+        distributed_synthesis(net, contract)
+        second_call = [ranks for _, _, ranks in calls[len(first_call):]]
+        assert second_call and not any(a is b for a in first_call for b in second_call)
+        assert all(not s._ranks for s in net.subsystems)
+
+    @pytest.mark.parametrize("stray", ["u1", "e2", "y1"])
+    def test_assumption_over_non_environment_variables_refused(self, serial_chain, stray):
+        net, _ = serial_chain
+        s1 = net.subsystem("S1")
+        assumption = BoolFunc.var("e1") & BoolFunc.var(stray)
+        guarantee = BoolFunc.var("y1")
+        with pytest.raises(ValueError, match="extension scope is missing"):
+            check_realizable(s1, assumption, guarantee)
+        with pytest.raises(ValueError, match="extension scope is missing"):
+            least_restrictive_assumption(s1, assumption, guarantee, VariableSet())
+        with pytest.raises(ValueError, match="extension scope is missing"):
+            extract_controller(s1, assumption, guarantee)
 
 
 class TestRewire:
