@@ -428,37 +428,6 @@ class BoolFunc:
             acc = acc & BoolFunc.var(v).iff(mapping[v])
         return acc.project(acc.scope.without(keys))
 
-    def compose(
-        self, mapping: Mapping[str, "BoolFunc"], scope: Iterable[str] | VariableSet
-    ) -> "BoolFunc":
-        """Replace scope variables by boolean functions, tabulated over `scope`.
-
-        Every variable of `self` is either replaced or in `scope`, and every
-        replacement is a function of `scope` alone.  The result gathers from
-        ``self``'s flat table at the bit vector of the replacement values, so
-        no table spans the replaced variables; `substitute` computes the same
-        function as an existential conjunction over them.
-        """
-        scope = _as_scope(scope)
-        n = len(scope)
-        check_table_size(n)
-        stray = [v for v in self.scope if v not in mapping and v not in scope]
-        for v in self.scope:
-            if v in mapping:
-                stray += [w for w in mapping[v].scope if w not in scope]
-        if stray:
-            raise ValueError(f"composition scope {list(scope)} is missing {sorted(set(stray))}")
-        # Each scope variable's value as an array that varies along its own axis
-        # only; evaluating broadcasts over just the axes a function reads.
-        axis = {
-            v: np.arange(2).reshape([2 if j == i else 1 for j in range(n)])
-            for i, v in enumerate(scope)
-        }
-        values = {
-            v: mapping[v].evaluate_many(axis) if v in mapping else axis[v] for v in self.scope
-        }
-        return BoolFunc._wrap(scope, np.broadcast_to(self.evaluate_many(values), (2,) * n))
-
     def support(self) -> VariableSet:
         """The variables the function actually depends on, in scope order."""
         keep = []

@@ -15,12 +15,12 @@ exceed ``boolfunc.MAX_TABLE_CELLS`` (`TableTooLargeError`, a ValueError),
 3 the ``--oracle`` cross-check disagrees.
 ``--oracle`` cross-checks the command's result against an independent
 reference: brute-force controller enumeration for synthesize/eps (when the
-instance fits the budget), symbolic composition for verify, and the subset
-biclique oracle for distribute.  Every synthesized controller, central or
-distributed, is verified on the closed loop of the network itself before it
-is reported, and `verify` checks a controller document the same way: a
-central controller is simulated on the network it controls, not on the
-flattened system it was synthesized against.
+instance fits the budget), existential substitution along the wiring for
+verify, and the subset biclique oracle for distribute.  Every synthesized
+controller, central or distributed, is verified on the closed loop of the
+network itself before it is reported, and `verify` checks a controller
+document the same way: a central controller is simulated on the network it
+controls, not on the flattened system it was synthesized against.
 """
 
 from __future__ import annotations
@@ -34,11 +34,12 @@ import numpy as np
 from . import eps as eps_mod
 from . import formats
 from .contracts import ContractPair, build_distribution_graph, distributions_from_graph
-from .network import BooleanNetwork, all_outputs, compose, external_inputs, system_graph
+from .network import BooleanNetwork, all_outputs, external_inputs, system_graph
 from .oracle import (
     BudgetExceededError,
     brute_force_distributed,
     enumerate_bicliques_subset,
+    verify_by_substitution,
     verify_closed_loop,
 )
 from .synthesis import (
@@ -148,12 +149,7 @@ def _cmd_verify(args) -> int:
              else f"contract violated at {counterexample}"]
     agrees = True
     if args.oracle:
-        # independent route: symbolic composition instead of simulation
-        funcs = compose(net, controllers)
-        closed = contract.guarantee.substitute(
-            {y: funcs[y] for y in contract.guarantee.scope}
-        )
-        agrees = contract.assumption.implies(closed).is_true == ok
+        agrees = verify_by_substitution(net, controllers, contract) == result
         report["oracle"] = {"ran": True, "agrees": agrees}
         lines.append(f"symbolic cross-check: {'agrees' if agrees else 'DISAGREES'}")
     _emit(report, args.json, lines)
@@ -238,7 +234,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("network")
     p.add_argument("contract")
     p.add_argument("controllers")
-    p.add_argument("--oracle", action="store_true", help="cross-check by symbolic composition")
+    p.add_argument("--oracle", action="store_true",
+                   help="cross-check by existential substitution along the wiring")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

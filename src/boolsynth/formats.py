@@ -77,6 +77,8 @@ def read_document(path, error: type[ValueError] = FormatError) -> dict:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise error(f"{path}: not valid JSON ({exc})") from exc
+        except RecursionError:
+            raise error(f"{path}: JSON nested too deeply to read") from None
     if not isinstance(doc, dict):
         raise error(f"{path}: the document must be a JSON object")
     return doc

@@ -32,6 +32,8 @@ __all__ = [
     "is_forest",
     "topological_order",
     "check_controllers",
+    "axis_seeds",
+    "closed_loop_values",
     "compose",
     "flatten",
     "remove_subsystem",
@@ -153,8 +155,9 @@ class BooleanNetwork:
     """Subsystems plus interconnection.  Construction never raises on wiring
     problems; `validate` reports them and well-posedness-requiring operations
     refuse to run until the report is empty.  The network is frozen, so its
-    report is computed once and cached as `violations`, and so is the wiring
-    of a well-posed one, as `drivers`."""
+    report is computed once and cached as `violations`, and so are the wiring
+    and the evaluation order of a well-posed one, as `drivers` and
+    `topological`."""
 
     subsystems: tuple[BooleanSystem, ...]
     wiring: Interconnection = field(default_factory=Interconnection)
@@ -183,6 +186,11 @@ class BooleanNetwork:
         shared, so not to be mutated; refuses an ill-posed network."""
         _require_well_posed(self)
         return {l.to_input: l.from_output for l in self.wiring.links}
+
+    @cached_property
+    def topological(self) -> tuple[BooleanSystem, ...]:
+        """The subsystems, parents before children, computed on first use."""
+        return tuple(self.subsystem(n) for n in topological_order(system_graph(self)))
 
 
 def validate(net: BooleanNetwork) -> list[str]:
@@ -377,33 +385,50 @@ def check_controllers(net: BooleanNetwork, controllers: Mapping[str, Controller]
         raise ValueError(f"controllers for no subsystem of the network: {extra}")
 
 
-def _closed_loop_functions(
-    net: BooleanNetwork, controllers: Mapping[str, Controller] | None
-) -> dict[str, BoolFunc]:
-    """Output functions after substituting controllers (if given) and
-    eliminating internal inputs through the wiring, in topological order.
-    Each control is read from whichever controller sets it."""
-    setter = {} if controllers is None else {u: c for c in controllers.values() for u in c.controls}
-    closed: dict[str, BoolFunc] = {}
-    for name in topological_order(system_graph(net)):
-        sys = net.subsystem(name)
-        ctrl_funcs = {u: setter[u].control_function(u) for u in sys.controls if u in setter}
-        drivers = {v: closed[net.drivers[v]] for v in sys.env_inputs if v in net.drivers}
+def axis_seeds(free: VariableSet) -> dict[str, np.ndarray]:
+    """Seeds for `closed_loop_values`: ``free[i]`` varies along axis ``i``
+    only, so a value computed from them spans the axes of its cone and
+    broadcasts to the table over `free`."""
+    n = len(free)
+    check_table_size(n)
+    return {
+        v: np.array([False, True]).reshape([2 if j == i else 1 for j in range(n)])
+        for i, v in enumerate(free)
+    }
+
+
+def closed_loop_values(
+    net: BooleanNetwork,
+    seeds: Mapping[str, np.ndarray],
+    controllers: Mapping[str, Controller],
+) -> dict[str, np.ndarray]:
+    """The network's one closed-loop walk: a bool array per variable, from
+    `seeds`, broadcasting arrays for the external inputs and every control
+    that no controller (one per subsystem, or one central one) sets.
+
+    In topological order, each internal input is its driver's value, each
+    controller's rows are gathered once at the rank of its own inputs, and
+    each output is gathered from its function's flat table, with one rank
+    array per distinct function scope.
+    """
+    check_table_size(len(seeds))
+    values: dict[str, np.ndarray] = dict(seeds)
+    drivers = net.drivers
+    setter = {u: name for name, c in controllers.items() for u in c.controls}
+    pending = dict(controllers)
+    for sys in net.topological:
+        values.update({v: values[drivers[v]] for v in sys.env_inputs if v in drivers})
+        for u in sys.controls:
+            ctrl = pending.pop(setter.get(u), None)
+            if ctrl is not None:
+                rows = ctrl.table[valuation_ranks(values[v] for v in ctrl.inputs)]
+                values.update((c, rows[..., i]) for i, c in enumerate(ctrl.controls))
+        ranks: dict[VariableSet, np.ndarray] = {}
         for y, f in sys.functions.items():
-            closed[y] = _gather(_gather(f, ctrl_funcs), drivers)
-    return closed
-
-
-def _gather(f: BoolFunc, mapping: Mapping[str, BoolFunc]) -> BoolFunc:
-    """`f` with its variables in `mapping` replaced, scoped as `substitute`
-    scopes it: f's remaining variables, then each replacement's new ones."""
-    keys = [v for v in f.scope if v in mapping]
-    if not keys:
-        return f
-    scope = f.scope.without(keys)
-    for v in keys:
-        scope = scope.union(mapping[v].scope)
-    return f.compose(mapping, scope)
+            if f.scope not in ranks:
+                ranks[f.scope] = valuation_ranks(values[v] for v in f.scope)
+            values[y] = f.table.reshape(-1)[ranks[f.scope]]
+    return values
 
 
 def compose(
@@ -417,20 +442,23 @@ def compose(
     """
     check_controllers(net, controllers)
     ext = external_inputs(net)
-    closed = _closed_loop_functions(net, controllers)
-    return {y: closed[y].extend(ext) for y in all_outputs(net)}
+    values = closed_loop_values(net, axis_seeds(ext), controllers)
+    grid = (2,) * len(ext)
+    return {y: BoolFunc(ext, np.broadcast_to(values[y], grid)) for y in all_outputs(net)}
 
 
 def flatten(net: BooleanNetwork) -> BooleanSystem:
-    """The network itself as one boolean system, "network" (controls stay free)."""
-    closed = _closed_loop_functions(net, None)
-    return BooleanSystem(
-        name="network",
-        controls=all_controls(net),
-        env_inputs=external_inputs(net),
-        outputs=all_outputs(net),
-        functions={y: closed[y] for y in all_outputs(net)},
-    )
+    """The network itself as one boolean system, "network" (controls stay
+    free).  Each output function is scoped over the external inputs and
+    controls it reads through the wiring."""
+    ext, controls = external_inputs(net), all_controls(net)
+    free = ext.union(controls)
+    values = closed_loop_values(net, axis_seeds(free), {})
+    functions = {}
+    for y in all_outputs(net):
+        shape = np.broadcast_shapes(np.shape(values[y]), (1,) * len(free))
+        functions[y] = BoolFunc([v for v, n in zip(free, shape) if n == 2], values[y])
+    return BooleanSystem("network", controls, ext, all_outputs(net), functions)
 
 
 def remove_subsystem(net: BooleanNetwork, name: str) -> BooleanNetwork:

@@ -2,29 +2,30 @@
 
 Everything here trades efficiency for obviousness: distributed synthesis by
 exhaustive enumeration of controller tuples, closed-loop verification by
-simulating every external valuation (vectorized over all of them at once,
-by forward evaluation along the wiring), and maximal-biclique enumeration
-by subset closure.  All of it is bounded to desk scale.
+simulating every external valuation at once (`closed_loop_values`, the
+network's one closed-loop walk) or, for ``verify --oracle``, by existential
+substitution along the wiring, and maximal-biclique enumeration by subset
+closure.  All of it is bounded to desk scale.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .boolfunc import Valuation, VariableSet, check_table_size, valuation_bits, valuation_ranks
+from .boolfunc import BoolFunc, Valuation, VariableSet, valuation_bits
 from .contracts import ContractPair, DistributionGraph, check_contract
 from .network import (
     BooleanNetwork,
     BooleanSystem,
     Controller,
+    axis_seeds,
     check_controllers,
+    closed_loop_values,
     external_inputs,
-    system_graph,
-    topological_order,
 )
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
     "controller_table_bits",
     "brute_force_distributed",
     "verify_closed_loop",
+    "verify_by_substitution",
     "enumerate_bicliques_subset",
 ]
 
@@ -69,67 +71,59 @@ def verify_closed_loop(
 ) -> VerificationResult:
     """Exhaustively check assumption -> guarantee over all external valuations.
 
-    Every controller table is simulated on all external valuations at once,
-    resolving internal wiring by forward evaluation, independently of the
-    symbolic composition path.  Returns the first counterexample in
-    canonical order, if any.
+    The controller tables are simulated on every external valuation at once
+    by `closed_loop_values`.  Returns the first counterexample in canonical
+    order, if any.
     """
     check_contract(net, contract)
     check_controllers(net, controllers)
-    evaluator = _VectorEvaluator(net, contract)
-    violated = evaluator.violations(controllers)
+    return _verdict(external_inputs(net), _violations(net, contract)(controllers))
+
+
+def _violations(
+    net: BooleanNetwork, contract: ContractPair
+) -> Callable[[Mapping[str, Controller]], np.ndarray]:
+    """Controllers that pass `check_controllers` -> the mask of admissible
+    valuations their closed loop does not guarantee, each external input on
+    an axis of its own.  The seeds and the admissible mask are built once."""
+    seeds = axis_seeds(external_inputs(net))
+    admissible = contract.assumption.evaluate_many(seeds)
+    guarantee = contract.guarantee
+    return lambda controllers: admissible & ~guarantee.evaluate_many(
+        closed_loop_values(net, seeds, controllers)
+    )
+
+
+def _verdict(ext: VariableSet, violated: np.ndarray) -> VerificationResult:
+    """The result for a violation mask that broadcasts to the table over
+    `ext`, whose C order is canonical valuation order."""
     if not violated.any():
         return VerificationResult(True)
-    return VerificationResult(False, Valuation.from_index(evaluator.ext, int(np.argmax(violated))))
+    grid = np.broadcast_to(violated, (2,) * len(ext))
+    return VerificationResult(False, Valuation.from_index(ext, int(np.argmax(grid))))
 
 
-class _VectorEvaluator:
-    """Vectorized closed-loop evaluation over all external valuations at once.
-
-    Built once per network and contract, whose admissible mask it computes
-    once; `outputs_for` takes controllers that pass `check_controllers`, one
-    per subsystem or one central one, and returns each variable's bool value
-    array indexed by external-valuation rank.
-    """
-
-    def __init__(self, net: BooleanNetwork, contract: ContractPair):
-        self.net = net
-        self.guarantee = contract.guarantee
-        self.ext = external_inputs(net)
-        m = len(self.ext)
-        check_table_size(m)
-        self.ext_bits = dict(zip(self.ext, valuation_bits(np.arange(1 << m), m)))
-        self.admissible = np.broadcast_to(contract.assumption.evaluate_many(self.ext_bits), (1 << m,))
-        self.order = topological_order(system_graph(net))
-
-    def outputs_for(self, controllers: Mapping[str, Controller]) -> dict[str, np.ndarray]:
-        """Values of every external input, environment input, control and
-        output.  Each control comes from the controller that sets it, whose
-        rows are gathered once, at the rank of its own inputs, when the first
-        subsystem it drives is evaluated; each subsystem computes one flat
-        index per distinct function scope."""
-        values: dict[str, np.ndarray] = dict(self.ext_bits)
-        drivers = self.net.drivers
-        setter = {u: name for name, c in controllers.items() for u in c.controls}
-        pending = dict(controllers)
-        for name in self.order:
-            sys = self.net.subsystem(name)
-            values.update({v: values[drivers[v]] for v in sys.env_inputs if v in drivers})
-            for u in sys.controls:
-                ctrl = pending.pop(setter[u], None)
-                if ctrl is not None:
-                    rows = ctrl.table[valuation_ranks(values[v] for v in ctrl.inputs)]
-                    values.update(zip(ctrl.controls, rows.T))
-            ranks: dict[VariableSet, np.ndarray] = {}
-            for y, f in sys.functions.items():
-                if f.scope not in ranks:
-                    ranks[f.scope] = valuation_ranks(values[v] for v in f.scope)
-                values[y] = f.table.reshape(-1)[ranks[f.scope]]
-        return values
-
-    def violations(self, controllers: Mapping[str, Controller]) -> np.ndarray:
-        """Mask over external-valuation ranks: admissible but not guaranteed."""
-        return self.admissible & ~self.guarantee.evaluate_many(self.outputs_for(controllers))
+def verify_by_substitution(
+    net: BooleanNetwork,
+    controllers: Mapping[str, Controller],
+    contract: ContractPair,
+) -> VerificationResult:
+    """`verify_closed_loop` by existential substitution along the wiring,
+    independently of `closed_loop_values`: the reference of ``verify
+    --oracle``.  In topological order, each output function has its controls,
+    then its internal inputs, replaced by `BoolFunc.substitute`."""
+    check_contract(net, contract)
+    check_controllers(net, controllers)
+    setter = {u: c for c in controllers.values() for u in c.controls}
+    closed: dict[str, BoolFunc] = {}
+    for sys in net.topological:
+        controls = {u: setter[u].control_function(u) for u in sys.controls}
+        drivers = {v: closed[net.drivers[v]] for v in sys.env_inputs if v in net.drivers}
+        for y, f in sys.functions.items():
+            closed[y] = f.substitute(controls).substitute(drivers)
+    guarantee = contract.guarantee.substitute({y: closed[y] for y in contract.guarantee.scope})
+    ext = external_inputs(net)
+    return _verdict(ext, ~contract.assumption.implies(guarantee).extend(ext).table)
 
 
 @lru_cache(maxsize=65536)
@@ -157,9 +151,9 @@ def brute_force_distributed(
         raise BudgetExceededError(
             f"controller search needs {bits} table bits, budget allows {MAX_CONTROLLER_BITS}"
         )
-    evaluator = _VectorEvaluator(net, contract)
+    violations = _violations(net, contract)
     for controllers in _candidates(net.subsystems):
-        if not evaluator.violations(controllers).any():
+        if not violations(controllers).any():
             return controllers
     return None
 

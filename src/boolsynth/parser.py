@@ -11,7 +11,9 @@ Grammar (whitespace insignificant)::
     unary := "!" unary | atom
     atom  := "true" | "false" | IDENT | "(" expr ")"
 
-Precedence, tightest first: ``!  &  ^  |  ->  <->``.
+Precedence, tightest first: ``!  &  ^  |  ->  <->``.  Each ``!`` and ``(``
+nests the unary below it one level deeper; at most `MAX_NESTING` levels
+are accepted, so no text exhausts the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ class UnknownIdentifierError(ValueError):
         self.identifier = identifier
         self.position = position
 
+
+MAX_NESTING = 64
 
 _TOKEN_RE = re.compile(r"(<->|->|[()!&^|])|([A-Za-z_][A-Za-z0-9_]*)")
 _WS_RE = re.compile(r"\s*")
@@ -68,6 +72,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.scope = scope
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -121,9 +126,12 @@ class _Parser:
         return f
 
     def unary(self) -> BoolFunc:
-        if self.accept("!"):
-            return ~self.unary()
-        return self.atom()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_NESTING} levels", self.peek()[2])
+        f = ~self.unary() if self.accept("!") else self.atom()
+        self.depth -= 1
+        return f
 
     def atom(self) -> BoolFunc:
         kind, val, pos = self.take()

@@ -181,7 +181,7 @@ class TestTableKernels:
         results = [
             f, g, f & g, f | g, ~f,
             f.project(["d", "a"]), f.project([]), f.extend(["e", "d", "c", "b", "a"]),
-            f.rename({"a": "z"}), f.compose({"a": g}, ["b", "c", "d", "e"]),
+            f.rename({"a": "z"}), f.substitute({"a": g}),
             BoolFunc.const(["a"], True), BoolFunc.var("a"), BoolFunc.cube(["a", "b"], {"a": False}),
             BoolFunc.exactly(Valuation.from_index(f.scope, 5)),
         ]
@@ -197,12 +197,33 @@ class TestTableKernels:
 
 GUARD_CHILD = """
 import json
+import numpy as np
 from boolsynth.boolfunc import BoolFunc, TableTooLargeError, Valuation, VariableSet
+from boolsynth.network import BooleanNetwork, BooleanSystem, Interconnection, Link, closed_loop_values
 
 wide = [f"x{i}" for i in range(31)]
 a = BoolFunc.const([f"a{i}" for i in range(16)], True)
 b = BoolFunc.const([f"b{i}" for i in range(16)], False)
 both = a.scope.union(b.scope)
+
+
+def walk():
+    # S3 reads both S1 (over the a's) and S2 (over the b's), so its output
+    # spans all 32 seed axes.
+    none, wires = VariableSet(), VariableSet(["wa", "wb"])
+    net = BooleanNetwork(
+        (
+            BooleanSystem("S1", none, a.scope, VariableSet(["ya"]), {"ya": a}),
+            BooleanSystem("S2", none, b.scope, VariableSet(["yb"]), {"yb": b}),
+            BooleanSystem("S3", none, wires, VariableSet(["z"]), {"z": BoolFunc.const(wires, True)}),
+        ),
+        Interconnection((Link("S1", "ya", "S3", "wa"), Link("S2", "yb", "S3", "wb"))),
+    )
+    axis = np.array([False, True])
+    seeds = {v: axis.reshape([2 if j == i else 1 for j in range(32)]) for i, v in enumerate(both)}
+    return closed_loop_values(net, seeds, {})
+
+
 cases = {
     "const": lambda: BoolFunc.const(wide, True),
     "cube": lambda: BoolFunc.cube(wide, {"x0": True}),
@@ -211,7 +232,7 @@ cases = {
     "or": lambda: a | b,
     "equivalent": lambda: a.equivalent(b),
     "extend": lambda: a.extend(both),
-    "compose": lambda: a.compose({"a0": BoolFunc.var("b0")}, both),
+    "closed_loop_values": walk,
 }
 report = {}
 for name, build in cases.items():
@@ -235,13 +256,14 @@ class TestTableSizeGuard:
 
     def test_constructors_and_operators_refuse_before_allocating(self):
         # 31-variable constructors; operators on two disjoint 16-variable
-        # functions, whose results span 32 variables.
+        # functions, whose results span 32 variables, and the closed-loop
+        # walk over a network that joins them.
         done = run_with_memory_limit(GUARD_CHILD)
         assert done.returncode == 0, done.stderr
         report = json.loads(done.stdout)
         for name in ("const", "cube", "exactly"):
             assert "2^31 = 2147483648 cells" in report[name], name
-        for name in ("and", "or", "equivalent", "extend", "compose"):
+        for name in ("and", "or", "equivalent", "extend", "closed_loop_values"):
             assert "2^32 = 4294967296 cells" in report[name], name
 
 
@@ -300,34 +322,6 @@ class TestSubstitute:
         f = BoolFunc.var("y")
         with pytest.raises(ValueError):
             f.substitute({"y": BoolFunc.var("y") | BoolFunc.var("a")})
-
-
-class TestCompose:
-    def test_gather_equals_substitute_on_random_functions(self):
-        # `substitute` is the reference: same function on the same scope,
-        # including kept variables, constant replacements and empty scopes.
-        rng = np.random.default_rng(3)
-        outer, inner = ["y0", "y1", "y2", "k0", "k1"], ["a", "b", "c", "k0"]
-
-        def random_func(names):
-            names = [v for v in names if rng.random() < 0.6]
-            return BoolFunc(names, rng.random(1 << len(names)) < 0.5)
-
-        for trial in range(200):
-            f = random_func(outer)
-            mapping = {y: random_func(inner) for y in ("y0", "y1", "y2") if rng.random() < 0.8}
-            want = f.substitute(mapping)
-            got = f.compose(mapping, want.scope)
-            assert got == want, f"trial {trial}"
-            wider = want.scope.union(["a", "b", "c", "k0", "k1"])
-            assert f.compose(mapping, wider) == want.extend(wider)
-
-    def test_scope_must_cover_kept_and_replacement_variables(self):
-        f = BoolFunc.var("y") & BoolFunc.var("k")
-        with pytest.raises(ValueError, match="missing"):
-            f.compose({"y": BoolFunc.var("a")}, ["a"])
-        with pytest.raises(ValueError, match="missing"):
-            f.compose({"y": BoolFunc.var("a")}, ["k"])
 
 
 class TestSemanticLaws:

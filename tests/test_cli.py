@@ -8,7 +8,7 @@ import pytest
 
 from boolsynth.boolfunc import BoolFunc
 from boolsynth.cli import cli_main
-from boolsynth.network import BooleanSystem, flatten
+from boolsynth.network import BooleanSystem, closed_loop_values, flatten
 
 from .conftest import FIXTURES, run_with_memory_limit
 
@@ -21,18 +21,19 @@ SHARED = [
 TOPOLOGY = str(FIXTURES / "eps_tree.topology.json")
 
 
-def patch_flatten(monkeypatch, replacement):
-    """Rebind `flatten` in every boolsynth module that binds it, so no call
+def patch_everywhere(monkeypatch, function, replacement):
+    """Rebind `function` in every boolsynth module that binds it, so no call
     escapes `replacement`."""
+    name = function.__name__
     for module in list(sys.modules.values()):
-        if module.__name__.startswith("boolsynth") and getattr(module, "flatten", None) is flatten:
-            monkeypatch.setattr(module, "flatten", replacement)
+        if module.__name__.startswith("boolsynth") and getattr(module, name, None) is function:
+            monkeypatch.setattr(module, name, replacement)
 
 
 def counting_flatten(monkeypatch) -> list:
     """Count the calls of `flatten`; returns the list of networks flattened."""
     calls = []
-    patch_flatten(monkeypatch, lambda net: calls.append(net) or flatten(net))
+    patch_everywhere(monkeypatch, flatten, lambda net: calls.append(net) or flatten(net))
     return calls
 
 
@@ -153,7 +154,7 @@ class TestVerifyCommand:
             functions = dict(plant.functions, y2=~BoolFunc.var("u1"))
             return BooleanSystem(plant.name, plant.controls, plant.env_inputs, plant.outputs, functions)
 
-        patch_flatten(monkeypatch, miswired)
+        patch_everywhere(monkeypatch, flatten, miswired)
         out_file = tmp_path / "central.json"
         assert cli_main(["synthesize", *SERIAL, "--central", "--json", "--out", str(out_file)]) == 1
         report = json.loads(capsys.readouterr().out)
@@ -169,6 +170,26 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert cli_main(["verify", *SERIAL, str(out_file), "--oracle"]) == 0
         assert "symbolic cross-check: agrees" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mode", [[], ["--central"]])
+    def test_oracle_is_independent_of_the_closed_loop_walk(self, tmp_path, monkeypatch, capsys, mode):
+        # A walk that flips y2 whenever controllers drive the loop: the
+        # simulation then rejects a correct controller, and only the
+        # substitution route still accepts it.
+        out_file = tmp_path / "ctrl.json"
+        assert cli_main(["synthesize", *SERIAL, *mode, "--out", str(out_file)]) == 0
+
+        def flipped(net, seeds, controllers):
+            values = closed_loop_values(net, seeds, controllers)
+            return dict(values, y2=~values["y2"]) if controllers else values
+
+        patch_everywhere(monkeypatch, closed_loop_values, flipped)
+        capsys.readouterr()
+        assert cli_main(["verify", *SERIAL, str(out_file), "--oracle"]) == 3
+        assert "symbolic cross-check: DISAGREES" in capsys.readouterr().out
+        assert cli_main(["synthesize", *SERIAL, *mode, "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["success"] is True and report["closed_loop_verified"] is False
 
 
 class TestDistributeCommand:
@@ -255,6 +276,15 @@ class TestEpsCommand:
         assert "2^35 = 34359738368 cells" in done.stderr
         assert elapsed < 2.0
 
+    def test_central_five_generator_chain_is_refused_by_size(self):
+        # Its flattened plant spans 34 external inputs and controls.
+        done = run_with_memory_limit(
+            "import sys\nfrom boolsynth.cli import cli_main\nsys.exit(cli_main(sys.argv[1:]))\n",
+            "eps", str(FIXTURES / "eps_chain5.topology.json"), "--central",
+        )
+        assert done.returncode == 2, done.stderr
+        assert "2^34 = 17179869184 cells" in done.stderr
+
     def test_generatorless_topology_is_refused(self, tmp_path, capsys):
         buses = [f"B{i}" for i in range(31)]
         topo = tmp_path / "buses.topology.json"
@@ -278,6 +308,20 @@ class TestEpsCommand:
 
 
 class TestDegenerateInputs:
+    @pytest.mark.parametrize("command", ["validate", "eps"])
+    def test_deeply_nested_json_is_refused(self, tmp_path, capsys, command):
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"subsystems": ' + "[" * 100000 + "]" * 100000 + "}")
+        assert cli_main([command, str(deep)]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("guarantee", ["(" * 2000 + "y1" + ")" * 2000, "!" * 5000 + "y1"])
+    def test_deeply_nested_expression_is_refused(self, tmp_path, capsys, guarantee):
+        contract = tmp_path / "deep.ctr.json"
+        contract.write_text(json.dumps({"assumptions": ["true"], "guarantees": [guarantee]}))
+        assert cli_main(["synthesize", SERIAL[0], str(contract)]) == 2
+        assert "nested deeper than" in capsys.readouterr().err
+
     def test_empty_network_is_trivially_realizable(self, tmp_path):
         net = tmp_path / "empty.net.json"
         net.write_text(json.dumps({"subsystems": [], "wiring": []}))

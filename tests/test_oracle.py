@@ -24,6 +24,7 @@ from boolsynth.oracle import (
     brute_force_distributed,
     controller_table_bits,
     enumerate_bicliques_subset,
+    verify_by_substitution,
     verify_closed_loop,
 )
 from boolsynth.formats import load_contract, load_network
@@ -34,6 +35,9 @@ from ._random_instances import random_contract, random_dag_network, random_fores
 from .conftest import FIXTURES, make_system, run_with_memory_limit
 
 
+NET_FIXTURES = sorted(p.name.split(".")[0] for p in FIXTURES.glob("*.net.json"))
+
+
 def always(net, value):
     return {
         s.name: Controller.constant(s.name, s.env_inputs, s.controls, value)
@@ -41,16 +45,11 @@ def always(net, value):
     }
 
 
-def assert_matches_composition(net, controllers, contract):
-    """The simulated verdict and first counterexample equal those read off
-    the symbolically composed closed loop."""
-    funcs = compose(net, controllers)
-    closed = contract.guarantee.substitute({y: funcs[y] for y in contract.guarantee.scope})
-    holds = contract.assumption.implies(closed).extend(external_inputs(net))
+def assert_matches_substitution(net, controllers, contract):
+    """The simulated verdict and first counterexample equal those of the
+    reference route: existential substitution along the wiring."""
     result = verify_closed_loop(net, controllers, contract)
-    assert result.ok == holds.is_true
-    if not result.ok:
-        assert result.counterexample == (~holds).satisfying_valuations()[0]
+    assert result == verify_by_substitution(net, controllers, contract)
     return result.ok
 
 
@@ -119,25 +118,44 @@ class TestVerifyClosedLoop:
             out = distributed_synthesis(net, contract)
             if not out.success:
                 continue
-            assert assert_matches_composition(net, out.controllers, contract)
+            assert assert_matches_substitution(net, out.controllers, contract)
             for name, ctrl in out.controllers.items():
                 tampered = dict(out.controllers, **{name: flip_one_bit(ctrl, rng)})
-                verdicts.add(assert_matches_composition(net, tampered, contract))
+                verdicts.add(assert_matches_substitution(net, tampered, contract))
         assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("name", NET_FIXTURES)
+    def test_fixtures_agree_with_substitution_under_tampering(self, name):
+        net = load_network(FIXTURES / f"{name}.net.json")
+        contract = load_contract(FIXTURES / f"{name}.contract.json", net)
+        rng = np.random.default_rng(13)
+        candidates = [always(net, True), always(net, False)]
+        out = distributed_synthesis(net, contract)
+        if out.success:
+            candidates.append(out.controllers)
+        central = centralized_synthesis(net, contract)
+        if central is not None:
+            candidates.append({central.subsystem: central})
+        for controllers in candidates:
+            assert_matches_substitution(net, controllers, contract)
+            for owner, ctrl in controllers.items():
+                if ctrl.controls:
+                    tampered = dict(controllers, **{owner: flip_one_bit(ctrl, rng)})
+                    assert_matches_substitution(net, tampered, contract)
 
     def test_two_parents_subsystem_without_external_inputs(self, two_parents):
         net, contract = two_parents
-        assert assert_matches_composition(net, always(net, True), contract)
-        assert not assert_matches_composition(net, always(net, False), contract)
+        assert assert_matches_substitution(net, always(net, True), contract)
+        assert not assert_matches_substitution(net, always(net, False), contract)
 
     def test_subsystems_without_controls_or_environment(self):
         net = sparse_net()
         assert external_inputs(net) == VariableSet()
         contract = ContractPair(BoolFunc.const(VariableSet(), True), BoolFunc.var("y2"))
-        assert assert_matches_composition(net, always(net, True), contract)
+        assert assert_matches_substitution(net, always(net, True), contract)
         result = verify_closed_loop(net, always(net, False), contract)
         assert not result.ok and result.counterexample.bits == ()
-        assert_matches_composition(net, always(net, False), contract)
+        assert_matches_substitution(net, always(net, False), contract)
 
     def test_external_inputs_beyond_the_table_limit_are_refused(self):
         # Two subsystems of 16 environment inputs each: every table fits, but
@@ -188,7 +206,7 @@ def matches_flattened_route(net, central, contract):
 
 
 class TestCentralController:
-    @pytest.mark.parametrize("name", sorted(p.name.split(".")[0] for p in FIXTURES.glob("*.net.json")))
+    @pytest.mark.parametrize("name", NET_FIXTURES)
     def test_fixtures_match_the_flattened_route(self, name):
         net = load_network(FIXTURES / f"{name}.net.json")
         contract = load_contract(FIXTURES / f"{name}.contract.json", net)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from boolsynth.boolfunc import BoolFunc, VariableSet
-from boolsynth.parser import ExprSyntaxError, UnknownIdentifierError, parse_expr
+from boolsynth.parser import MAX_NESTING, ExprSyntaxError, UnknownIdentifierError, parse_expr
 
 from .test_boolfunc import boolfuncs
 
@@ -78,6 +78,21 @@ def test_syntax_error_carries_position():
         parse_expr("e1 ? e2", SCOPE)
     with pytest.raises(ExprSyntaxError):
         parse_expr("e1 e2", SCOPE)
+
+
+def test_nesting_is_bounded():
+    # Every operand opens a level, and each `!` or `(` one more inside it:
+    # MAX_NESTING levels parse, one more is refused at the operand that opens it.
+    deepest = [
+        "(" * (MAX_NESTING - 1) + "e1" + ")" * (MAX_NESTING - 1),
+        "!(" * (MAX_NESTING // 2 - 1) + "!e1" + ")" * (MAX_NESTING // 2 - 1),
+    ]
+    for text in deepest:
+        assert parse_expr(text, SCOPE).equivalent(BoolFunc.var("e1"))
+        for deeper in (f"({text})", f"!{text}"):
+            with pytest.raises(ExprSyntaxError, match="nested deeper") as exc:
+                parse_expr(deeper, SCOPE)
+            assert exc.value.position == MAX_NESTING
 
 
 def test_unknown_identifier_is_named():
