@@ -59,9 +59,11 @@ def check_table_size(variables: int) -> None:
 
 
 def check_name(name: str) -> str:
-    """Validate a variable name (identifier syntax), returning it unchanged."""
+    """Return `name` if it is an identifier other than the constants true and false."""
     if not isinstance(name, str) or not _NAME_RE.match(name):
         raise ValueError(f"invalid variable name: {name!r}")
+    if name in ("true", "false"):
+        raise ValueError(f"invalid variable name: {name!r} is the constant {name} in expressions")
     return name
 
 

@@ -116,12 +116,10 @@ def project_assumption(assumption: BoolFunc, net: BooleanNetwork, name: str) -> 
 def build_distribution_graph(
     guarantee: BoolFunc, net: BooleanNetwork, name: str
 ) -> DistributionGraph:
-    sys = net.subsystem(name)
-    outs = all_outputs(net)
-    stray = [v for v in guarantee.scope if v not in outs]
+    stray = [v for v in guarantee.scope if not any(v in s.outputs for s in net.subsystems)]
     if stray:
         raise ValueError(f"guarantee mentions non-output variables: {stray}")
-    left = sys.outputs
+    left = net.subsystem(name).outputs
     right = guarantee.scope.without(left)
     # Axes ordered left-major so a reshape yields the bipartite adjacency.
     order = VariableSet(list(left) + list(right))

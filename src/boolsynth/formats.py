@@ -8,7 +8,8 @@ Network file::
                  "to_sys": str, "to_input": str}]}
 
 Output expressions are parsed over the subsystem's controls followed by its
-environment inputs.
+environment inputs.  Every name is an identifier other than ``true`` and
+``false``, which expressions read as the constants.
 
 Contract file::
 

@@ -10,13 +10,14 @@ the guarantee's flat table at the subsystem's memoized rank table
 (`BooleanSystem.output_ranks`), not a fresh composition per attempt;
 `distributed_synthesis` searches on a fresh copy of each subsystem, so these
 tables last for one call.  The distributed procedure peels leaf subsystems
-off the system graph in one fixed order, `leaf_order`: it projects the
-assumption once per leaf, tries each maximal guarantee split, constrains the
-leaf's internal inputs by the least restrictive assumption, turns that
-constraint into a guarantee for the remaining subsystems, and recurses,
-backtracking over splits.  The search yields one local contract per
-subsystem; a controller is extracted from each of them once the search has
-succeeded.
+off the system graph in one fixed order, the network's topological order
+backwards: it projects the assumption once per leaf, tries each maximal
+guarantee split, constrains the leaf's internal inputs by the least
+restrictive assumption, turns that constraint into a guarantee for the
+remaining subsystems by aliasing each internal input to its driving output,
+and recurses, backtracking over splits.  The search yields one local
+contract per subsystem; a controller is extracted from each of them once the
+search has succeeded.
 """
 
 from __future__ import annotations
@@ -40,13 +41,11 @@ from .network import (
     classify_inputs,
     flatten,
     is_forest,
-    leaf_order,
     system_graph,
 )
 
 __all__ = [
     "UnrealizableError",
-    "UndrivenInputError",
     "TraceEntry",
     "SynthesisOutcome",
     "check_realizable",
@@ -145,19 +144,15 @@ def least_restrictive_assumption(
     return ~BoolFunc._wrap(sys.env_inputs, losing).project(internal)
 
 
-class UndrivenInputError(ValueError):
-    def __init__(self, subsystem: str, variable: str):
-        super().__init__(
-            f"{subsystem}.{variable} has no driving link; cannot rewire onto parent outputs"
-        )
-
-
 def rewire_to_parent_outputs(lra: BoolFunc, net: BooleanNetwork, name: str) -> BoolFunc:
-    """Rename each internal input in `lra` to the parent output driving it."""
+    """`lra` over the parent outputs driving its internal inputs: each input is
+    aliased to its driver, so inputs that one output drives read the diagonal."""
     undriven = [v for v in lra.scope if v not in net.drivers]
     if undriven:
-        raise UndrivenInputError(name, undriven[0])
-    return lra.rename({v: net.drivers[v] for v in lra.scope})
+        raise ValueError(f"{name}.{undriven[0]} has no driving link; cannot rewire onto parent outputs")
+    parents = VariableSet(dict.fromkeys(net.drivers[v] for v in lra.scope))
+    axes = [parents.index(net.drivers[v]) for v in lra.scope]
+    return BoolFunc._wrap(parents, np.einsum(lra.table, axes, range(len(parents))))
 
 
 def update_contract(contract: ContractPair, up: BoolFunc, lra_rewired: BoolFunc) -> ContractPair:
@@ -180,20 +175,21 @@ def distributed_synthesis(net: BooleanNetwork, contract: ContractPair) -> Synthe
     check_contract(net, contract)
     if contract.assumption.is_false:
         contract = ContractPair(contract.assumption, BoolFunc.const(VariableSet(), True))
-    # (name, system, internal inputs, local assumption) per leaf: removing a
-    # leaf leaves the induced subgraph, so none depends on the recursion level.
-    # Each system is a fresh copy, so the rank tables it memoizes serve this
-    # call's attempts and extractions and are freed when the call returns.
-    steps = tuple(
-        (name, replace(net.subsystem(name)), classify_inputs(net, name)[0],
-         project_assumption(contract.assumption, net, name))
-        for name in leaf_order(system_graph(net))
-    )
+    # (system, internal inputs, local assumption, that assumption over the
+    # environment inputs) per leaf: removing a leaf leaves the induced
+    # subgraph, so none depends on the recursion level.  Each system is a
+    # fresh copy, so the rank tables it memoizes serve this call's attempts
+    # and extractions and are freed when the call returns.
+    steps = []
+    for sys in reversed(net.topological):
+        local = project_assumption(contract.assumption, net, sys.name)
+        steps.append((replace(sys), sys.env_inputs.restricted_to(net.drivers), local,
+                      local.extend(sys.env_inputs)))
     trace: list[TraceEntry] = []
     local_contracts = _synthesize(net, steps, contract, trace)
     if local_contracts is None:
         return SynthesisOutcome(False, {}, {}, tuple(trace))
-    systems = {name: sys for name, sys, _, _ in steps}
+    systems = {sys.name: sys for sys, *_ in steps}
     controllers = {
         name: extract_controller(systems[name], lc.assumption, lc.guarantee)
         for name, lc in local_contracts.items()
@@ -202,15 +198,16 @@ def distributed_synthesis(net: BooleanNetwork, contract: ContractPair) -> Synthe
 
 
 def _synthesize(
-    net: BooleanNetwork, steps: tuple, contract: ContractPair, trace: list[TraceEntry]
+    net: BooleanNetwork, steps: list, contract: ContractPair, trace: list[TraceEntry]
 ) -> dict[str, ContractPair] | None:
     """The local contract of every leaf in `steps`, or None once every split
     of some leaf has failed."""
     if not steps:
         return {}
-    name, sys, internal, local_assumption = steps[0]
+    sys, internal, local_assumption, admissible = steps[0]
+    name = sys.name
     for idx, gamma in enumerate(maximal_distributions(contract.guarantee, net, name)):
-        lra = least_restrictive_assumption(sys, local_assumption, gamma.down, internal)
+        lra = least_restrictive_assumption(sys, admissible, gamma.down, internal)
         trace.append(TraceEntry(name, idx, lra))
         if lra.is_false:
             continue

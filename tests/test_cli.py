@@ -18,6 +18,7 @@ SHARED = [
     str(FIXTURES / "shared_or_guarantee.net.json"),
     str(FIXTURES / "shared_or_guarantee.contract.json"),
 ]
+FAN_OUT = [str(FIXTURES / "fan_out.net.json"), str(FIXTURES / "fan_out.contract.json")]
 TOPOLOGY = str(FIXTURES / "eps_tree.topology.json")
 
 
@@ -104,6 +105,25 @@ class TestSynthesizeCommand:
         monkeypatch.setattr("boolsynth.cli.brute_force_distributed", lambda *args: None)
         assert cli_main(["synthesize", *SERIAL, "--oracle"]) == 3
         assert "oracle cross-check: DISAGREES" in capsys.readouterr().out
+
+
+class TestFanOut:
+    """S1's output y1 drives both of S2's inputs a and b."""
+
+    @pytest.mark.parametrize("flags", [[], ["--central"]])
+    def test_synthesized_document_verifies(self, tmp_path, capsys, flags):
+        out = tmp_path / "controllers.json"
+        argv = ["synthesize", *FAN_OUT, "--oracle", "--json", "--out", str(out), *flags]
+        assert cli_main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["closed_loop_verified"] is True
+        assert report["oracle"] == {"ran": True, "oracle_realizable": True, "agrees": True}
+        assert cli_main(["verify", *FAN_OUT, str(out), "--oracle"]) == 0
+
+    def test_leaf_assumption_rewired_onto_the_shared_driver(self, capsys):
+        assert cli_main(["synthesize", *FAN_OUT, "--json"]) == 0
+        trace = json.loads(capsys.readouterr().out)["trace"]
+        assert [(t["subsystem"], t["lra"]) for t in trace] == [("S2", "a & b"), ("S1", "true")]
 
 
 class TestVerifyCommand:
@@ -338,6 +358,31 @@ class TestDegenerateInputs:
         report = json.loads(capsys.readouterr().out)
         assert report["success"] and report["closed_loop_verified"]
         assert report["oracle"] == {"ran": True, "oracle_realizable": True, "agrees": True}
+
+
+@pytest.mark.parametrize("word", ["true", "false"])
+class TestReservedNames:
+    """``true`` and ``false`` are constants in expressions, so no name."""
+
+    @pytest.mark.parametrize("command", ["validate", "synthesize"])
+    def test_network_input_named_after_a_constant(self, tmp_path, capsys, word, command):
+        net = tmp_path / "net.json"
+        contract = tmp_path / "contract.json"
+        system = {"name": "S", "controls": ["u"], "env_inputs": [word],
+                  "outputs": [{"name": "y", "expr": f"{word} | u"}]}
+        net.write_text(json.dumps({"subsystems": [system]}))
+        contract.write_text(json.dumps({"assumptions": [], "guarantees": ["y"]}))
+        argv = [command, str(net)] + ([str(contract)] if command == "synthesize" else [])
+        assert cli_main(argv) == 2
+        assert f"{word!r} is the constant {word}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["B2", "k_tie"])
+    def test_topology_name_after_a_constant(self, tmp_path, capsys, word, name):
+        topo = tmp_path / "topology.json"
+        text = (FIXTURES / "eps_tree.topology.json").read_text()
+        topo.write_text(text.replace(f'"{name}"', f'"{word}"'))
+        assert cli_main(["eps", str(topo)]) == 2
+        assert f"{word!r} is the constant {word}" in capsys.readouterr().err
 
 
 class TestUsageErrors:

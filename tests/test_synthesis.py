@@ -8,6 +8,8 @@ from boolsynth.contracts import ContractPair, maximal_distributions, project_ass
 from boolsynth.network import (
     BooleanNetwork,
     BooleanSystem,
+    Interconnection,
+    Link,
     all_outputs,
     classify_inputs,
     compose,
@@ -15,7 +17,7 @@ from boolsynth.network import (
     flatten,
 )
 from boolsynth.oracle import verify_closed_loop
-from boolsynth import synthesis
+from boolsynth import contracts, synthesis
 from boolsynth.parser import parse_expr
 from boolsynth.synthesis import (
     UnrealizableError,
@@ -297,6 +299,51 @@ class TestRewire:
             rewire_to_parent_outputs(BoolFunc.var("e2"), net, "S2")
 
 
+def random_wiring(rng) -> BooleanNetwork:
+    """One or two parents with one to three outputs between them, driving one
+    to three internal inputs of leaf L, so one output may drive several."""
+    outputs = [f"y{k}" for k in range(int(rng.integers(1, 4)))]
+    owner = {y: "P1" if k == 0 or rng.random() < 0.5 else "P2" for k, y in enumerate(outputs)}
+    pins = [f"w{i}" for i in range(int(rng.integers(1, 4)))]
+    sources = [outputs[int(rng.integers(len(outputs)))] for _ in pins]
+    links = tuple(Link(owner[y], y, "L", w) for w, y in zip(pins, sources))
+    parents = []
+    for p in ("P1", "P2"):
+        ys = VariableSet(y for y in outputs if owner[y] == p)
+        if ys:
+            functions = {y: BoolFunc.var(f"u{p}") for y in ys}
+            parents.append(BooleanSystem(p, VariableSet([f"u{p}"]), VariableSet(), ys, functions))
+    leaf = BooleanSystem("L", VariableSet(["u"]), VariableSet(["e", *pins]), VariableSet(["z"]),
+                         {"z": BoolFunc.var("u")})
+    return BooleanNetwork((*parents, leaf), Interconnection(links))
+
+
+class TestRewireAgainstSubstitution:
+    """Rewiring aliases each internal input to its driver: the same function
+    as substituting the driving output for the input, fan-out included."""
+
+    def test_random_wirings(self):
+        rng = np.random.default_rng(12)
+        fan_out = two_parents = empty = 0
+        for _ in range(300):
+            net = random_wiring(rng)
+            assert not net.violations
+            pins = net.subsystem("L").env_inputs.without(["e"])
+            scope = VariableSet(w for w in pins if rng.random() < 0.7)
+            constant = BoolFunc.const(VariableSet(), bool(rng.random() < 0.5))
+            for lra in (random_boolfunc(rng, scope), constant):
+                reference = lra.substitute({v: BoolFunc.var(net.drivers[v]) for v in lra.scope})
+                rewired = rewire_to_parent_outputs(lra, net, "L")
+                assert rewired.scope == reference.scope
+                assert np.array_equal(rewired.table, reference.table)
+                drivers = [net.drivers[v] for v in lra.scope]
+                fan_out += len(set(drivers)) < len(drivers)
+                parents = {l.from_sys for l in net.wiring.links if l.to_input in lra.scope}
+                two_parents += len(parents) == 2
+                empty += not lra.scope
+        assert fan_out > 20 and two_parents > 20 and empty > 300
+
+
 class TestUpdateContract:
     def test_assumption_unchanged_guarantee_strengthened(self, serial_chain):
         net, contract = serial_chain
@@ -448,6 +495,63 @@ class TestDistributedSynthesis:
         assert sorted(sys.name for sys, _, _ in calls) == sorted(net.names)
         for sys, assumption, guarantee in calls:
             assert out.local_contracts[sys.name] == ContractPair(assumption, guarantee)
+
+
+def four_fixtures_and_random_dags(request) -> list:
+    """The four net fixtures and 50 seeded random DAG instances."""
+    names = ["serial_chain", "xor_assumption", "shared_or_guarantee", "two_parents"]
+    instances = [request.getfixturevalue(name) for name in names]
+    rng = np.random.default_rng(29)
+    for _ in range(50):
+        net = random_dag_network(rng)
+        instances.append((net, random_contract(rng, net)))
+    return instances
+
+
+def refuse(*args):
+    raise AssertionError("the search reads the network it searches")
+
+
+class TestFactsReadOnce:
+    """The search takes the leaf order and the wiring from the network and
+    fixes each leaf's facts before its first attempt."""
+
+    def test_no_second_leaf_order(self, request, monkeypatch):
+        instances = four_fixtures_and_random_dags(request)
+        expected = [distributed_synthesis(net, contract) for net, contract in instances]
+        monkeypatch.setattr(synthesis, "leaf_order", refuse, raising=False)
+        monkeypatch.setattr(synthesis, "system_graph", refuse)
+        for (net, contract), want in zip(instances, expected):
+            fresh = BooleanNetwork(net.subsystems, net.wiring)
+            assert distributed_synthesis(fresh, contract) == want
+
+    def test_each_leaf_assumption_extended_once(self, request, monkeypatch):
+        handed: dict[str, set] = {}
+        original = synthesis.least_restrictive_assumption
+
+        def recording(sys, assumption, guarantee, internal):
+            assert assumption.scope == sys.env_inputs
+            handed.setdefault(sys.name, set()).add(id(assumption))
+            return original(sys, assumption, guarantee, internal)
+
+        monkeypatch.setattr(synthesis, "least_restrictive_assumption", recording)
+        attempts = 0
+        for net, contract in four_fixtures_and_random_dags(request):
+            handed.clear()
+            attempts += len(distributed_synthesis(net, contract).trace)
+            assert all(len(ids) == 1 for ids in handed.values())
+        assert attempts > 54
+
+    def test_distribution_reads_no_output_set(self, request, monkeypatch):
+        instances = four_fixtures_and_random_dags(request)
+        expected = [
+            [maximal_distributions(contract.guarantee, net, name) for name in net.names]
+            for net, contract in instances
+        ]
+        monkeypatch.setattr(contracts, "all_outputs", refuse)
+        for (net, contract), want in zip(instances, expected):
+            got = [maximal_distributions(contract.guarantee, net, name) for name in net.names]
+            assert got == want
 
 
 class TestVacuousContracts:
