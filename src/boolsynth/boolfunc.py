@@ -46,15 +46,16 @@ class TableTooLargeError(ValueError):
 
     def __init__(self, variables: int):
         self.variables = variables
+        cells = f"2^{variables}" + (f" = {1 << variables}" if variables < 64 else "")
         super().__init__(
-            f"a truth table over {variables} variables needs 2^{variables} = "
-            f"{1 << variables} cells, above the limit of {MAX_TABLE_CELLS} cells"
+            f"a truth table over {variables} variables needs {cells} cells, "
+            f"above the limit of {MAX_TABLE_CELLS} cells"
         )
 
 
 def check_table_size(variables: int) -> None:
     """Raise `TableTooLargeError` unless a table over `variables` variables fits."""
-    if 1 << variables > MAX_TABLE_CELLS:
+    if variables >= MAX_TABLE_CELLS.bit_length():
         raise TableTooLargeError(variables)
 
 

@@ -26,6 +26,7 @@ controls, not on the flattened system it was synthesized against.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -209,7 +210,9 @@ def _cmd_eps(args) -> int:
     return _synthesize_and_report(args, net, contract, report, lines)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="boolsynth",
         description="Distributed controller synthesis for boolean networks",

@@ -12,8 +12,13 @@ removing the designated feeder edges (or per an explicit partition).  Feed
 direction across groups is derived from generator placement; each crossing
 becomes an interconnection link carrying the parent-side attach node's
 power-availability bit.  Outputs are bus-status bits, plus one auxiliary
-coupling bit per same-group pair of AC sources so the "no AC coupling"
-requirement stays a function of outputs.
+coupling bit ``couple_<s>_<t>`` per same-group pair of AC sources so the
+"no AC coupling" requirement stays a function of outputs, plus a feed bit
+``feed_<node>`` per attach node that is not a bus.  Each group is described
+once, where its feed is oriented; the subsystems, the wiring and the
+guarantee read their names from that description, and a group whose
+generated names repeat one of its outputs is refused.  The table-size guard
+counts the outputs before any name is built.
 
 The compositional encoding is exact only when power cannot re-enter a group
 region it left, so compilation rejects topologies where (a) a crossing
@@ -28,7 +33,6 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 import numpy as np
 
@@ -313,25 +317,33 @@ def _validate_partition(
 
 @dataclass(frozen=True)
 class _Group:
+    """One group, described once its feed is oriented: the compiled
+    subsystem, its wiring and the guarantee read every name from it."""
+
     name: str
     members: tuple[str, ...]
     local_edges: tuple[PowerEdge, ...]
     incoming: tuple[tuple[PowerEdge, str], ...]  # (crossing, inner endpoint)
-    attach: str | None  # the parent node every incoming crossing leaves from
-
-    @property
-    def feed(self) -> str:
-        """The environment input carrying power in from the attach node."""
-        return f"{self.name}_from_{self.attach}"
+    controls: VariableSet  # local contactors, then incoming crossing contactors
+    env: VariableSet  # health bits, then the feed bit, if the group is fed
+    buses: tuple[str, ...]
+    ac_sources: tuple[str, ...]
+    couplings: tuple[str, ...]  # couple_<s>_<t> per pair of AC sources
+    exports: tuple[str, ...]  # non-bus attach nodes that child groups read
+    outputs: VariableSet  # buses, then couplings, then feed_<p> per export
+    link: Link | None  # the parent output the feed bit reads
 
 
 def _orient_groups(
     topo: PowerTopology, partition: list[tuple[str, list[str]]]
-) -> tuple[list[_Group], dict[str, str]]:
-    """Split edges into local and cross, derive feed direction per cross edge.
+) -> list[_Group]:
+    """Split edges into local and cross, derive feed direction per cross
+    edge, and describe each group.
 
-    Returns the groups (with their incoming crossings and attach node) and a
-    map from node name to group name.
+    Refuses a topology without generators, one whose guarantee would span
+    too many outputs (counted before any name is built), and a group whose
+    generated output names (``couple_<s>_<t>``, ``feed_<node>``) repeat
+    another of its outputs.
     """
     group_of = {m: name for name, members in partition for m in members}
     gen_groups = {
@@ -387,46 +399,70 @@ def _orient_groups(
                 f"{sorted(attach[name])}; power could re-enter the region"
             )
 
-    groups = [
-        _Group(
-            name,
-            tuple(members),
-            tuple(
-                e
-                for e in topo.edges
-                if group_of[e.a] == name and group_of[e.b] == name
-            ),
-            tuple(incoming[name]),
-            next(iter(attach[name]), None),
+    if not gen_groups:
+        raise TopologyError("topology has no generators; nothing can be powered")
+
+    parent = {name: next(iter(attach[name]), None) for name, _ in partition}
+    # The output a child's feed reads: the attach node's bus bit, or a feed
+    # bit its group exports.
+    source = {
+        p: p if topo.node(p).kind == "bus" else f"feed_{p}"
+        for p in parent.values()
+        if p is not None
+    }
+    exports: dict[str, list[str]] = {name: [] for name, _ in partition}
+    for p in parent.values():
+        if p is not None and source[p] != p and p not in exports[group_of[p]]:
+            exports[group_of[p]].append(p)
+
+    nodes = {name: [topo.node(m) for m in members] for name, members in partition}
+    buses = {g: tuple(n.name for n in ns if n.kind == "bus") for g, ns in nodes.items()}
+    ac_sources = {
+        g: tuple(n.name for n in ns if n.kind == "generator" and n.current == "ac")
+        for g, ns in nodes.items()
+    }
+    # The guarantee spans every output: refuse by count, before naming any.
+    pairs = {g: len(a) * (len(a) - 1) // 2 for g, a in ac_sources.items()}
+    check_table_size(sum(len(buses[g]) + pairs[g] + len(exports[g]) for g in nodes))
+
+    groups = []
+    for name, members in partition:
+        local = tuple(
+            e for e in topo.edges if group_of[e.a] == name and group_of[e.b] == name
         )
-        for name, members in partition
-    ]
-    return groups, group_of
+        crossings = [e for e, _ in incoming[name]]
+        p = parent[name]
+        feed = [] if p is None else [f"{name}_from_{p}"]
+        couplings = tuple(f"couple_{s}_{t}" for s, t in combinations(ac_sources[name], 2))
+        try:
+            outputs = VariableSet(
+                [*buses[name], *couplings, *(source[q] for q in exports[name])]
+            )
+        except ValueError as exc:
+            raise TopologyError(f"group {name!r} names an output twice ({exc})") from None
+        groups.append(
+            _Group(
+                name, tuple(members), local, tuple(incoming[name]),
+                controls=VariableSet(
+                    [e.contactor for e in [*local, *crossings] if e.contactor is not None]
+                ),
+                env=VariableSet([n.name for n in nodes[name] if n.kind in HEALTH_KINDS] + feed),
+                buses=buses[name], ac_sources=ac_sources[name], couplings=couplings,
+                exports=tuple(exports[name]), outputs=outputs,
+                link=None if p is None else Link(group_of[p], source[p], name, feed[0]),
+            )
+        )
+    return groups
 
 
-def _group_tables(
-    topo: PowerTopology, group: _Group, export_nodes: Sequence[str]
-) -> tuple[VariableSet, VariableSet, dict[str, np.ndarray], list[tuple[str, str]]]:
-    """Truth tables for one group's outputs: bus-status bits, then coupling
-    bits, then exported feed bits.
+def _group_tables(topo: PowerTopology, group: _Group) -> list[np.ndarray]:
+    """Truth tables over ``controls + env`` for the group's outputs, in
+    order: bus-status bits, then coupling bits, then exported feed bits.
 
     Liveness is propagated over all valuations of the group's scope at once,
-    so the tables agree with `live_path` and `bus_status` pointwise.  Returns
-    (controls, env_inputs, table per output, coupling pairs).  The
-    environment inputs are the group's health bits followed by its feed bit,
-    if it has an attach node.
+    so the tables agree with `live_path` and `bus_status` pointwise.
     """
-    controls = VariableSet(
-        [e.contactor for e in group.local_edges if e.contactor is not None]
-        + [e.contactor for (e, _) in group.incoming if e.contactor is not None]
-    )
-    health_vars = [m for m in group.members if topo.node(m).kind in HEALTH_KINDS]
-    env = VariableSet(health_vars + ([] if group.attach is None else [group.feed]))
-    scope = controls.union(env)
-
-    buses = [m for m in group.members if topo.node(m).kind == "bus"]
-    ac_sources = _ac_sources(topo, group)
-    couple_pairs = list(combinations(ac_sources, 2))
+    scope = group.controls.union(group.env)
 
     # One bool vector per node over all valuations of the scope.  Feed
     # entering via the attach node behaves like a generator glued to the
@@ -438,32 +474,23 @@ def _group_tables(
     passable: dict[object, np.ndarray] = {
         m: bit[m] if topo.node(m).kind in HEALTH_KINDS else always for m in group.members
     }
-    feed = ("feed", group.attach)
+    feed = ("feed",)
     edges = [
         (e.a, e.b, always if e.solid else bit[e.contactor]) for e in group.local_edges
     ] + [
         (feed, q, always if e.solid else bit[e.contactor]) for e, q in group.incoming
     ]
     sources = [m for m in group.members if topo.node(m).kind == "generator"]
-    if group.attach is not None:
-        passable[feed] = bit[group.feed]
+    if group.link is not None:
+        passable[feed] = bit[group.link.to_input]
         sources.append(feed)
     live = _propagate(passable, edges, sources)
-    tables = {b: live[b] for b in buses}
-    reach = {s: _propagate(passable, edges, [s]) for s in ac_sources}
-    for s, t in couple_pairs:
-        tables[f"couple_{s}_{t}"] = reach[s][t]
-    for p in export_nodes:
-        tables[f"feed_{p}"] = live[p]
-    return controls, env, tables, couple_pairs
-
-
-def _ac_sources(topo: PowerTopology, group: _Group) -> list[str]:
-    return [
-        m
-        for m in group.members
-        if topo.node(m).kind == "generator" and topo.node(m).current == "ac"
-    ]
+    reach = {s: _propagate(passable, edges, [s]) for s in group.ac_sources}
+    return (
+        [live[b] for b in group.buses]
+        + [reach[s][t] for s, t in combinations(group.ac_sources, 2)]
+        + [live[p] for p in group.exports]
+    )
 
 
 def _propagate(
@@ -509,60 +536,28 @@ def compile_to_network(
         groups_spec = _default_partition(topo)
     else:
         groups_spec = _validate_partition(topo, partition)
-    groups, group_of = _orient_groups(topo, groups_spec)
+    groups = _orient_groups(topo, groups_spec)
     generators = [n.name for n in topo.nodes if n.kind == "generator"]
-    if not generators:
-        raise TopologyError("topology has no generators; nothing can be powered")
 
-    # Attach nodes exported by each parent group; reuse the bus output when
-    # the attach node is a bus.
-    exports: dict[str, list[str]] = {g.name: [] for g in groups}
+    systems = []
     for g in groups:
-        p = g.attach
-        if p is not None and topo.node(p).kind != "bus" and p not in exports[group_of[p]]:
-            exports[group_of[p]].append(p)
-    # The guarantee spans every output: refuse before compiling any group.
-    check_table_size(
-        len(topo.bus_names)
-        + sum(len(e) for e in exports.values())
-        + sum(comb(len(_ac_sources(topo, g)), 2) for g in groups)
-    )
-
-    systems: list[BooleanSystem] = []
-    links: list[Link] = []
-    couple_names: list[str] = []
-    for g in groups:
-        controls, env, tables, couple_pairs = _group_tables(topo, g, exports[g.name])
-        scope = controls.union(env)
-        outputs = VariableSet(tables.keys())
-        functions = {y: BoolFunc(scope, t) for y, t in tables.items()}
-        systems.append(BooleanSystem(g.name, controls, env, outputs, functions))
-        couple_names.extend(f"couple_{s}_{t}" for s, t in couple_pairs)
-        if g.attach is not None:
-            p = g.attach
-            source = p if topo.node(p).kind == "bus" else f"feed_{p}"
-            links.append(Link(group_of[p], source, g.name, g.feed))
-
-    net = BooleanNetwork(tuple(systems), Interconnection(tuple(links)))
+        scope = g.controls.union(g.env)
+        tables = _group_tables(topo, g)
+        functions = {y: BoolFunc(scope, t) for y, t in zip(g.outputs, tables)}
+        systems.append(BooleanSystem(g.name, g.controls, g.env, g.outputs, functions))
+    links = tuple(g.link for g in groups if g.link is not None)
+    net = BooleanNetwork(tuple(systems), Interconnection(links))
     if net.violations:
         raise TopologyError("compiled network is ill-posed: " + "; ".join(net.violations))
 
-    ext = external_inputs(net)
     assumption = conjoin(
-        [_any_of(generators)]
-        + [_any_of(rects) for rects in _rectifier_sides(topo)]
-    ).extend(ext)
-
-    literals = {b: True for b in topo.bus_names} | {c: False for c in couple_names}
+        ~BoolFunc.cube(names, dict.fromkeys(names, False))
+        for names in [generators, *_rectifier_sides(topo)]
+    ).extend(external_inputs(net))
+    literals = {b: True for g in groups for b in g.buses}
+    literals |= {c: False for g in groups for c in g.couplings}
     guarantee = BoolFunc.cube(all_outputs(net), literals)
     return net, ContractPair(assumption, guarantee)
-
-
-def _any_of(names: Sequence[str]) -> BoolFunc:
-    f = BoolFunc.var(names[0])
-    for n in names[1:]:
-        f = f | BoolFunc.var(n)
-    return f
 
 
 def _rectifier_sides(topo: PowerTopology) -> list[list[str]]:

@@ -36,6 +36,36 @@ def run_with_memory_limit(source: str, *args: str) -> subprocess.CompletedProces
     )
 
 
+def _ac(name: str, kind: str) -> dict:
+    return {"name": name, "kind": kind, "current": "ac"}
+
+
+def _wire(a: str, b: str, contactor: str) -> dict:
+    return {"a": a, "b": b, "contactor": contactor}
+
+
+# Topology documents in which a generated output name of group S0 repeats
+# another of its outputs, each with the repeated name.
+COLLIDING_TOPOLOGIES = {
+    # a bus named like the coupling bit of the two generators feeding it
+    "bus_named_couple": ({
+        "nodes": [_ac("G1", "generator"), _ac("G2", "generator"), _ac("couple_G1_G2", "bus")],
+        "edges": [_wire("G1", "couple_G1_G2", "k1"), _wire("G2", "couple_G1_G2", "k2")],
+    }, "couple_G1_G2"),
+    # the pairs (a, b_c) and (a_b, c) both name their coupling bit couple_a_b_c
+    "pairs_named_alike": ({
+        "nodes": [_ac(g, "generator") for g in ("a", "b_c", "a_b", "c")] + [_ac("B", "bus")],
+        "edges": [_wire(g, "B", f"k_{g}") for g in ("a", "b_c", "a_b", "c")],
+    }, "couple_a_b_c"),
+    # a bus named like the feed bit exported for the dummy node J
+    "bus_named_feed": ({
+        "nodes": [_ac("G1", "generator"), _ac("J", "dummy"), _ac("B2", "bus"), _ac("feed_J", "bus")],
+        "edges": [_wire("G1", "J", "k1"), _wire("J", "B2", "kf"), _wire("G1", "feed_J", "k2")],
+        "feeders": ["kf"],
+    }, "feed_J"),
+}
+
+
 def make_system(name, controls, env_inputs, outputs):
     """Build a subsystem from {output: expression} over controls + env."""
     cs, es = VariableSet(controls), VariableSet(env_inputs)

@@ -10,7 +10,7 @@ from boolsynth.boolfunc import BoolFunc
 from boolsynth.cli import cli_main
 from boolsynth.network import BooleanSystem, closed_loop_values, flatten
 
-from .conftest import FIXTURES, run_with_memory_limit
+from .conftest import COLLIDING_TOPOLOGIES, FIXTURES, run_with_memory_limit
 
 SERIAL = [str(FIXTURES / "serial_chain.net.json"), str(FIXTURES / "serial_chain.contract.json")]
 XOR = [str(FIXTURES / "xor_assumption.net.json"), str(FIXTURES / "xor_assumption.contract.json")]
@@ -261,6 +261,15 @@ class TestEpsCommand:
         part.write_text(json.dumps({"groups": groups}))
         assert cli_main(["eps", TOPOLOGY, "--partition", str(part)]) == 2
         assert "group 'A' more than once" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(COLLIDING_TOPOLOGIES))
+    def test_generated_output_name_given_twice(self, case, tmp_path, capsys):
+        doc, name = COLLIDING_TOPOLOGIES[case]
+        topo = tmp_path / "topology.json"
+        topo.write_text(json.dumps(doc))
+        assert cli_main(["eps", str(topo)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: group 'S0'") and name in line
 
     def test_five_generator_chain(self, capsys):
         # the EPS k-chain at k=5: a regression instance for the biclique,

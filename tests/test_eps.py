@@ -30,7 +30,7 @@ from boolsynth.synthesis import (
 )
 
 from ._random_instances import random_topology
-from .conftest import FIXTURES, run_with_memory_limit
+from .conftest import COLLIDING_TOPOLOGIES, FIXTURES, run_with_memory_limit
 
 
 def chain_topology(k: int) -> PowerTopology:
@@ -324,6 +324,22 @@ class TestCompile:
         with pytest.raises(TopologyError, match="'A' more than once"):
             compile_to_network(topo, partition)
 
+    @pytest.mark.parametrize("case", sorted(COLLIDING_TOPOLOGIES))
+    def test_generated_output_name_given_twice_is_refused_before_compiling(
+        self, case, tmp_path, monkeypatch
+    ):
+        import boolsynth.eps
+
+        def no_compile(*args):
+            raise AssertionError("a group was compiled")
+
+        monkeypatch.setattr(boolsynth.eps, "_group_tables", no_compile)
+        doc, name = COLLIDING_TOPOLOGIES[case]
+        path = tmp_path / "topology.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(TopologyError, match=f"group 'S0' .*{name}"):
+            compile_to_network(load_topology(path))
+
     # (fixture or None for the mini topology, partition or None for the
     # default one); the single-group chain at k=4 has 27 inputs, too many
     # for tables per output or a pointwise sweep.
@@ -502,6 +518,22 @@ class TestEndToEnd:
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("TableTooLargeError")
         assert "2^41" in done.stdout
+
+    def test_oversized_coupling_count_is_refused_before_naming(self):
+        # 3000 AC generators on one bus have about 4.5M coupling pairs:
+        # naming them would take more than the child's address space.
+        done = run_with_memory_limit(
+            "from boolsynth.eps import PowerEdge, PowerNode, PowerTopology, compile_to_network\n"
+            "gens = [PowerNode(f'G{i}', 'generator', 'ac') for i in range(3000)]\n"
+            "edges = [PowerEdge(g.name, 'B', f'k{i}') for i, g in enumerate(gens)]\n"
+            "try:\n"
+            "    compile_to_network(PowerTopology([*gens, PowerNode('B', 'bus', 'ac')], edges))\n"
+            "except ValueError as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("TableTooLargeError")
+        assert "2^4498501 cells" in done.stdout
 
     def test_each_network_is_validated_once(self, monkeypatch):
         import boolsynth.network
