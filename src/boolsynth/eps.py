@@ -30,13 +30,14 @@ enters each group at one node.  Dummy nodes never fail.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .boolfunc import BoolFunc, VariableSet, check_name, check_table_size, conjoin, valuation_bits
+from .boolfunc import BoolFunc, VariableSet, check_name, check_table_size, conjoin
 from .contracts import ContractPair
 from .formats import array_field, read_document
 from .network import (
@@ -456,63 +457,92 @@ def _orient_groups(
 
 
 def _group_tables(topo: PowerTopology, group: _Group) -> list[np.ndarray]:
-    """Truth tables over ``controls + env`` for the group's outputs, in
+    """Flat truth tables over ``controls + env`` for the group's outputs, in
     order: bus-status bits, then coupling bits, then exported feed bits.
 
-    Liveness is propagated over all valuations of the group's scope at once,
-    so the tables agree with `live_path` and `bus_status` pointwise.
+    Liveness is bit-sliced: each node's live set is one int whose bit i is
+    the valuation of rank i over the scope, the first variable most
+    significant, so entry i of each table is that valuation's value.  The
+    fixpoint runs on these ints and only the output sets are unpacked; the
+    tables agree with `live_path` and `bus_status` pointwise.
     """
     scope = group.controls.union(group.env)
-
-    # One bool vector per node over all valuations of the scope.  Feed
-    # entering via the attach node behaves like a generator glued to the
-    # child-side endpoints of the incoming crossings.
     n = len(scope)
     check_table_size(n)
-    bit = dict(zip(scope, valuation_bits(np.arange(1 << n), n)))
-    always = np.ones(1 << n, dtype=bool)
-    passable: dict[object, np.ndarray] = {
+    always = (1 << (1 << n)) - 1
+    # Patterns are built from whole bytes; `always` drops the padding bits
+    # of a scope under three variables.
+    nbytes = max(1, (1 << n) // 8)
+    bit = {v: _variable_pattern(n - 1 - i, nbytes) & always for i, v in enumerate(scope)}
+
+    # Feed entering via the attach node behaves like a generator glued to
+    # the child-side endpoints of the incoming crossings.
+    passable: dict[object, int] = {
         m: bit[m] if topo.node(m).kind in HEALTH_KINDS else always for m in group.members
     }
     feed = ("feed",)
-    edges = [
-        (e.a, e.b, always if e.solid else bit[e.contactor]) for e in group.local_edges
-    ] + [
-        (feed, q, always if e.solid else bit[e.contactor]) for e, q in group.incoming
-    ]
+    edges = [(e.a, e.b, e) for e in group.local_edges] + [(feed, q, e) for e, q in group.incoming]
     sources = [m for m in group.members if topo.node(m).kind == "generator"]
     if group.link is not None:
         passable[feed] = bit[group.link.to_input]
         sources.append(feed)
-    live = _propagate(passable, edges, sources)
-    reach = {s: _propagate(passable, edges, [s]) for s in group.ac_sources}
-    return (
+    # Per directed arc, the valuations under which it carries power into its
+    # head: shared by the generator fixpoint and every AC-source reach.
+    arcs: dict[object, list[tuple[object, int]]] = {m: [] for m in passable}
+    for a, b, e in edges:
+        for x, y in ((a, b), (b, a)):
+            arcs[x].append((y, passable[y] if e.solid else bit[e.contactor] & passable[y]))
+    live = _propagate(passable, arcs, sources)
+    reach = {s: _propagate(passable, arcs, [s]) for s in group.ac_sources[:-1]}
+    packed = (
         [live[b] for b in group.buses]
         + [reach[s][t] for s, t in combinations(group.ac_sources, 2)]
         + [live[p] for p in group.exports]
     )
+    return [
+        np.unpackbits(
+            np.frombuffer(x.to_bytes(nbytes, "little"), np.uint8), bitorder="little", count=1 << n
+        ).view(bool)
+        for x in packed
+    ]
+
+
+def _variable_pattern(k: int, nbytes: int) -> int:
+    """The packed valuations, over `nbytes` bytes, whose rank has bit `k` set."""
+    if k < 3:
+        block = bytes([(0xAA, 0xCC, 0xF0)[k]])
+    else:
+        run = 1 << (k - 3)
+        block = bytes(run) + b"\xff" * run
+    return int.from_bytes(block * (nbytes // len(block)), "little")
 
 
 def _propagate(
-    passable: Mapping[object, np.ndarray],
-    edges: Sequence[tuple[object, object, np.ndarray]],
+    passable: Mapping[object, int],
+    arcs: Mapping[object, Sequence[tuple[object, int]]],
     seeds: Sequence[object],
-) -> dict[object, np.ndarray]:
-    """Per node, the valuations under which it is connected to a seed over
-    passable nodes (seeds included) and conducting edges: a fixpoint over
-    all valuations at once."""
-    live = {m: np.zeros_like(mask) for m, mask in passable.items()}
+) -> dict[object, int]:
+    """Per node, the packed valuations under which it is connected to a seed
+    over passable nodes (seeds included) and conducting arcs: a worklist
+    fixpoint that re-examines only the arcs out of a node whose set grew."""
+    live = dict.fromkeys(passable, 0)
     for s in seeds:
-        live[s] = passable[s].copy()
-    changed = True
-    while changed:
-        changed = False
-        for a, b, conducting in edges:
-            for x, y in ((a, b), (b, a)):
-                gain = live[x] & conducting & passable[y] & ~live[y]
-                if gain.any():
-                    live[y] = live[y] | gain
-                    changed = True
+        live[s] = passable[s]
+    work = deque(seeds)
+    queued = set(work)
+    while work:
+        x = work.popleft()
+        queued.discard(x)
+        have = live[x]
+        for y, gate in arcs[x]:
+            # OR and compare: no complement, whose negative int would cost a
+            # sign-extended pass over every word.
+            grown = live[y] | (have & gate)
+            if grown != live[y]:
+                live[y] = grown
+                if y not in queued:
+                    queued.add(y)
+                    work.append(y)
     return live
 
 
@@ -543,7 +573,7 @@ def compile_to_network(
     for g in groups:
         scope = g.controls.union(g.env)
         tables = _group_tables(topo, g)
-        functions = {y: BoolFunc(scope, t) for y, t in zip(g.outputs, tables)}
+        functions = {y: BoolFunc._wrap(scope, t) for y, t in zip(g.outputs, tables)}
         systems.append(BooleanSystem(g.name, g.controls, g.env, g.outputs, functions))
     links = tuple(g.link for g in groups if g.link is not None)
     net = BooleanNetwork(tuple(systems), Interconnection(links))

@@ -249,5 +249,4 @@ def load_controllers(path, net: BooleanNetwork) -> tuple[str, dict[str, Controll
 
 def dump_document(path, doc: Mapping) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2) + "\n")

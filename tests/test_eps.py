@@ -342,10 +342,14 @@ class TestCompile:
 
     # (fixture or None for the mini topology, partition or None for the
     # default one); the single-group chain at k=4 has 27 inputs, too many
-    # for tables per output or a pointwise sweep.
+    # for tables per output or a pointwise sweep.  The last two mini cases
+    # hold a group over one variable (GEN's health, exporting feed_GEN) and
+    # one over two (DC: its crossing contactor and its feed bit).
     CASES = [
         (None, [("P", ["GEN", "BUS"]), ("Q", ["TR", "RU", "DC"])]),
         (None, [("P", ["GEN", "BUS", "TR"]), ("Q", ["RU", "DC"])]),
+        (None, [("P", ["GEN"]), ("Q", ["BUS", "TR", "RU", "DC"])]),
+        (None, [("P", ["GEN", "BUS", "TR", "RU"]), ("Q", ["DC"])]),
         ("eps_tree", None),
         ("eps_tree", "single"),
         ("eps_chain4", None),
@@ -373,7 +377,10 @@ class TestCompile:
 
     def test_compiled_outputs_match_live_path_oracle_exhaustively(self):
         # Every output of every group against the pointwise live-path
-        # semantics, on all valuations of the group's inputs.
+        # semantics, on all valuations of the group's inputs.  Groups over
+        # one and two variables have tables shorter than the byte they are
+        # unpacked from, so a padding bit read as a valuation shows here.
+        scope_sizes = set()
         for topo, partition, sweep_plant in self.cases():
             net, _ = compile_to_network(topo, partition)
             members = dict(partition)
@@ -381,6 +388,7 @@ class TestCompile:
                 local, feed_of, reference = group_reference(topo, sys, members[sys.name])
                 assert set(reference) == set(sys.outputs)
                 scope = sys.controls.union(sys.env_inputs)
+                scope_sizes.add(len(scope))
                 for bits in itertools.product([False, True], repeat=len(scope)):
                     point = dict(zip(scope, bits))
                     health = {h: point[feed_of.get(h, h)] for h in local.health_names}
@@ -397,6 +405,26 @@ class TestCompile:
                     c = dict(zip(cs, bits[len(hs):]))
                     for b in topo.bus_names:
                         assert plant.functions[b].evaluate({**h, **c}) == bus_status(topo, h, c, b), (partition, b)
+        assert {1, 2} <= scope_sizes
+
+    def test_chain6_root_group_matches_live_path_oracle_on_a_sample(self):
+        # The root group spans 17 variables, so its packed live sets run to
+        # 2048 words; a seeded sample of valuations across all of them
+        # checks the bit order past the first word.
+        topo = load_topology(FIXTURES / "eps_chain6.topology.json")
+        partition = _default_partition(topo)
+        net, _ = compile_to_network(topo, partition)
+        root = max(net.subsystems, key=lambda sys: len(sys.controls) + len(sys.env_inputs))
+        scope = root.controls.union(root.env_inputs)
+        assert len(scope) == 17
+        local, feed_of, reference = group_reference(topo, root, dict(partition)[root.name])
+        ranks = np.random.default_rng(17).choice(1 << len(scope), size=512, replace=False)
+        for rank in ranks.tolist():
+            point = {v: bool(rank >> (len(scope) - 1 - i) & 1) for i, v in enumerate(scope)}
+            health = {h: point[feed_of.get(h, h)] for h in local.health_names}
+            closed = {c: point[c] for c in local.contactor_names}
+            for y in root.outputs:
+                assert root.functions[y].evaluate(point) == reference[y](health, closed), (y, rank)
 
 
 def compiles(topo, partition) -> bool:
