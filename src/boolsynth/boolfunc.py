@@ -87,6 +87,15 @@ class VariableSet(Sequence[str]):
         self._names = names
         self._pos = {n: i for i, n in enumerate(names)}
 
+    @classmethod
+    def _derived(cls, names: tuple[str, ...]) -> "VariableSet":
+        """A scope over `names`, distinct names already checked (a subset or
+        a union of checked scopes), built without checking them again."""
+        scope = cls.__new__(cls)
+        scope._names = names
+        scope._pos = {n: i for i, n in enumerate(names)}
+        return scope
+
     def __len__(self) -> int:
         return len(self._names)
 
@@ -107,17 +116,19 @@ class VariableSet(Sequence[str]):
 
     def union(self, other: Iterable[str]) -> "VariableSet":
         """Self's variables followed by the new ones of `other`, in order."""
-        extra = [n for n in other if n not in self._pos]
-        return VariableSet(self._names + tuple(extra))
+        extra = tuple(n for n in other if n not in self._pos)
+        if isinstance(other, VariableSet):
+            return VariableSet._derived(self._names + extra)
+        return VariableSet(self._names + extra)
 
     def without(self, names: Iterable[str]) -> "VariableSet":
         drop = set(names)
-        return VariableSet(n for n in self._names if n not in drop)
+        return VariableSet._derived(tuple(n for n in self._names if n not in drop))
 
     def restricted_to(self, names: Iterable[str]) -> "VariableSet":
         """Subset of self (preserving self's order) that also occurs in `names`."""
         keep = set(names)
-        return VariableSet(n for n in self._names if n in keep)
+        return VariableSet._derived(tuple(n for n in self._names if n in keep))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, VariableSet):

@@ -122,7 +122,7 @@ def build_distribution_graph(
     left = net.subsystem(name).outputs
     right = guarantee.scope.without(left)
     # Axes ordered left-major so a reshape yields the bipartite adjacency.
-    order = VariableSet(list(left) + list(right))
+    order = left.union(right)
     table = guarantee.extend(order).table
     adjacency = table.reshape(1 << len(left), 1 << len(right))
     return DistributionGraph(left, right, adjacency)

@@ -18,6 +18,13 @@ remaining subsystems by aliasing each internal input to its driving output,
 and recurses, backtracking over splits.  The search yields one local
 contract per subsystem; a controller is extracted from each of them once the
 search has succeeded.
+
+Two memos, dicts made per `distributed_synthesis` call, stop the search from
+redoing work (nogood recording limited to exact repeats).  A failed
+subproblem, keyed by depth, guarantee scope and guarantee table bytes,
+records the trace slice it appended, and a repeat replays that slice, so the
+trace still lists every attempt.  A least restrictive assumption, keyed by
+depth and the split's local guarantee bytes, is computed once and reused.
 """
 
 from __future__ import annotations
@@ -186,7 +193,7 @@ def distributed_synthesis(net: BooleanNetwork, contract: ContractPair) -> Synthe
         steps.append((replace(sys), sys.env_inputs.restricted_to(net.drivers), local,
                       local.extend(sys.env_inputs)))
     trace: list[TraceEntry] = []
-    local_contracts = _synthesize(net, steps, contract, trace)
+    local_contracts = _synthesize(net, steps, contract, trace, {}, {})
     if local_contracts is None:
         return SynthesisOutcome(False, {}, {}, tuple(trace))
     systems = {sys.name: sys for sys, *_ in steps}
@@ -198,27 +205,57 @@ def distributed_synthesis(net: BooleanNetwork, contract: ContractPair) -> Synthe
 
 
 def _synthesize(
-    net: BooleanNetwork, steps: list, contract: ContractPair, trace: list[TraceEntry]
+    net: BooleanNetwork,
+    steps: list,
+    contract: ContractPair,
+    trace: list[TraceEntry],
+    failed: dict,
+    lras: dict,
 ) -> dict[str, ContractPair] | None:
     """The local contract of every leaf in `steps`, or None once every split
-    of some leaf has failed."""
+    of some leaf has failed.
+
+    Steps and assumption are fixed per call, so the remaining leaves
+    (`len(steps)`) and the guarantee decide the answer.  `failed` maps
+    (depth, guarantee scope) to {guarantee table bytes: trace slice} of each
+    subproblem that failed; a repeat replays its slice.  The table is copied
+    into a key only when its bucket exists or on failure, so a search that
+    never fails at a level copies nothing.  `lras` maps (depth, split-down
+    table bytes) to the least restrictive assumption already computed for
+    that leaf and that local guarantee, whose scope is the leaf's outputs.
+    """
     if not steps:
         return {}
+    depth, guarantee = len(steps), contract.guarantee
+    bucket = failed.get((depth, guarantee.scope))
+    key = None
+    if bucket is not None:
+        key = guarantee.table.tobytes()
+        if key in bucket:
+            trace.extend(bucket[key])
+            return None
+    start = len(trace)
     sys, internal, local_assumption, admissible = steps[0]
     name = sys.name
-    for idx, gamma in enumerate(maximal_distributions(contract.guarantee, net, name)):
-        lra = least_restrictive_assumption(sys, admissible, gamma.down, internal)
+    for idx, gamma in enumerate(maximal_distributions(guarantee, net, name)):
+        down = (depth, gamma.down.table.tobytes())
+        lra = lras.get(down)
+        if lra is None:
+            lra = lras[down] = least_restrictive_assumption(sys, admissible, gamma.down, internal)
         trace.append(TraceEntry(name, idx, lra))
         if lra.is_false:
             continue
         local_contracts = _synthesize(
             net, steps[1:],
             update_contract(contract, gamma.up, rewire_to_parent_outputs(lra, net, name)),
-            trace,
+            trace, failed, lras,
         )
         if local_contracts is not None:
             local_contracts[name] = ContractPair(local_assumption & lra, gamma.down)
             return local_contracts
+    if key is None:
+        key = guarantee.table.tobytes()
+    failed.setdefault((depth, guarantee.scope), {})[key] = trace[start:]
     return None
 
 

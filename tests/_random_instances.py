@@ -21,10 +21,11 @@ def random_boolfunc(rng: np.random.Generator, scope: VariableSet) -> BoolFunc:
     return BoolFunc(scope, rng.integers(0, 2, size=1 << len(scope)).astype(bool))
 
 
-def random_dag_network(rng: np.random.Generator) -> BooleanNetwork:
-    """Up to three subsystems, up to two controls/inputs/outputs each, random
-    DAG wiring (edges only from earlier to later subsystems)."""
-    n = int(rng.integers(1, 4))
+def random_dag_network(rng: np.random.Generator, subsystems: int | None = None) -> BooleanNetwork:
+    """`subsystems` subsystems (one to three at random if None), up to two
+    controls/inputs/outputs each, random DAG wiring (edges only from earlier
+    to later subsystems)."""
+    n = int(rng.integers(1, 4)) if subsystems is None else subsystems
     specs = []
     for i in range(n):
         n_u = int(rng.integers(1, 3))

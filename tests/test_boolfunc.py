@@ -52,6 +52,26 @@ class TestVariableSet:
         s = VariableSet(["x", "y"]).union(VariableSet(["z", "y"]))
         assert list(s) == ["x", "y", "z"]
 
+    @pytest.mark.parametrize("names", [["bad name"], ["a", "a"], ["true"]])
+    def test_union_with_other_iterables_still_validates(self, names):
+        with pytest.raises(ValueError):
+            VariableSet(["x"]).union(names)
+
+    def test_derived_scopes_equal_constructed_ones(self):
+        s = VariableSet(["x", "y", "z"])
+        derived = {
+            ("x", "y", "z", "w"): s.union(VariableSet(["w", "y"])),
+            ("x", "z"): s.without(["y", "v"]),
+            ("z", "x"): VariableSet(["z", "x"]).restricted_to(s),
+            ("y",): s.restricted_to(["y", "q"]),
+            (): s.without(s),
+        }
+        for names, scope in derived.items():
+            built = VariableSet(names)
+            assert scope == built and hash(scope) == hash(built)
+            assert tuple(scope) == names
+            assert [scope.index(n) for n in names] == list(range(len(names)))
+
 
 class TestConstants:
     def test_tautology_satisfying_set(self):

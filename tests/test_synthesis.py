@@ -5,6 +5,7 @@ import pytest
 
 from boolsynth.boolfunc import BoolFunc, Valuation, VariableSet, all_valuations, conjoin
 from boolsynth.contracts import ContractPair, maximal_distributions, project_assumption
+from boolsynth.formats import load_contract, load_network
 from boolsynth.network import (
     BooleanNetwork,
     BooleanSystem,
@@ -20,6 +21,7 @@ from boolsynth.oracle import verify_closed_loop
 from boolsynth import contracts, synthesis
 from boolsynth.parser import parse_expr
 from boolsynth.synthesis import (
+    TraceEntry,
     UnrealizableError,
     centralized_synthesis,
     check_realizable,
@@ -32,7 +34,7 @@ from boolsynth.synthesis import (
 )
 
 from ._random_instances import random_boolfunc, random_contract, random_dag_network
-from .conftest import make_system
+from .conftest import FIXTURES, make_system
 
 
 def local_scope(sys):
@@ -552,6 +554,111 @@ class TestFactsReadOnce:
         for (net, contract), want in zip(instances, expected):
             got = [maximal_distributions(contract.guarantee, net, name) for name in net.names]
             assert got == want
+
+
+def memo_free_synthesize(net, steps, contract, trace, *memos):
+    """`synthesis._synthesize` as it was before its memos: every subproblem
+    and every least restrictive assumption is computed afresh."""
+    if not steps:
+        return {}
+    sys, internal, local_assumption, admissible = steps[0]
+    for idx, gamma in enumerate(synthesis.maximal_distributions(contract.guarantee, net, sys.name)):
+        lra = synthesis.least_restrictive_assumption(sys, admissible, gamma.down, internal)
+        trace.append(TraceEntry(sys.name, idx, lra))
+        if lra.is_false:
+            continue
+        local_contracts = memo_free_synthesize(
+            net, steps[1:],
+            update_contract(contract, gamma.up, rewire_to_parent_outputs(lra, net, sys.name)),
+            trace,
+        )
+        if local_contracts is not None:
+            local_contracts[sys.name] = ContractPair(local_assumption & lra, gamma.down)
+            return local_contracts
+    return None
+
+
+def counting(monkeypatch, name: str) -> dict:
+    """Count the calls the search makes to `synthesis.<name>`."""
+    count = {"calls": 0}
+    original = getattr(synthesis, name)
+
+    def wrapper(*args):
+        count["calls"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(synthesis, name, wrapper)
+    return count
+
+
+def net_fixtures_and_random_dags() -> list:
+    """Every net fixture, 150 seeded random DAGs of one to three subsystems
+    and 150 of five, many of which backtrack, and 150 of five whose
+    guarantee reads a random subset of the outputs, so that the guarantees of
+    two recursion depths can share a scope."""
+    instances = []
+    for path in sorted(FIXTURES.glob("*.net.json")):
+        net = load_network(path)
+        instances.append((net, load_contract(path.with_name(path.name.replace(".net.", ".contract.")), net)))
+    rng = np.random.default_rng(41)
+    for subsystems in [None] * 150 + [5] * 150:
+        net = random_dag_network(rng, subsystems)
+        instances.append((net, random_contract(rng, net)))
+    rng = np.random.default_rng(0)
+    for _ in range(150):
+        net = random_dag_network(rng, 5)
+        outputs = VariableSet(y for y in all_outputs(net) if rng.random() < 0.5)
+        instances.append((net, ContractPair(random_boolfunc(rng, external_inputs(net)),
+                                            random_boolfunc(rng, outputs))))
+    return instances
+
+
+def backtracking_instance():
+    """A five-subsystem DAG whose search makes 120 attempts before success."""
+    rng = np.random.default_rng(11)
+    net = random_dag_network(rng, 5)
+    return net, random_contract(rng, net)
+
+
+class TestSearchMemos:
+    """Within one call the search replays the trace of a failed subproblem
+    and reuses each leaf's least restrictive assumption per split-down
+    table; outcomes stay those of the memo-free search."""
+
+    def test_outcomes_equal_the_memo_free_search(self, monkeypatch):
+        instances = net_fixtures_and_random_dags()
+        distributions = counting(monkeypatch, "maximal_distributions")
+        got = [distributed_synthesis(net, contract) for net, contract in instances]
+        memoized_distributions = distributions["calls"]
+        monkeypatch.setattr(synthesis, "_synthesize", memo_free_synthesize)
+        distributions["calls"] = 0
+        want = [distributed_synthesis(net, contract) for net, contract in instances]
+        for out, ref in zip(got, want):
+            assert out.success == ref.success
+            assert [(t.subsystem, t.distribution, t.lra) for t in out.trace] == [
+                (t.subsystem, t.distribution, t.lra) for t in ref.trace
+            ]
+            assert out.local_contracts == ref.local_contracts
+            assert out.controllers == ref.controllers
+        # failed subproblems were replayed, not searched again
+        assert memoized_distributions < distributions["calls"]
+        assert sum(not out.success for out in got) > 20
+        assert sum(len(out.trace) > 5 for out in got) > 50
+
+    def test_backtracking_reuses_least_restrictive_assumptions(self, monkeypatch):
+        net, contract = backtracking_instance()
+        lras = counting(monkeypatch, "least_restrictive_assumption")
+        out = distributed_synthesis(net, contract)
+        assert out.success and len(out.trace) == 120
+        assert lras["calls"] < len(out.trace)
+
+    def test_memos_last_one_call(self, monkeypatch):
+        net, contract = backtracking_instance()
+        lras = counting(monkeypatch, "least_restrictive_assumption")
+        first = distributed_synthesis(net, contract)
+        calls = lras["calls"]
+        assert distributed_synthesis(net, contract) == first
+        assert lras["calls"] == 2 * calls
 
 
 class TestVacuousContracts:
