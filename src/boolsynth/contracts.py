@@ -69,7 +69,9 @@ class DistributionGraph:
     guarantee.  Valuation indices are lexicographic ranks.  A writable
     adjacency is copied; a read-only one, such as a view of a function's
     table, is kept as given, so its memory must not change through
-    another view.
+    another view.  The search's adjacency is such a view: every guarantee
+    it splits lists the leaf's outputs first (`BooleanNetwork.peel_outputs`),
+    so the guarantee's table reshapes into the graph.
     """
 
     left_scope: VariableSet
@@ -121,9 +123,10 @@ def build_distribution_graph(
         raise ValueError(f"guarantee mentions non-output variables: {stray}")
     left = net.subsystem(name).outputs
     right = guarantee.scope.without(left)
-    # Axes ordered left-major so a reshape yields the bipartite adjacency.
-    order = left.union(right)
-    table = guarantee.extend(order).table
+    # Axes ordered left-major so a reshape yields the bipartite adjacency: a
+    # view of the guarantee's table when its scope already starts with
+    # `left`, a copy otherwise.
+    table = guarantee.extend(left.union(right)).table
     adjacency = table.reshape(1 << len(left), 1 << len(right))
     return DistributionGraph(left, right, adjacency)
 
@@ -137,23 +140,27 @@ def _maximal_bicliques(adjacency: np.ndarray) -> list[tuple[np.ndarray, np.ndarr
     ``m[S].all(0)``, a reduction masked by those columns.  A child extent,
     the closure of the parent's extent plus row j, is kept only when it
     agrees with the parent below j, so each concept is generated exactly
-    once.
+    once.  The root's intent is every column, so a child of the root takes
+    row j itself as its intent, a view of `adjacency`.
     """
     m = np.asarray(adjacency, dtype=bool)
     transposed = m.shape[0] > m.shape[1]
     if transposed:
         m = m.T
-    intent = np.ones(m.shape[1], dtype=bool)
-    stack = [(m.all(1), intent, 0)]
+    root = m.all(1)
     concepts: list[tuple[np.ndarray, np.ndarray]] = []
+    if root.any() and m.shape[1]:
+        concepts.append((root, np.ones(m.shape[1], dtype=bool)))
+    # None stands for the root's all-True intent
+    stack: list[tuple[np.ndarray, np.ndarray | None, int]] = [(root, None, 0)]
     while stack:
         extent, intent, start = stack.pop()
-        if extent.any() and intent.any():
+        if intent is not None and intent.any():
             concepts.append((extent, intent))
         for j in range(start, m.shape[0]):
             if extent[j]:
                 continue
-            child_intent = intent & m[j]
+            child_intent = m[j] if intent is None else intent & m[j]
             child_extent = m.all(1, where=child_intent)
             if np.array_equal(child_extent[:j], extent[:j]):
                 stack.append((child_extent, child_intent, j + 1))

@@ -45,7 +45,6 @@ from .network import (
     BooleanSystem,
     Interconnection,
     Link,
-    all_outputs,
     external_inputs,
 )
 
@@ -560,7 +559,9 @@ def compile_to_network(
 
     The contract: assume at least one generator is healthy and, per
     feeder-separated island containing rectifiers, at least one of them is
-    healthy; guarantee every bus powered and no AC-source pair coupled.
+    healthy; guarantee every bus powered and no AC-source pair coupled.  The
+    guarantee's scope is `BooleanNetwork.peel_outputs`, the order the
+    distributed search keeps.
     """
     if partition is None:
         groups_spec = _default_partition(topo)
@@ -586,7 +587,7 @@ def compile_to_network(
     ).extend(external_inputs(net))
     literals = {b: True for g in groups for b in g.buses}
     literals |= {c: False for g in groups for c in g.couplings}
-    guarantee = BoolFunc.cube(all_outputs(net), literals)
+    guarantee = BoolFunc.cube(net.peel_outputs, literals)
     return net, ContractPair(assumption, guarantee)
 
 

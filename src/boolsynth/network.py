@@ -155,9 +155,9 @@ class BooleanNetwork:
     """Subsystems plus interconnection.  Construction never raises on wiring
     problems; `validate` reports them and well-posedness-requiring operations
     refuse to run until the report is empty.  The network is frozen, so its
-    report is computed once and cached as `violations`, and so are the wiring
-    and the evaluation order of a well-posed one, as `drivers` and
-    `topological`."""
+    report is computed once and cached as `violations`, and so are the wiring,
+    the evaluation order and the output order of a well-posed one, as
+    `drivers`, `topological` and `peel_outputs`."""
 
     subsystems: tuple[BooleanSystem, ...]
     wiring: Interconnection = field(default_factory=Interconnection)
@@ -191,6 +191,15 @@ class BooleanNetwork:
     def topological(self) -> tuple[BooleanSystem, ...]:
         """The subsystems, parents before children, computed on first use."""
         return tuple(self.subsystem(n) for n in topological_order(system_graph(self)))
+
+    @cached_property
+    def peel_outputs(self) -> VariableSet:
+        """Every output in the order distributed synthesis peels the
+        subsystems, `topological` backwards, each subsystem's outputs in
+        declaration order; computed on first use.  The search keeps every
+        guarantee's scope in this order, so the outputs of the leaf it
+        peels next lead."""
+        return VariableSet._derived(tuple(y for s in reversed(self.topological) for y in s.outputs))
 
 
 def validate(net: BooleanNetwork) -> list[str]:

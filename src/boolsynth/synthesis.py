@@ -19,12 +19,23 @@ and recurses, backtracking over splits.  The search yields one local
 contract per subsystem; a controller is extracted from each of them once the
 search has succeeded.
 
-Two memos, dicts made per `distributed_synthesis` call, stop the search from
+The outputs follow one order as well, `BooleanNetwork.peel_outputs`: the
+leaves in peel order, each leaf's outputs in declaration order.  The
+guarantee is put in that order once per call (the EPS compile already emits
+it so), and every guarantee the search builds keeps its scope a subsequence
+of it.  So the leaf being peeled leads: its distribution graph is a reshape
+of the guarantee's table, a split's remainder needs no reordering, and the
+strengthened guarantee is one AND of the remainder's table and the rewired
+assumption's, each viewed with size-1 axes on the result's scope.
+
+Memos, dicts made per `distributed_synthesis` call, stop the search from
 redoing work (nogood recording limited to exact repeats).  A failed
 subproblem, keyed by depth, guarantee scope and guarantee table bytes,
 records the trace slice it appended, and a repeat replays that slice, so the
 trace still lists every attempt.  A least restrictive assumption, keyed by
-depth and the split's local guarantee bytes, is computed once and reused.
+depth and the split's local guarantee bytes, is computed and rewired once
+and reused.  The scope and axis layout of a strengthened guarantee are
+computed once per depth and remainder scope.
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .boolfunc import BoolFunc, Valuation, VariableSet, valuation_bits
+from .boolfunc import BoolFunc, Valuation, VariableSet, check_table_size, valuation_bits
 from .contracts import (
     ContractPair,
     check_contract,
@@ -162,11 +173,33 @@ def rewire_to_parent_outputs(lra: BoolFunc, net: BooleanNetwork, name: str) -> B
     return BoolFunc._wrap(parents, np.einsum(lra.table, axes, range(len(parents))))
 
 
+def _layout(up: VariableSet, rewired: VariableSet, scope: VariableSet) -> tuple:
+    """How `_strengthened` lays its operands on the axes of `scope`, the
+    union of `up` and `rewired` with `up` a subsequence of it: `scope`, the
+    shape that gives `up` a size-1 axis for each variable it does not read,
+    the transposition that puts the rewired assumption's axes in `scope`'s
+    order, and the shape that then does the same for it."""
+    check_table_size(len(scope))
+    axes = sorted(range(len(rewired)), key=lambda i: scope.index(rewired[i]))
+    return (scope, tuple(2 if v in up else 1 for v in scope), axes,
+            tuple(2 if v in rewired else 1 for v in scope))
+
+
+def _strengthened(up: BoolFunc, lra_rewired: BoolFunc, layout: tuple) -> BoolFunc:
+    """``up & lra_rewired`` over the scope of `layout`: one AND of two views
+    of their tables, broadcast on the axes `_layout` gives them."""
+    scope, up_shape, axes, rewired_shape = layout
+    rewired = lra_rewired.table.transpose(axes).reshape(rewired_shape)
+    return BoolFunc._wrap(scope, np.logical_and(up.table.reshape(up_shape), rewired))
+
+
 def update_contract(contract: ContractPair, up: BoolFunc, lra_rewired: BoolFunc) -> ContractPair:
     """Contract for the remaining subsystems: the assumption is unchanged and
     the guarantee becomes the remainder split strengthened by the rewired
-    least restrictive assumption."""
-    return ContractPair(contract.assumption, up & lra_rewired)
+    least restrictive assumption, over `up`'s scope followed by the parent
+    outputs it does not read."""
+    layout = _layout(up.scope, lra_rewired.scope, up.scope.union(lra_rewired.scope))
+    return ContractPair(contract.assumption, _strengthened(up, lra_rewired, layout))
 
 
 def distributed_synthesis(net: BooleanNetwork, contract: ContractPair) -> SynthesisOutcome:
@@ -180,8 +213,13 @@ def distributed_synthesis(net: BooleanNetwork, contract: ContractPair) -> Synthe
     assumption any controller satisfies ``A -> G``: the guarantee becomes True.
     """
     check_contract(net, contract)
+    guarantee = contract.guarantee
     if contract.assumption.is_false:
-        contract = ContractPair(contract.assumption, BoolFunc.const(VariableSet(), True))
+        guarantee = BoolFunc.const(VariableSet(), True)
+    # into the search's one output order: a copy at most once per call, and
+    # none for a compiled EPS guarantee, which is built in that order
+    scope = net.peel_outputs.restricted_to(guarantee.scope)
+    contract = ContractPair(contract.assumption, guarantee.extend(scope))
     # (system, internal inputs, local assumption, that assumption over the
     # environment inputs) per leaf: removing a leaf leaves the induced
     # subgraph, so none depends on the recursion level.  Each system is a
@@ -193,7 +231,7 @@ def distributed_synthesis(net: BooleanNetwork, contract: ContractPair) -> Synthe
         steps.append((replace(sys), sys.env_inputs.restricted_to(net.drivers), local,
                       local.extend(sys.env_inputs)))
     trace: list[TraceEntry] = []
-    local_contracts = _synthesize(net, steps, contract, trace, {}, {})
+    local_contracts = _synthesize(net, steps, contract, trace, {}, {}, {})
     if local_contracts is None:
         return SynthesisOutcome(False, {}, {}, tuple(trace))
     systems = {sys.name: sys for sys, *_ in steps}
@@ -211,6 +249,7 @@ def _synthesize(
     trace: list[TraceEntry],
     failed: dict,
     lras: dict,
+    layouts: dict,
 ) -> dict[str, ContractPair] | None:
     """The local contract of every leaf in `steps`, or None once every split
     of some leaf has failed.
@@ -222,7 +261,10 @@ def _synthesize(
     into a key only when its bucket exists or on failure, so a search that
     never fails at a level copies nothing.  `lras` maps (depth, split-down
     table bytes) to the least restrictive assumption already computed for
-    that leaf and that local guarantee, whose scope is the leaf's outputs.
+    that leaf and that local guarantee, whose scope is the leaf's outputs,
+    and to that assumption rewired onto the parent outputs, or None when it
+    is False.  `layouts` maps (depth, remainder scope) to the `_layout` of
+    the strengthened guarantee over its scope in `net.peel_outputs` order.
     """
     if not steps:
         return {}
@@ -239,16 +281,23 @@ def _synthesize(
     name = sys.name
     for idx, gamma in enumerate(maximal_distributions(guarantee, net, name)):
         down = (depth, gamma.down.table.tobytes())
-        lra = lras.get(down)
-        if lra is None:
-            lra = lras[down] = least_restrictive_assumption(sys, admissible, gamma.down, internal)
+        known = lras.get(down)
+        if known is None:
+            lra = least_restrictive_assumption(sys, admissible, gamma.down, internal)
+            known = lras[down] = lra, None if lra.is_false else rewire_to_parent_outputs(lra, net, name)
+        lra, rewired = known
         trace.append(TraceEntry(name, idx, lra))
-        if lra.is_false:
+        if rewired is None:
             continue
+        up = gamma.up
+        layout = layouts.get((depth, up.scope))
+        if layout is None:
+            scope = net.peel_outputs.restricted_to([*up.scope, *rewired.scope])
+            layout = layouts[depth, up.scope] = _layout(up.scope, rewired.scope, scope)
         local_contracts = _synthesize(
             net, steps[1:],
-            update_contract(contract, gamma.up, rewire_to_parent_outputs(lra, net, name)),
-            trace, failed, lras,
+            ContractPair(contract.assumption, _strengthened(up, rewired, layout)),
+            trace, failed, lras, layouts,
         )
         if local_contracts is not None:
             local_contracts[name] = ContractPair(local_assumption & lra, gamma.down)

@@ -501,7 +501,8 @@ class TestEndToEnd:
 
     def test_guarantee_equals_conjoined_literals(self):
         # The guarantee is built as one cube; conjoining its literals one at
-        # a time and extending over the outputs is the reference.
+        # a time and extending over the outputs, in the order the search
+        # peels them, is the reference.
         tree = load_topology(FIXTURES / "eps_tree.topology.json")
         cases = [(tree, None), (tree, "single")]
         cases += [(chain_topology(k), None) for k in range(1, 6)]
@@ -510,7 +511,8 @@ class TestEndToEnd:
             if partition == "single":
                 partition = [("ALL", [n.name for n in topo.nodes])]
             net, contract = compile_to_network(topo, partition)
-            outs = all_outputs(net)
+            outs = net.peel_outputs
+            assert set(outs) == set(all_outputs(net))
             couples = [y for y in outs if y.startswith("couple_")]
             want = conjoin(
                 [BoolFunc.var(b) for b in topo.bus_names] + [~BoolFunc.var(c) for c in couples]
