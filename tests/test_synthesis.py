@@ -727,12 +727,6 @@ class TestOneVariableOrder:
         # strengthened guarantees that read parent outputs the original did not
         assert seen["partial"] > 50 and seen["parents_added"] > 50
 
-    def test_compiled_eps_guarantee_is_in_peel_order(self):
-        from boolsynth.eps import compile_to_network, load_topology
-
-        net, contract = compile_to_network(load_topology(FIXTURES / "eps_chain4.topology.json"))
-        assert list(contract.guarantee.scope) == peel_order(net) == list(net.peel_outputs)
-
 
 class TestSearchMemory:
     def test_chain5_peak_stays_within_its_ratio_of_the_guarantee(self):
