@@ -206,18 +206,26 @@ def _as_scope(scope: Iterable[str] | VariableSet) -> VariableSet:
     return scope if isinstance(scope, VariableSet) else VariableSet(scope)
 
 
-def _extended_table(f: "BoolFunc", scope: VariableSet) -> np.ndarray:
-    """View of f's table broadcast over `scope` (a superset of f.scope)."""
+def _aligned_table(f: "BoolFunc", scope: VariableSet) -> np.ndarray:
+    """View of f's table on the axes of `scope` (a superset of f.scope), with
+    a size-1 axis for each variable f does not read, so that it broadcasts
+    against any table over `scope`."""
     if f.scope == scope:
         return f.table
     check_table_size(len(scope))
     pos = [scope.index(v) for v in f.scope]
-    order = np.argsort(pos)
-    t = f.table.transpose(tuple(order))
+    t = f.table.transpose(sorted(range(len(pos)), key=pos.__getitem__))
     shape = [1] * len(scope)
     for p in pos:
         shape[p] = 2
-    return np.broadcast_to(t.reshape(shape), (2,) * len(scope))
+    return t.reshape(shape)
+
+
+def _extended_table(f: "BoolFunc", scope: VariableSet) -> np.ndarray:
+    """View of f's table broadcast over `scope` (a superset of f.scope)."""
+    if f.scope == scope:
+        return f.table
+    return np.broadcast_to(_aligned_table(f, scope), (2,) * len(scope))
 
 
 # Unsigned integer per width in bytes: contiguous bool cells read as one word.
@@ -388,8 +396,11 @@ class BoolFunc:
         return ~(self ^ other)
 
     def extend(self, scope: Iterable[str] | VariableSet) -> "BoolFunc":
-        """Cylindrical extension to a superset scope."""
+        """Cylindrical extension to a superset scope; `self` when the scope
+        is its own."""
         scope = _as_scope(scope)
+        if scope == self.scope:
+            return self
         missing = [v for v in self.scope if v not in scope]
         if missing:
             raise ValueError(f"extension scope is missing {missing}")

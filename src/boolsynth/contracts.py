@@ -8,16 +8,18 @@ wherever the combined valuation satisfies the guarantee.
 
 The maximal bicliques are the formal concepts of that bipartite context
 (Ganter & Wille, *Formal Concept Analysis*, 1999).  They are enumerated by
-Close-by-One (Kuznetsov 1993) over the smaller side of the adjacency
-matrix, usually the leaf's few output valuations.  Each closure is one
-vectorized pass over the matrix and at most (smaller side) closures are
-tried per concept, so the larger side only sets the width of a numpy row.
-The splits are then sorted canonically, so split indices do not depend on
-the enumeration order.
+Close-by-One (Kuznetsov 1993) over the lines of the smaller side of the
+adjacency matrix, usually the leaf's few output valuations, each line
+packed into a Python int.  A closure is one AND and compare per line and
+at most (smaller side) closures are tried per concept, so the larger side
+only sets the width of an int.  The splits are then sorted canonically, so
+split indices do not depend on the enumeration order, and their masks are
+unpacked into truth tables.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from math import prod
 
@@ -118,7 +120,8 @@ def project_assumption(assumption: BoolFunc, net: BooleanNetwork, name: str) -> 
 def build_distribution_graph(
     guarantee: BoolFunc, net: BooleanNetwork, name: str
 ) -> DistributionGraph:
-    stray = [v for v in guarantee.scope if not any(v in s.outputs for s in net.subsystems)]
+    outputs = net.peel_outputs
+    stray = [v for v in guarantee.scope if v not in outputs]
     if stray:
         raise ValueError(f"guarantee mentions non-output variables: {stray}")
     left = net.subsystem(name).outputs
@@ -131,54 +134,100 @@ def build_distribution_graph(
     return DistributionGraph(left, right, adjacency)
 
 
+def _concepts(lines: list[int], full: int) -> list[tuple[int, int, int]]:
+    """Close-by-One over `lines`, int masks of the cells each line holds,
+    with `full` the mask of every cell: each (extent, intent, line) with both
+    masks nonempty, where the extent is a set of lines, the intent the cells
+    they all hold, and line the index of a line equal to the intent, or -1.
+
+    The closure of an intent is the set of lines that hold all of it, one
+    AND and compare per line.  A child, the closure of the parent's intent
+    ANDed with line j, is kept only when its extent agrees with the
+    parent's below j, so each concept is generated exactly once.
+    """
+    root = sum(1 << k for k, line in enumerate(lines) if line == full)
+    concepts = [(root, full, (root & -root).bit_length() - 1)] if root else []
+    stack = [(root, full, 0)]
+    while stack:
+        extent, intent, start = stack.pop()
+        for j in range(start, len(lines)):
+            if extent >> j & 1:
+                continue
+            child = intent & lines[j]
+            if not child:
+                continue
+            closure, equal = 0, -1
+            for k, line in enumerate(lines):
+                if line & child == child:
+                    closure |= 1 << k
+                    if line == child:
+                        equal = k
+            if (closure ^ extent) & ((1 << j) - 1) == 0:
+                concepts.append((closure, child, equal))
+                stack.append((closure, child, j + 1))
+    return concepts
+
+
+def _cells(masks: list[tuple[int, int]]) -> list[np.ndarray]:
+    """Bits 0 to size - 1 of each (mask, size) pair as bool cells: views of
+    one fresh array, unpacked in one call from the masks padded to bytes."""
+    packed = b"".join(mask.to_bytes((size + 7) // 8, "little") for mask, size in masks)
+    cells = np.unpackbits(np.frombuffer(packed, np.uint8), bitorder="little").view(bool)
+    views, start = [], 0
+    for _, size in masks:
+        views.append(cells[start:start + size])
+        start += (size + 7) // 8 * 8
+    return views
+
+
 def _maximal_bicliques(adjacency: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """All maximal bicliques with both sides nonempty, as (left, right) bool
-    masks over the adjacency's rows and columns.
+    masks over the adjacency's rows and columns, in canonical order: most
+    permissive first (descending product of side sizes), ties broken by the
+    lexicographically least left index list.
 
-    Close-by-One over the rows of the smaller side ``m``: the closure of a
-    row set S is the set of rows that hold on every column of
-    ``m[S].all(0)``, a reduction masked by those columns.  A child extent,
-    the closure of the parent's extent plus row j, is kept only when it
-    agrees with the parent below j, so each concept is generated exactly
-    once.  The root's intent is every column, so a child of the root takes
-    row j itself as its intent, a view of `adjacency`.
+    The concepts of the lines of the smaller side, the rows or, for a tall
+    matrix, the columns (`_concepts`).  One `np.packbits` along the other
+    axis turns each line into a Python int whose bit i is the line's cell i,
+    and sizes come from `int.bit_count`.  Masks become tables only on
+    return; an intent equal to a line is returned as a view of that line of
+    `adjacency`.
     """
     m = np.asarray(adjacency, dtype=bool)
     transposed = m.shape[0] > m.shape[1]
+    packed = np.packbits(m, axis=int(not transposed), bitorder="little")
     if transposed:
-        m = m.T
-    root = m.all(1)
-    concepts: list[tuple[np.ndarray, np.ndarray]] = []
-    if root.any() and m.shape[1]:
-        concepts.append((root, np.ones(m.shape[1], dtype=bool)))
-    # None stands for the root's all-True intent
-    stack: list[tuple[np.ndarray, np.ndarray | None, int]] = [(root, None, 0)]
-    while stack:
-        extent, intent, start = stack.pop()
-        if intent is not None and intent.any():
-            concepts.append((extent, intent))
-        for j in range(start, m.shape[0]):
-            if extent[j]:
-                continue
-            child_intent = m[j] if intent is None else intent & m[j]
-            child_extent = m.all(1, where=child_intent)
-            if np.array_equal(child_extent[:j], extent[:j]):
-                stack.append((child_extent, child_intent, j + 1))
-    return [(i, e) for e, i in concepts] if transposed else concepts
+        m, packed = m.T, np.ascontiguousarray(packed.T)
+    n, width = m.shape
+    step = packed.shape[1]
+    data = memoryview(packed.reshape(-1))
+    lines = [int.from_bytes(data[i:i + step], "little") for i in range(0, n * step, step)]
+    concepts = _concepts(lines, (1 << width) - 1)
+    cells = _cells([(extent, n) for extent, _, _ in concepts]
+                   + [(intent, width) for _, intent, line in concepts if line < 0])
+    intents = iter(cells[len(concepts):])
+    tables = [(cells[k], m[line] if line >= 0 else next(intents))
+              for k, (_, _, line) in enumerate(concepts)]
+    if transposed:
+        tables = [(left, right) for right, left in tables]
+    if len(tables) < 2:
+        return tables
+    sizes = [extent.bit_count() * intent.bit_count() for extent, intent, _ in concepts]
+    # A maximal biclique's left side determines its right side, so the left
+    # index list breaks every tie; it is built only for tied sizes.
+    tied = {size for size, count in Counter(sizes).items() if count > 1}
+    order = sorted(range(len(tables)), key=lambda k: (
+        -sizes[k], np.flatnonzero(tables[k][0]).tolist() if sizes[k] in tied else ()))
+    return [tables[k] for k in order]
 
 
 def distributions_from_graph(graph: DistributionGraph) -> list[Distribution]:
     """Distributions from a prebuilt graph, in canonical order: most
     permissive first (descending product of side sizes), ties broken by the
     lexicographically least left satisfying set."""
-    pairs = _maximal_bicliques(graph.adjacency)
-    # A maximal biclique's left side determines its right side, so the left
-    # index list breaks every tie.
-    pairs.sort(key=lambda lr: (-np.count_nonzero(lr[0]) * np.count_nonzero(lr[1]),
-                               np.flatnonzero(lr[0]).tolist()))
     return [
         Distribution(BoolFunc._wrap(graph.left_scope, l), BoolFunc._wrap(graph.right_scope, r))
-        for l, r in pairs
+        for l, r in _maximal_bicliques(graph.adjacency)
     ]
 
 

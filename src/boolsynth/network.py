@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .boolfunc import BoolFunc, VariableSet, check_name, check_table_size, valuation_ranks
+from .boolfunc import BoolFunc, VariableSet, _aligned_table, check_name, check_table_size, valuation_ranks
 
 __all__ = [
     "BooleanSystem",
@@ -108,11 +108,11 @@ class BooleanSystem:
             raise ValueError(f"{self.name} has no outputs {stray}")
         inputs = self.env_inputs.union(self.controls)
         check_table_size(len(inputs))
-        shape = (1 << len(self.env_inputs), 1 << len(self.controls))
-        ranks = np.zeros(shape, np.min_scalar_type((1 << len(outputs)) - 1))
+        ranks = np.zeros((2,) * len(inputs), np.min_scalar_type((1 << len(outputs)) - 1))
         for y in outputs:
             ranks <<= 1
-            ranks |= self.functions[y].extend(inputs).table.reshape(shape)
+            ranks |= _aligned_table(self.functions[y], inputs)
+        ranks = ranks.reshape(1 << len(self.env_inputs), 1 << len(self.controls))
         ranks.setflags(write=False)
         self._ranks[outputs] = ranks
         return ranks
@@ -274,11 +274,8 @@ def system_graph(net: BooleanNetwork) -> SystemGraph:
 
 def classify_inputs(net: BooleanNetwork, name: str) -> tuple[VariableSet, VariableSet]:
     """Split a subsystem's environment inputs into (internal, external)."""
-    drivers = net.drivers
-    sys = net.subsystem(name)
-    internal = VariableSet(v for v in sys.env_inputs if v in drivers)
-    external = VariableSet(v for v in sys.env_inputs if v not in drivers)
-    return internal, external
+    env, drivers = net.subsystem(name).env_inputs, net.drivers
+    return env.restricted_to(drivers), env.without(drivers)
 
 
 def leaves(g: SystemGraph) -> list[str]:

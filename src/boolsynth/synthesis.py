@@ -15,9 +15,12 @@ backwards: it projects the assumption once per leaf, tries each maximal
 guarantee split, constrains the leaf's internal inputs by the least
 restrictive assumption, turns that constraint into a guarantee for the
 remaining subsystems by aliasing each internal input to its driving output,
-and recurses, backtracking over splits.  The search yields one local
-contract per subsystem; a controller is extracted from each of them once the
-search has succeeded.
+and recurses, backtracking over splits.  Every least restrictive assumption
+of a leaf spans the leaf's internal inputs, so the plan of that aliasing
+(`_rewiring`: the driving outputs and, under fan-out, the einsum axes) is
+made once per leaf, and each attempt only applies it (`_rewired`).  The
+search yields one local contract per subsystem; a controller is extracted
+from each of them once the search has succeeded.
 
 The outputs follow one order as well, `BooleanNetwork.peel_outputs`: the
 leaves in peel order, each leaf's outputs in declaration order.  The
@@ -44,7 +47,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .boolfunc import BoolFunc, Valuation, VariableSet, check_table_size, valuation_bits
+from .boolfunc import BoolFunc, Valuation, VariableSet, _any_over, check_table_size, valuation_bits
 from .contracts import (
     ContractPair,
     check_contract,
@@ -110,7 +113,7 @@ def _guarantee_over_inputs(sys: BooleanSystem, guarantee: BoolFunc) -> np.ndarra
 def _losing(sys: BooleanSystem, assumption: BoolFunc, win: np.ndarray) -> np.ndarray:
     """Flat mask over environment valuations: admissible, yet no control
     valuation makes `win` hold.  `assumption` must be over `sys.env_inputs`."""
-    return assumption.extend(sys.env_inputs).table.reshape(-1) & ~win.any(axis=1)
+    return np.greater(assumption.extend(sys.env_inputs).table.reshape(-1), win.any(axis=1))
 
 
 def check_realizable(sys: BooleanSystem, assumption: BoolFunc, guarantee: BoolFunc) -> bool:
@@ -156,21 +159,49 @@ def least_restrictive_assumption(
     Constant False means no internal valuation helps; internal valuations
     outside the satisfying set make the guarantee unachievable.  Computed in
     one pass as ``forall e_ext: A -> exists u: G(f)``, i.e. the complement of
-    the internal projection of ``A & ~exists u: G(f)``.
+    the internal projection of ``A & ~exists u: G(f)``, on flat tables: the
+    projection ORs the losing mask over the external inputs in environment
+    order, and its result is transposed only when `internal` lists its
+    variables in another order.
     """
+    env = sys.env_inputs
+    stray = [v for v in internal if v not in env]
+    if stray:
+        raise ValueError(f"cannot project onto variables outside the environment inputs: {stray}")
     losing = _losing(sys, assumption, _guarantee_over_inputs(sys, guarantee))
-    return ~BoolFunc._wrap(sys.env_inputs, losing).project(internal)
+    lra = np.logical_not(_any_over(losing, [v not in internal for v in env]))
+    order = env.restricted_to(internal)
+    if order != internal:
+        lra = lra.reshape((2,) * len(internal)).transpose([order.index(v) for v in internal])
+    return BoolFunc._wrap(internal, lra)
+
+
+def _rewiring(internal: VariableSet, net: BooleanNetwork, name: str) -> tuple:
+    """How `_rewired` puts a function over `internal`, driven inputs of
+    subsystem `name`, onto the parent outputs driving them: those outputs,
+    each once, in order of first use, and the einsum axis of each input, or
+    None when no two inputs share a driver, so the table is kept as it is."""
+    undriven = [v for v in internal if v not in net.drivers]
+    if undriven:
+        raise ValueError(f"{name}.{undriven[0]} has no driving link; cannot rewire onto parent outputs")
+    drivers = [net.drivers[v] for v in internal]
+    parents = VariableSet._derived(tuple(dict.fromkeys(drivers)))
+    axes = None if len(parents) == len(drivers) else [parents.index(y) for y in drivers]
+    return parents, axes
+
+
+def _rewired(lra: BoolFunc, rewiring: tuple) -> BoolFunc:
+    """`lra` on the parent outputs of `rewiring`, a `_rewiring` of its scope;
+    inputs that one output drives read the einsum diagonal."""
+    parents, axes = rewiring
+    table = lra.table if axes is None else np.einsum(lra.table, axes, range(len(parents)))
+    return BoolFunc._wrap(parents, table)
 
 
 def rewire_to_parent_outputs(lra: BoolFunc, net: BooleanNetwork, name: str) -> BoolFunc:
     """`lra` over the parent outputs driving its internal inputs: each input is
     aliased to its driver, so inputs that one output drives read the diagonal."""
-    undriven = [v for v in lra.scope if v not in net.drivers]
-    if undriven:
-        raise ValueError(f"{name}.{undriven[0]} has no driving link; cannot rewire onto parent outputs")
-    parents = VariableSet(dict.fromkeys(net.drivers[v] for v in lra.scope))
-    axes = [parents.index(net.drivers[v]) for v in lra.scope]
-    return BoolFunc._wrap(parents, np.einsum(lra.table, axes, range(len(parents))))
+    return _rewired(lra, _rewiring(lra.scope, net, name))
 
 
 def _layout(up: VariableSet, rewired: VariableSet, scope: VariableSet) -> tuple:
@@ -221,15 +252,17 @@ def distributed_synthesis(net: BooleanNetwork, contract: ContractPair) -> Synthe
     scope = net.peel_outputs.restricted_to(guarantee.scope)
     contract = ContractPair(contract.assumption, guarantee.extend(scope))
     # (system, internal inputs, local assumption, that assumption over the
-    # environment inputs) per leaf: removing a leaf leaves the induced
-    # subgraph, so none depends on the recursion level.  Each system is a
-    # fresh copy, so the rank tables it memoizes serve this call's attempts
-    # and extractions and are freed when the call returns.
+    # environment inputs, the rewiring of the internal inputs onto their
+    # drivers) per leaf: removing a leaf leaves the induced subgraph, so none
+    # depends on the recursion level.  Each system is a fresh copy, so the
+    # rank tables it memoizes serve this call's attempts and extractions and
+    # are freed when the call returns.
     steps = []
     for sys in reversed(net.topological):
         local = project_assumption(contract.assumption, net, sys.name)
-        steps.append((replace(sys), sys.env_inputs.restricted_to(net.drivers), local,
-                      local.extend(sys.env_inputs)))
+        internal = sys.env_inputs.restricted_to(net.drivers)
+        steps.append((replace(sys), internal, local, local.extend(sys.env_inputs),
+                      _rewiring(internal, net, sys.name)))
     trace: list[TraceEntry] = []
     local_contracts = _synthesize(net, steps, contract, trace, {}, {}, {})
     if local_contracts is None:
@@ -277,14 +310,14 @@ def _synthesize(
             trace.extend(bucket[key])
             return None
     start = len(trace)
-    sys, internal, local_assumption, admissible = steps[0]
+    sys, internal, local_assumption, admissible, rewiring = steps[0]
     name = sys.name
     for idx, gamma in enumerate(maximal_distributions(guarantee, net, name)):
         down = (depth, gamma.down.table.tobytes())
         known = lras.get(down)
         if known is None:
             lra = least_restrictive_assumption(sys, admissible, gamma.down, internal)
-            known = lras[down] = lra, None if lra.is_false else rewire_to_parent_outputs(lra, net, name)
+            known = lras[down] = lra, None if lra.is_false else _rewired(lra, rewiring)
         lra, rewired = known
         trace.append(TraceEntry(name, idx, lra))
         if rewired is None:

@@ -271,6 +271,63 @@ class TestBicliqueEnumeration:
         assert set(pairs) == set(enumerate_bicliques_subset(graph))
 
 
+
+def canonical_key(pair) -> tuple:
+    """The documented split order: descending product of side sizes, then
+    the left index list."""
+    left, right = pair
+    return -len(left) * len(right), sorted(left)
+
+
+class TestCanonicalOrder:
+    # One to four rows or columns, so masks narrower than a byte, both
+    # orientations, and shapes whose splits tie on the size product.
+    SHAPES = [(1, 1), (1, 2), (2, 1), (1, 4), (4, 1), (2, 2), (2, 4), (4, 2), (4, 4),
+              (2, 16), (16, 2), (4, 16), (16, 4), (4, 64), (64, 4)]
+
+    def test_order_is_the_documented_key(self):
+        rng = np.random.default_rng(5)
+        ties = 0
+        for shape in self.SHAPES:
+            graphs = [np.zeros(shape, dtype=bool), np.ones(shape, dtype=bool)]
+            graphs += [rng.random(shape) < density for density in (0.3, 0.5, 0.7) for _ in range(8)]
+            for adjacency in graphs:
+                graph = graph_of(adjacency)
+                got = index_pairs(distributions_from_graph(graph))
+                assert got == sorted(enumerate_bicliques_subset(graph), key=canonical_key), shape
+                sizes = [len(left) * len(right) for left, right in got]
+                ties += len(set(sizes)) < len(sizes)
+            assert index_pairs(distributions_from_graph(graph_of(graphs[0]))) == []
+            assert len(distributions_from_graph(graph_of(graphs[1]))) == 1
+        assert ties > 50
+
+    def test_an_intent_equal_to_a_row_views_the_guarantee(self):
+        # With no more rows than columns the intents are `up` sides, and
+        # one that equals a row, a valuation of the leaf's outputs, is read
+        # from the guarantee's table, not copied.
+        from boolsynth.network import BooleanNetwork
+
+        from .conftest import make_system
+
+        rng = np.random.default_rng(17)
+        viewed = 0
+        for trial in range(60):
+            n_left = int(rng.integers(1, 3))
+            n_right = int(rng.integers(n_left, 5))
+            s1 = make_system("L", ["u0"], ["e0"], {f"a{i}": "u0" for i in range(n_left)})
+            s2 = make_system("R", ["u1"], ["e1"], {f"b{j}": "u1" for j in range(n_right)})
+            net = BooleanNetwork((s1, s2))
+            g = BoolFunc(all_outputs(net), rng.random(1 << (n_left + n_right)) < 0.6)
+            graph = build_distribution_graph(g, net, "L")
+            assert np.shares_memory(graph.adjacency, g.table)
+            rows = graph.adjacency.reshape(1 << n_left, -1)
+            for d in maximal_distributions(g, net, "L"):
+                up = d.up.table.reshape(-1)
+                if any(np.array_equal(up, row) for row in rows):
+                    assert np.shares_memory(up, g.table), f"trial {trial}"
+                    viewed += 1
+        assert viewed > 60
+
 class TestConjunctiveDecomposition:
     def test_already_conjunctive(self):
         f = BoolFunc.var("e1") & BoolFunc.var("e2")

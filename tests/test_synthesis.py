@@ -229,6 +229,21 @@ class TestGameAgainstSubstitution:
                         extract_controller(sys, assumption, guarantee)
         assert realizable > 100 and unrealizable > 100
 
+    def test_internal_inputs_and_assumption_out_of_environment_order(self):
+        # The LRA is projected in environment-input order and transposed
+        # when `internal` lists its inputs otherwise; the assumption's scope
+        # is a permutation of part of the environment inputs.  Over (e2, e0)
+        # the LRA is e0 & !e2, which a missing transpose turns into e2 & !e0.
+        sys = make_system("S", ["u"], ["e0", "e1", "e2"], {"y": "e0 & !e2 | u & e1"})
+        assumption = parse_expr("!e1 | e2", VariableSet(["e2", "e1"]))
+        guarantee = BoolFunc.var("y")
+        for names, expected in [(["e2", "e0"], "e0 & !e2"), (["e0", "e2"], "e0 & !e2"),
+                                (["e2", "e1", "e0"], "e1 | e0 & !e2")]:
+            internal = VariableSet(names)
+            lra = least_restrictive_assumption(sys, assumption, guarantee, internal)
+            assert lra == self.reference(sys, assumption, guarantee, internal)[1]
+            assert lra == parse_expr(expected, internal)
+
     def test_wide_output_set_with_a_narrow_guarantee(self):
         # 31 outputs: ranks over all of them would need a 2^31-cell guarantee
         # table; the game ranks only the guarantee's scope.
@@ -580,7 +595,7 @@ def memo_free_synthesize(net, steps, contract, trace, *memos):
     and every least restrictive assumption is computed afresh."""
     if not steps:
         return {}
-    sys, internal, local_assumption, admissible = steps[0]
+    sys, internal, local_assumption, admissible, *_ = steps[0]
     for idx, gamma in enumerate(synthesis.maximal_distributions(contract.guarantee, net, sys.name)):
         lra = synthesis.least_restrictive_assumption(sys, admissible, gamma.down, internal)
         trace.append(TraceEntry(sys.name, idx, lra))
