@@ -27,10 +27,8 @@ print("xor | e1       =", xor.project(VariableSet(["e1"])).to_expr(), "(every e1
 conj = parse_expr("e1 & e2", VariableSet(["e1", "e2"]))
 print("conj | e1      =", conj.project(VariableSet(["e1"])).to_expr())
 
-# Renaming relabels variables without touching semantics; substitution
-# composes functions.
+# Substitution composes functions.
 h = parse_expr("w | u1", VariableSet(["w", "u1"]))
-print("rename w->y1   =", h.rename({"w": "y1"}).to_expr())
 print("subst w:=e1&e2 =", h.substitute({"w": conj}).to_expr())
 
 # Semantic checks are one-liners.

@@ -11,8 +11,6 @@ from boolsynth import (
     compose,
     external_inputs,
     is_forest,
-    leaves,
-    system_graph,
     validate,
 )
 from boolsynth.formats import load_network
@@ -25,10 +23,11 @@ FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 net = load_network(FIXTURES / "serial_chain.net.json")
 print("well-posedness report:", validate(net) or "clean")
 
-graph = system_graph(net)
-print("system graph nodes:", graph.nodes)
-print("system graph edges:", graph.edges)
-print("leaves:", leaves(graph), "| forest?", is_forest(graph))
+# The network is its own system graph: one edge per wired (parent, child)
+# pair.  Synthesis peels leaves off it in one order, the topological order
+# (parents first) backwards.
+print("system graph edges:", net.edges)
+print("peel order:", [s.name for s in reversed(net.topological)], "| forest?", is_forest(net))
 
 internal, external = classify_inputs(net, "S2")
 print("S2 internal inputs:", list(internal), "| external:", list(external))

@@ -16,7 +16,6 @@ from boolsynth import (
     completeness_certificate,
     distributed_synthesis,
     is_forest,
-    system_graph,
     verify_closed_loop,
 )
 from boolsynth.eps import all_closed, all_healthy, bus_status, compile_to_network, load_topology
@@ -35,9 +34,8 @@ print("D1 powered with only k_g1,k_r1a closed:", bus_status(topo, h, c, "D1"))
 
 # Compile: one subsystem per feeder-separated island, feed bits on the wires.
 net, contract = compile_to_network(topo)
-graph = system_graph(net)
 print("subsystems:", net.names)
-print("feed edges:", graph.edges, "| tree?", is_forest(graph))
+print("feed edges:", net.edges, "| tree?", is_forest(net))
 print("assumption:", contract.assumption.count_satisfying(), "admissible health states")
 print("certificate:", completeness_certificate(net, contract))
 

@@ -19,16 +19,12 @@ from .network import (
     IllPosedNetworkError,
     Interconnection,
     Link,
-    SystemGraph,
     classify_inputs,
     compose,
     external_inputs,
     flatten,
     is_forest,
-    leaves,
     remove_subsystem,
-    system_graph,
-    topological_order,
     validate,
 )
 from .oracle import (

@@ -418,23 +418,6 @@ class BoolFunc:
         perm = tuple(kept_order.index(v) for v in keep)
         return BoolFunc._wrap(keep, t.transpose(perm))
 
-    def rename(self, mapping: Mapping[str, str]) -> "BoolFunc":
-        """Relabel scope variables; the truth table is unchanged.
-
-        The mapping must be injective on the scope and its targets must not
-        collide with variables that keep their names.
-        """
-        relevant = {k: v for k, v in mapping.items() if k in self.scope}
-        targets = list(relevant.values())
-        if len(set(targets)) != len(targets):
-            raise ValueError("rename mapping is not injective on the scope")
-        remainder = {v for v in self.scope if v not in relevant}
-        clash = sorted(set(targets) & remainder)
-        if clash:
-            raise ValueError(f"rename targets collide with existing variables: {clash}")
-        new_scope = VariableSet(relevant.get(v, v) for v in self.scope)
-        return BoolFunc._wrap(new_scope, self.table)
-
     def substitute(self, mapping: Mapping[str, "BoolFunc"]) -> "BoolFunc":
         """Replace scope variables by boolean functions of other variables.
 

@@ -35,7 +35,7 @@ import numpy as np
 from . import eps as eps_mod
 from . import formats
 from .contracts import ContractPair, build_distribution_graph, distributions_from_graph
-from .network import BooleanNetwork, all_outputs, external_inputs, system_graph
+from .network import BooleanNetwork, all_outputs, external_inputs
 from .oracle import (
     BudgetExceededError,
     brute_force_distributed,
@@ -82,15 +82,14 @@ def _cmd_validate(args) -> int:
 def _synthesize_and_report(args, net: BooleanNetwork, contract: ContractPair,
                            report: dict, lines: list[str]) -> int:
     """Shared by `synthesize` and `eps`: central or distributed synthesis,
-    closed-loop verification of a success, the controller document, the
-    oracle cross-check and the report."""
+    closed-loop verification of a success, the controller document of a
+    verified one, the oracle cross-check and the report."""
     if args.central:
         controller = centralized_synthesis(net, contract)
         success = controller is not None
         lines.append(f"centralized synthesis: {'realizable' if success else 'unrealizable'}")
         if success:
             controllers = {controller.subsystem: controller}
-            document = formats.central_document(controller)
     else:
         outcome = distributed_synthesis(net, contract)
         success = outcome.success
@@ -98,7 +97,6 @@ def _synthesize_and_report(args, net: BooleanNetwork, contract: ContractPair,
         lines.append(f"distributed synthesis: {'success' if success else 'failure'}")
         if success:
             controllers = outcome.controllers
-            document = formats.controllers_document(net, outcome)
         else:
             lines.append("trace:")
             for t in outcome.trace:
@@ -111,7 +109,9 @@ def _synthesize_and_report(args, net: BooleanNetwork, contract: ContractPair,
         verified = verify_closed_loop(net, controllers, contract).ok
         report["closed_loop_verified"] = verified
         lines.append(f"closed loop verified: {verified}")
-        if args.out:
+        if args.out and verified:
+            document = (formats.central_document(controller) if args.central
+                        else formats.controllers_document(net, outcome))
             formats.dump_document(args.out, document)
             report["out"] = args.out
             lines.append(f"controller document written to {args.out}")
@@ -191,11 +191,10 @@ def _cmd_eps(args) -> int:
     topo = eps_mod.load_topology(args.topology)
     partition = eps_mod.load_partition(args.partition) if args.partition else None
     net, contract = eps_mod.compile_to_network(topo, partition)
-    graph = system_graph(net)
     cert = completeness_certificate(net, contract)
     lines = [
         f"compiled {len(net.subsystems)} subsystem(s): " + ", ".join(net.names),
-        "system graph edges: " + (", ".join(f"{a}->{b}" for a, b in graph.edges) or "(none)"),
+        "system graph edges: " + (", ".join(f"{a}->{b}" for a, b in net.edges) or "(none)"),
         f"external inputs: {len(external_inputs(net))}, controls: "
         f"{sum(len(s.controls) for s in net.subsystems)}, outputs: {len(all_outputs(net))}",
         f"completeness certificate: {cert}",
@@ -203,7 +202,7 @@ def _cmd_eps(args) -> int:
     report: dict = {
         "command": "eps",
         "subsystems": list(net.names),
-        "edges": [list(e) for e in graph.edges],
+        "edges": [list(e) for e in net.edges],
         "completeness_certificate": cert,
         "central": args.central,
     }

@@ -8,7 +8,7 @@ Environment inputs driven by a wire are *internal*, the rest *external*.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -21,16 +21,11 @@ __all__ = [
     "Link",
     "Interconnection",
     "BooleanNetwork",
-    "SystemGraph",
     "Controller",
     "IllPosedNetworkError",
     "validate",
-    "system_graph",
     "classify_inputs",
-    "leaves",
-    "leaf_order",
     "is_forest",
-    "topological_order",
     "check_controllers",
     "axis_seeds",
     "closed_loop_values",
@@ -137,27 +132,13 @@ class Interconnection:
 
 
 @dataclass(frozen=True)
-class SystemGraph:
-    """Digraph with one node per subsystem and an edge per wired pair."""
-
-    nodes: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
-
-    def out_degree(self, node: str) -> int:
-        return sum(1 for a, _ in self.edges if a == node)
-
-    def in_degree(self, node: str) -> int:
-        return sum(1 for _, b in self.edges if b == node)
-
-
-@dataclass(frozen=True)
 class BooleanNetwork:
     """Subsystems plus interconnection.  Construction never raises on wiring
     problems; `validate` reports them and well-posedness-requiring operations
     refuse to run until the report is empty.  The network is frozen, so its
     report is computed once and cached as `violations`, and so are the wiring,
-    the evaluation order and the output order of a well-posed one, as
-    `drivers`, `topological` and `peel_outputs`."""
+    the system graph, the evaluation order and the output order of a
+    well-posed one, as `drivers`, `edges`, `topological` and `peel_outputs`."""
 
     subsystems: tuple[BooleanSystem, ...]
     wiring: Interconnection = field(default_factory=Interconnection)
@@ -188,9 +169,23 @@ class BooleanNetwork:
         return {l.to_input: l.from_output for l in self.wiring.links}
 
     @cached_property
+    def edges(self) -> tuple[tuple[str, str], ...]:
+        """The system graph: each wired (parent, child) pair once, ordered by
+        the declaration order of the parent, then of the child; computed on
+        first use; refuses an ill-posed network."""
+        _require_well_posed(self)
+        names = self.names
+        return tuple(sorted(
+            {(l.from_sys, l.to_sys) for l in self.wiring.links},
+            key=lambda e: (names.index(e[0]), names.index(e[1])),
+        ))
+
+    @cached_property
     def topological(self) -> tuple[BooleanSystem, ...]:
-        """The subsystems, parents before children, computed on first use."""
-        return tuple(self.subsystem(n) for n in topological_order(system_graph(self)))
+        """The subsystems, parents before children, computed on first use:
+        the peel order backwards."""
+        by_name = {s.name: s for s in self.subsystems}
+        return tuple(by_name[n] for n in reversed(_leaf_order(self.names, self.edges)))
 
     @cached_property
     def peel_outputs(self) -> VariableSet:
@@ -249,7 +244,7 @@ def validate(net: BooleanNetwork) -> list[str]:
         problems.append(f"environment input {t[0]}.{t[1]} has more than one driver")
 
     # Cycle check over the links that at least reference real endpoints.
-    if leaf_order(_graph(names, good_links)) is None:
+    if _leaf_order(names, [(l.from_sys, l.to_sys) for l in good_links]) is None:
         problems.append("interconnection structure contains a cycle")
     return problems
 
@@ -259,35 +254,17 @@ def _require_well_posed(net: BooleanNetwork) -> None:
         raise IllPosedNetworkError(net.violations)
 
 
-def _graph(names: list[str], links: Iterable[Link]) -> SystemGraph:
-    edges = sorted(
-        {(l.from_sys, l.to_sys) for l in links},
-        key=lambda e: (names.index(e[0]), names.index(e[1])),
-    )
-    return SystemGraph(tuple(names), tuple(edges))
-
-
-def system_graph(net: BooleanNetwork) -> SystemGraph:
-    _require_well_posed(net)
-    return _graph(list(net.names), net.wiring.links)
-
-
 def classify_inputs(net: BooleanNetwork, name: str) -> tuple[VariableSet, VariableSet]:
     """Split a subsystem's environment inputs into (internal, external)."""
     env, drivers = net.subsystem(name).env_inputs, net.drivers
     return env.restricted_to(drivers), env.without(drivers)
 
 
-def leaves(g: SystemGraph) -> list[str]:
-    """Nodes without outgoing edges, in declaration order."""
-    return [n for n in g.nodes if g.out_degree(n) == 0]
-
-
-def leaf_order(g: SystemGraph) -> list[str] | None:
+def _leaf_order(names: Sequence[str], edges: Sequence[tuple[str, str]]) -> list[str] | None:
     """Leaves in peeling order: repeatedly the first node, in declaration order,
     with no edge to a node still present; None when a cycle leaves no such node."""
-    children = {n: {b for a, b in g.edges if a == n} for n in g.nodes}
-    present, order = dict.fromkeys(g.nodes), []
+    children = {n: {b for a, b in edges if a == n} for n in names}
+    present, order = dict.fromkeys(names), []
     while present:
         leaf = next((n for n in present if present.keys().isdisjoint(children[n])), None)
         if leaf is None:
@@ -297,17 +274,11 @@ def leaf_order(g: SystemGraph) -> list[str] | None:
     return order
 
 
-def is_forest(g: SystemGraph) -> bool:
-    """True iff every node has at most one parent (the graph being a DAG)."""
-    return all(g.in_degree(n) <= 1 for n in g.nodes)
-
-
-def topological_order(g: SystemGraph) -> list[str]:
-    """Parents before children: the reverse of `leaf_order`."""
-    order = leaf_order(g)
-    if order is None:
-        raise IllPosedNetworkError(["interconnection structure contains a cycle"])
-    return order[::-1]
+def is_forest(net: BooleanNetwork) -> bool:
+    """True iff every subsystem has at most one parent in the system graph
+    (a DAG, the network being well-posed)."""
+    children = [b for _, b in net.edges]
+    return len(children) == len(set(children))
 
 
 def external_inputs(net: BooleanNetwork) -> VariableSet:
@@ -469,10 +440,10 @@ def flatten(net: BooleanNetwork) -> BooleanSystem:
 
 def remove_subsystem(net: BooleanNetwork, name: str) -> BooleanNetwork:
     """Delete a leaf subsystem and every link into it."""
-    graph = system_graph(net)
-    if name not in graph.nodes:
+    parents = {a for a, _ in net.edges}
+    if name not in net.names:
         raise KeyError(f"no subsystem named {name!r}")
-    if graph.out_degree(name) != 0:
+    if name in parents:
         raise ValueError(f"cannot remove {name!r}: it is not a leaf of the system graph")
     remaining = tuple(s for s in net.subsystems if s.name != name)
     links = tuple(l for l in net.wiring.links if l.to_sys != name)

@@ -62,7 +62,6 @@ from .network import (
     classify_inputs,
     flatten,
     is_forest,
-    system_graph,
 )
 
 __all__ = [
@@ -285,7 +284,8 @@ def _synthesize(
     layouts: dict,
 ) -> dict[str, ContractPair] | None:
     """The local contract of every leaf in `steps`, or None once every split
-    of some leaf has failed.
+    of some leaf has failed.  With no leaf left, the guarantee that remains
+    has an empty scope and decides alone: true succeeds, false fails.
 
     Steps and assumption are fixed per call, so the remaining leaves
     (`len(steps)`) and the guarantee decide the answer.  `failed` maps
@@ -300,7 +300,7 @@ def _synthesize(
     the strengthened guarantee over its scope in `net.peel_outputs` order.
     """
     if not steps:
-        return {}
+        return {} if contract.guarantee.is_true else None
     depth, guarantee = len(steps), contract.guarantee
     bucket = failed.get((depth, guarantee.scope))
     key = None
@@ -357,7 +357,7 @@ def completeness_certificate(net: BooleanNetwork, contract: ContractPair) -> boo
     per-subsystem external inputs, the guarantee splits conjunctively over
     per-subsystem outputs, and the system graph is a forest."""
     check_contract(net, contract)
-    if not is_forest(system_graph(net)):
+    if not is_forest(net):
         return False
     ext_blocks = []
     out_blocks = []

@@ -201,7 +201,7 @@ class TestTableKernels:
         results = [
             f, g, f & g, f | g, ~f,
             f.project(["d", "a"]), f.project([]), f.extend(["e", "d", "c", "b", "a"]),
-            f.rename({"a": "z"}), f.substitute({"a": g}),
+            f.substitute({"a": g}),
             BoolFunc.const(["a"], True), BoolFunc.var("a"), BoolFunc.cube(["a", "b"], {"a": False}),
             BoolFunc.exactly(Valuation.from_index(f.scope, 5)),
         ]
@@ -285,28 +285,6 @@ class TestTableSizeGuard:
             assert "2^31 = 2147483648 cells" in report[name], name
         for name in ("and", "or", "equivalent", "extend", "closed_loop_values"):
             assert "2^32 = 4294967296 cells" in report[name], name
-
-
-class TestRename:
-    def test_relabel_literal(self):
-        f = BoolFunc.var("e2_int").rename({"e2_int": "y1"})
-        assert f == BoolFunc.var("y1")
-
-    def test_relabel_conjunction(self):
-        f = (BoolFunc.var("e") & BoolFunc.var("u")).rename({"e": "a", "u": "b"})
-        assert f.equivalent(BoolFunc.var("a") & BoolFunc.var("b"))
-        assert list(f.scope) == ["a", "b"]
-
-    def test_empty_mapping_is_identity(self):
-        f = BoolFunc.var("e") ^ BoolFunc.var("u")
-        assert f.rename({}) == f
-
-    def test_collision_rejected(self):
-        f = BoolFunc.var("a") & BoolFunc.var("b")
-        with pytest.raises(ValueError):
-            f.rename({"a": "b"})
-        with pytest.raises(ValueError):
-            f.rename({"a": "x", "b": "x"})
 
 
 class TestSatisfyingValuations:

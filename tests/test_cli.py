@@ -8,7 +8,9 @@ import pytest
 
 from boolsynth.boolfunc import BoolFunc
 from boolsynth.cli import cli_main
-from boolsynth.network import BooleanSystem, closed_loop_values, flatten
+from boolsynth.formats import central_document, dump_document, load_contract, load_network
+from boolsynth.network import BooleanSystem, Controller, closed_loop_values, flatten
+from boolsynth.synthesis import SynthesisOutcome, centralized_synthesis
 
 from .conftest import COLLIDING_TOPOLOGIES, FIXTURES, run_with_memory_limit
 
@@ -106,6 +108,20 @@ class TestSynthesizeCommand:
         assert cli_main(["synthesize", *SERIAL, "--oracle"]) == 3
         assert "oracle cross-check: DISAGREES" in capsys.readouterr().out
 
+    def test_success_failing_verification_writes_no_document(self, tmp_path, monkeypatch, capsys):
+        # all controls held off keep y2 false, against the guarantee y2
+        def switched_off(net, contract):
+            controllers = {s.name: Controller.constant(s.name, s.env_inputs, s.controls) for s in net.subsystems}
+            return SynthesisOutcome(True, controllers, {}, ())
+
+        monkeypatch.setattr("boolsynth.cli.distributed_synthesis", switched_off)
+        out_file = tmp_path / "ctrl.json"
+        assert cli_main(["synthesize", *SERIAL, "--out", str(out_file), "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["success"] is True and report["closed_loop_verified"] is False
+        assert "out" not in report
+        assert not out_file.exists()
+
 
 class TestFanOut:
     """S1's output y1 drives both of S2's inputs a and b."""
@@ -179,6 +195,11 @@ class TestVerifyCommand:
         assert cli_main(["synthesize", *SERIAL, "--central", "--json", "--out", str(out_file)]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["success"] is True and report["closed_loop_verified"] is False
+        assert not out_file.exists()
+        # the unverified controller is not written by synthesize, so write it here
+        net = load_network(SERIAL[0])
+        contract = load_contract(SERIAL[1], net)
+        dump_document(out_file, central_document(centralized_synthesis(net, contract)))
         assert cli_main(["verify", *SERIAL, str(out_file), "--json", "--oracle"]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["counterexample"] == "e1=T, e2=F"
@@ -358,6 +379,20 @@ class TestDegenerateInputs:
         contract.write_text(json.dumps({"assumptions": ["true"], "guarantees": ["true"]}))
         assert cli_main(["validate", str(net)]) == 0
         assert cli_main(["synthesize", str(net), str(contract)]) == 0
+
+    @pytest.mark.parametrize("flags", [[], ["--central"]])
+    def test_empty_network_with_false_guarantee_is_unrealizable(self, tmp_path, capsys, flags):
+        net = tmp_path / "empty.net.json"
+        net.write_text(json.dumps({"subsystems": []}))
+        contract = tmp_path / "false.ctr.json"
+        contract.write_text(json.dumps({"assumptions": [], "guarantees": ["false"]}))
+        out_file = tmp_path / "ctrl.json"
+        argv = ["synthesize", str(net), str(contract), "--oracle", "--json", "--out", str(out_file)]
+        assert cli_main([*argv, *flags]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["success"] is False
+        assert report["oracle"] == {"ran": True, "oracle_realizable": False, "agrees": True}
+        assert not out_file.exists()
 
     def test_vacuous_contract_agrees_with_oracle(self, tmp_path, capsys):
         # no admissible environment: any controller meets even a False guarantee

@@ -16,7 +16,7 @@ from boolsynth.contracts import (
     project_assumption,
 )
 from boolsynth.eps import compile_to_network, load_topology
-from boolsynth.network import all_outputs, external_inputs, leaves, system_graph
+from boolsynth.network import all_outputs, external_inputs
 from boolsynth.oracle import enumerate_bicliques_subset
 from boolsynth.parser import parse_expr
 
@@ -259,7 +259,7 @@ class TestBicliqueEnumeration:
         # from the other 13: a 2 x 8192 graph, 4 x 8192 subset steps.
         topo = load_topology(FIXTURES / "eps_chain4.topology.json")
         net, contract = compile_to_network(topo)
-        leaf = leaves(system_graph(net))[0]
+        leaf = net.topological[-1].name
         graph = build_distribution_graph(contract.guarantee, net, leaf)
         assert graph.adjacency.shape == (2, 8192)
         start = time.perf_counter()

@@ -21,7 +21,7 @@ from boolsynth.eps import (
     live_path,
     load_topology,
 )
-from boolsynth.network import all_outputs, external_inputs, flatten, is_forest, system_graph, validate
+from boolsynth.network import all_outputs, external_inputs, flatten, is_forest, validate
 from boolsynth.oracle import verify_closed_loop
 from boolsynth.synthesis import (
     centralized_synthesis,
@@ -210,7 +210,7 @@ class TestCompile:
         net, contract = compile_to_network(topo)
         assert validate(net) == []
         assert len(net.subsystems) == 3
-        assert is_forest(system_graph(net))
+        assert is_forest(net)
         assert completeness_certificate(net, contract)
 
     def test_single_group_partition_is_centralized(self):

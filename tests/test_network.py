@@ -20,15 +20,10 @@ from boolsynth.network import (
     external_inputs,
     flatten,
     is_forest,
-    leaf_order,
-    leaves,
     remove_subsystem,
-    system_graph,
-    topological_order,
     validate,
 )
 
-from ._random_instances import random_dag_network
 from .conftest import make_system, serial_chain_net, shared_or_guarantee_net, two_parents_net
 
 
@@ -150,42 +145,85 @@ class TestValidate:
             (s1, s2),
             Interconnection((Link("S1", "y1", "S2", "b"), Link("S2", "y2", "S1", "a"))),
         )
-        with pytest.raises(IllPosedNetworkError):
-            system_graph(net)
+        for graph_fact in (lambda: net.edges, lambda: net.topological, lambda: is_forest(net)):
+            with pytest.raises(IllPosedNetworkError):
+                graph_fact()
+
+
+def leaves(net: BooleanNetwork) -> list[str]:
+    """Subsystems that drive no other, in declaration order."""
+    parents = {a for a, _ in net.edges}
+    return [n for n in net.names if n not in parents]
+
+
+def repeated_leaf_removal(names: list[str], pairs: set[tuple[str, str]]) -> list[str] | None:
+    """Reference peel order: remove the first name, in declaration order, that
+    drives no remaining name, until none is left; None once a cycle blocks."""
+    rest, pairs, peeled = list(names), set(pairs), []
+    while rest:
+        leaf = next((n for n in rest if not any(a == n for a, _ in pairs)), None)
+        if leaf is None:
+            return None
+        rest.remove(leaf)
+        pairs = {(a, b) for a, b in pairs if b != leaf}
+        peeled.append(leaf)
+    return peeled
+
+
+def random_link_set(rng: np.random.Generator) -> BooleanNetwork:
+    """2 to 5 subsystems, each output wired to up to two inputs of each other
+    subsystem at random; only the links decide whether the network is acyclic."""
+    n = int(rng.integers(2, 6))
+    links = [
+        Link(f"S{i}", f"y{i}", f"S{j}", f"e{j}_{i}_{m}")
+        for i in range(n) for j in range(n) if i != j
+        for m in range(int(rng.choice(3, p=[0.7, 0.2, 0.1])))
+    ]
+    subsystems = tuple(
+        make_system(f"S{j}", [f"u{j}"], [f"e{j}_{i}_{m}" for i in range(n) if i != j for m in range(2)],
+                    {f"y{j}": f"u{j}"})
+        for j in range(n)
+    )
+    return BooleanNetwork(subsystems, Interconnection(tuple(links)))
 
 
 class TestSystemGraph:
     def test_serial_chain_graph(self):
-        g = system_graph(serial_chain_net())
-        assert g.nodes == ("S1", "S2")
-        assert g.edges == (("S1", "S2"),)
+        assert serial_chain_net().edges == (("S1", "S2"),)
 
     def test_two_parents_graph(self):
-        g = system_graph(two_parents_net())
-        assert set(g.edges) == {("S1", "S2"), ("S1", "S3"), ("S2", "S3")}
+        assert two_parents_net().edges == (("S1", "S2"), ("S1", "S3"), ("S2", "S3"))
 
     def test_unwired_networks_have_no_edges(self):
         s1 = make_system("S1", ["u1"], ["e1"], {"y1": "u1"})
         s2 = make_system("S2", ["u2"], ["e2"], {"y2": "u2"})
-        assert system_graph(BooleanNetwork((s1, s2))).edges == ()
+        assert BooleanNetwork((s1, s2)).edges == ()
 
     def test_topological_order_exists_for_well_posed(self):
-        g = system_graph(two_parents_net())
-        order = topological_order(g)
-        assert order.index("S1") < order.index("S2") < order.index("S3")
+        assert [s.name for s in two_parents_net().topological] == ["S1", "S2", "S3"]
 
     def test_leaf_order_is_repeated_first_leaf_removal(self):
         rng = np.random.default_rng(17)
-        for _ in range(100):
-            net = random_dag_network(rng)
+        seen = {True: 0, False: 0}
+        for _ in range(150):
+            net = random_link_set(rng)
             for subsystems in (net.subsystems, net.subsystems[::-1]):
                 variant = BooleanNetwork(subsystems, net.wiring)
-                peeled, rest = [], variant
-                while rest.subsystems:
-                    peeled.append(leaves(system_graph(rest))[0])
-                    rest = remove_subsystem(rest, peeled[-1])
-                assert leaf_order(system_graph(variant)) == peeled
-                assert topological_order(system_graph(variant)) == peeled[::-1]
+                pairs = {(l.from_sys, l.to_sys) for l in net.wiring.links}
+                peeled = repeated_leaf_removal(list(variant.names), pairs)
+                cyclic = "interconnection structure contains a cycle" in validate(variant)
+                assert cyclic == (peeled is None)
+                seen[cyclic] += 1
+                if not cyclic:
+                    assert validate(variant) == []
+                    assert [s.name for s in variant.topological] == peeled[::-1]
+                    assert variant.edges == tuple(
+                        (a, b) for a in variant.names for b in variant.names if (a, b) in pairs
+                    )
+                    assert is_forest(variant) == all(
+                        sum(b == n for _, b in pairs) <= 1 for n in variant.names
+                    )
+        assert min(seen.values()) > 50
 
 
 class TestClassifyInputs:
@@ -219,24 +257,24 @@ class TestClassifyInputs:
 
 class TestLeavesAndForest:
     def test_serial_chain(self):
-        g = system_graph(serial_chain_net())
-        assert leaves(g) == ["S2"]
-        assert is_forest(g)
+        net = serial_chain_net()
+        assert leaves(net) == ["S2"]
+        assert is_forest(net)
 
     def test_two_parents(self):
-        g = system_graph(two_parents_net())
-        assert leaves(g) == ["S3"]
-        assert not is_forest(g)
+        net = two_parents_net()
+        assert leaves(net) == ["S3"]
+        assert not is_forest(net)
 
     def test_edgeless_graph_all_leaves_and_forest(self):
         s = [make_system(f"S{i}", [f"u{i}"], [f"e{i}"], {f"y{i}": f"u{i}"}) for i in range(3)]
-        g = system_graph(BooleanNetwork(tuple(s)))
-        assert leaves(g) == ["S0", "S1", "S2"]
-        assert is_forest(g)
+        net = BooleanNetwork(tuple(s))
+        assert leaves(net) == ["S0", "S1", "S2"]
+        assert is_forest(net)
 
     def test_empty_graph_is_forest(self):
-        g = system_graph(BooleanNetwork(()))
-        assert is_forest(g) and leaves(g) == []
+        net = BooleanNetwork(())
+        assert is_forest(net) and leaves(net) == [] and net.topological == ()
 
 
 def constant_controllers(net, value=True):
@@ -366,8 +404,7 @@ class TestRemoveSubsystem:
 
     def test_removal_never_breaks_well_posedness(self):
         net = two_parents_net()
-        g = system_graph(net)
-        for leaf in leaves(g):
+        for leaf in leaves(net):
             assert validate(remove_subsystem(net, leaf)) == []
 
 

@@ -18,7 +18,7 @@ from boolsynth.network import (
     flatten,
 )
 from boolsynth.oracle import verify_closed_loop
-from boolsynth import contracts, synthesis
+from boolsynth import contracts, network, synthesis
 from boolsynth.parser import parse_expr
 from boolsynth.synthesis import (
     TraceEntry,
@@ -555,11 +555,12 @@ class TestFactsReadOnce:
     def test_no_second_leaf_order(self, request, monkeypatch):
         instances = four_fixtures_and_random_dags(request)
         expected = [distributed_synthesis(net, contract) for net, contract in instances]
-        monkeypatch.setattr(synthesis, "leaf_order", refuse, raising=False)
-        monkeypatch.setattr(synthesis, "system_graph", refuse)
-        for (net, contract), want in zip(instances, expected):
-            fresh = BooleanNetwork(net.subsystems, net.wiring)
-            assert distributed_synthesis(fresh, contract) == want
+        fresh = [BooleanNetwork(net.subsystems, net.wiring) for net, _ in instances]
+        for net in fresh:
+            net.topological  # the one peel order, and the report, cached before the search
+        monkeypatch.setattr(network, "_leaf_order", refuse)
+        for net, (_, contract), want in zip(fresh, instances, expected):
+            assert distributed_synthesis(net, contract) == want
 
     def test_each_leaf_assumption_extended_once(self, request, monkeypatch):
         handed: dict[str, set] = {}
@@ -798,6 +799,23 @@ class TestVacuousContracts:
         assert out.success
         assert verify_closed_loop(net, out.controllers, contract).ok
         assert brute_force_distributed(net, contract) is not None
+
+    @pytest.mark.parametrize("assume", [False, True])
+    @pytest.mark.parametrize("guarantee", [False, True])
+    def test_empty_network_agrees_with_central_and_brute_force(self, assume, guarantee):
+        # No subsystem is left to peel at once, so the guarantee alone decides.
+        from boolsynth.network import BooleanNetwork
+        from boolsynth.oracle import brute_force_distributed
+
+        net = BooleanNetwork(())
+        contract = ContractPair(BoolFunc.const(VariableSet(), assume), BoolFunc.const(VariableSet(), guarantee))
+        want = guarantee or not assume
+        out = distributed_synthesis(net, contract)
+        assert out.success == want
+        assert (centralized_synthesis(net, contract) is not None) == want
+        assert (brute_force_distributed(net, contract) is not None) == want
+        if out.success:
+            assert verify_closed_loop(net, out.controllers, contract).ok
 
 
 class TestSoundnessTautology:
