@@ -221,11 +221,12 @@ def _aligned_table(f: "BoolFunc", scope: VariableSet) -> np.ndarray:
     return t.reshape(shape)
 
 
-def _extended_table(f: "BoolFunc", scope: VariableSet) -> np.ndarray:
-    """View of f's table broadcast over `scope` (a superset of f.scope)."""
-    if f.scope == scope:
-        return f.table
-    return np.broadcast_to(_aligned_table(f, scope), (2,) * len(scope))
+def _combined(op, scope: VariableSet, f: "BoolFunc", g: "BoolFunc") -> "BoolFunc":
+    """``op(f, g)`` over `scope`, a superset of both scopes in any order: one
+    ufunc call on their aligned tables, which numpy broadcasts onto the
+    result's axes."""
+    return BoolFunc._wrap(scope, op(_aligned_table(f, scope), _aligned_table(g, scope),
+                                    out=np.empty((2,) * len(scope), dtype=bool)))
 
 
 # Unsigned integer per width in bytes: contiguous bool cells read as one word.
@@ -374,8 +375,7 @@ class BoolFunc:
     def _binary(self, other: "BoolFunc", op) -> "BoolFunc":
         if not isinstance(other, BoolFunc):
             return NotImplemented
-        scope = self.scope.union(other.scope)
-        return BoolFunc._wrap(scope, op(_extended_table(self, scope), _extended_table(other, scope)))
+        return _combined(op, self.scope.union(other.scope), self, other)
 
     def __invert__(self) -> "BoolFunc":
         return BoolFunc._wrap(self.scope, np.logical_not(self.table))
@@ -404,7 +404,7 @@ class BoolFunc:
         missing = [v for v in self.scope if v not in scope]
         if missing:
             raise ValueError(f"extension scope is missing {missing}")
-        return BoolFunc._wrap(scope, _extended_table(self, scope))
+        return BoolFunc._wrap(scope, np.broadcast_to(_aligned_table(self, scope), (2,) * len(scope)))
 
     def project(self, keep: Iterable[str] | VariableSet) -> "BoolFunc":
         """Existential projection onto `keep` (a subset of the scope)."""
@@ -450,10 +450,7 @@ class BoolFunc:
 
     def equivalent(self, other: "BoolFunc") -> bool:
         """Semantic equality after aligning both functions on a common scope."""
-        scope = self.scope.union(other.scope)
-        return bool(
-            np.array_equal(_extended_table(self, scope), _extended_table(other, scope))
-        )
+        return (self ^ other).is_false
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, BoolFunc):

@@ -28,17 +28,16 @@ guarantee is put in that order once per call (the EPS compile already emits
 it so), and every guarantee the search builds keeps its scope a subsequence
 of it.  So the leaf being peeled leads: its distribution graph is a reshape
 of the guarantee's table, a split's remainder needs no reordering, and the
-strengthened guarantee is one AND of the remainder's table and the rewired
-assumption's, each viewed with size-1 axes on the result's scope.
+strengthened guarantee is one `boolfunc._combined` AND of the remainder and
+the rewired assumption onto their scope in that order.
 
-Memos, dicts made per `distributed_synthesis` call, stop the search from
+Two memos, dicts made per `distributed_synthesis` call, stop the search from
 redoing work (nogood recording limited to exact repeats).  A failed
 subproblem, keyed by depth, guarantee scope and guarantee table bytes,
 records the trace slice it appended, and a repeat replays that slice, so the
 trace still lists every attempt.  A least restrictive assumption, keyed by
 depth and the split's local guarantee bytes, is computed and rewired once
-and reused.  The scope and axis layout of a strengthened guarantee are
-computed once per depth and remainder scope.
+and reused.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .boolfunc import BoolFunc, Valuation, VariableSet, _any_over, check_table_size, valuation_bits
+from .boolfunc import BoolFunc, Valuation, VariableSet, _combined, valuation_bits
 from .contracts import (
     ContractPair,
     check_contract,
@@ -156,23 +155,13 @@ def least_restrictive_assumption(
     inputs.
 
     Constant False means no internal valuation helps; internal valuations
-    outside the satisfying set make the guarantee unachievable.  Computed in
-    one pass as ``forall e_ext: A -> exists u: G(f)``, i.e. the complement of
-    the internal projection of ``A & ~exists u: G(f)``, on flat tables: the
-    projection ORs the losing mask over the external inputs in environment
-    order, and its result is transposed only when `internal` lists its
-    variables in another order.
+    outside the satisfying set make the guarantee unachievable.  Computed as
+    ``forall e_ext: A -> exists u: G(f)``, i.e. the complement of the
+    projection onto `internal` of the losing set ``A & ~exists u: G(f)``;
+    `BoolFunc.project` refuses variables outside the environment inputs.
     """
-    env = sys.env_inputs
-    stray = [v for v in internal if v not in env]
-    if stray:
-        raise ValueError(f"cannot project onto variables outside the environment inputs: {stray}")
     losing = _losing(sys, assumption, _guarantee_over_inputs(sys, guarantee))
-    lra = np.logical_not(_any_over(losing, [v not in internal for v in env]))
-    order = env.restricted_to(internal)
-    if order != internal:
-        lra = lra.reshape((2,) * len(internal)).transpose([order.index(v) for v in internal])
-    return BoolFunc._wrap(internal, lra)
+    return ~BoolFunc._wrap(sys.env_inputs, losing).project(internal)
 
 
 def _rewiring(internal: VariableSet, net: BooleanNetwork, name: str) -> tuple:
@@ -203,33 +192,12 @@ def rewire_to_parent_outputs(lra: BoolFunc, net: BooleanNetwork, name: str) -> B
     return _rewired(lra, _rewiring(lra.scope, net, name))
 
 
-def _layout(up: VariableSet, rewired: VariableSet, scope: VariableSet) -> tuple:
-    """How `_strengthened` lays its operands on the axes of `scope`, the
-    union of `up` and `rewired` with `up` a subsequence of it: `scope`, the
-    shape that gives `up` a size-1 axis for each variable it does not read,
-    the transposition that puts the rewired assumption's axes in `scope`'s
-    order, and the shape that then does the same for it."""
-    check_table_size(len(scope))
-    axes = sorted(range(len(rewired)), key=lambda i: scope.index(rewired[i]))
-    return (scope, tuple(2 if v in up else 1 for v in scope), axes,
-            tuple(2 if v in rewired else 1 for v in scope))
-
-
-def _strengthened(up: BoolFunc, lra_rewired: BoolFunc, layout: tuple) -> BoolFunc:
-    """``up & lra_rewired`` over the scope of `layout`: one AND of two views
-    of their tables, broadcast on the axes `_layout` gives them."""
-    scope, up_shape, axes, rewired_shape = layout
-    rewired = lra_rewired.table.transpose(axes).reshape(rewired_shape)
-    return BoolFunc._wrap(scope, np.logical_and(up.table.reshape(up_shape), rewired))
-
-
 def update_contract(contract: ContractPair, up: BoolFunc, lra_rewired: BoolFunc) -> ContractPair:
     """Contract for the remaining subsystems: the assumption is unchanged and
     the guarantee becomes the remainder split strengthened by the rewired
     least restrictive assumption, over `up`'s scope followed by the parent
     outputs it does not read."""
-    layout = _layout(up.scope, lra_rewired.scope, up.scope.union(lra_rewired.scope))
-    return ContractPair(contract.assumption, _strengthened(up, lra_rewired, layout))
+    return ContractPair(contract.assumption, up & lra_rewired)
 
 
 def distributed_synthesis(net: BooleanNetwork, contract: ContractPair) -> SynthesisOutcome:
@@ -263,7 +231,7 @@ def distributed_synthesis(net: BooleanNetwork, contract: ContractPair) -> Synthe
         steps.append((replace(sys), internal, local, local.extend(sys.env_inputs),
                       _rewiring(internal, net, sys.name)))
     trace: list[TraceEntry] = []
-    local_contracts = _synthesize(net, steps, contract, trace, {}, {}, {})
+    local_contracts = _synthesize(net, steps, contract, trace, {}, {})
     if local_contracts is None:
         return SynthesisOutcome(False, {}, {}, tuple(trace))
     systems = {sys.name: sys for sys, *_ in steps}
@@ -281,7 +249,6 @@ def _synthesize(
     trace: list[TraceEntry],
     failed: dict,
     lras: dict,
-    layouts: dict,
 ) -> dict[str, ContractPair] | None:
     """The local contract of every leaf in `steps`, or None once every split
     of some leaf has failed.  With no leaf left, the guarantee that remains
@@ -296,8 +263,8 @@ def _synthesize(
     table bytes) to the least restrictive assumption already computed for
     that leaf and that local guarantee, whose scope is the leaf's outputs,
     and to that assumption rewired onto the parent outputs, or None when it
-    is False.  `layouts` maps (depth, remainder scope) to the `_layout` of
-    the strengthened guarantee over its scope in `net.peel_outputs` order.
+    is False.  The strengthened guarantee keeps its scope in
+    `net.peel_outputs` order.
     """
     if not steps:
         return {} if contract.guarantee.is_true else None
@@ -323,14 +290,11 @@ def _synthesize(
         if rewired is None:
             continue
         up = gamma.up
-        layout = layouts.get((depth, up.scope))
-        if layout is None:
-            scope = net.peel_outputs.restricted_to([*up.scope, *rewired.scope])
-            layout = layouts[depth, up.scope] = _layout(up.scope, rewired.scope, scope)
+        scope = net.peel_outputs.restricted_to([*up.scope, *rewired.scope])
         local_contracts = _synthesize(
             net, steps[1:],
-            ContractPair(contract.assumption, _strengthened(up, rewired, layout)),
-            trace, failed, lras, layouts,
+            ContractPair(contract.assumption, _combined(np.logical_and, scope, up, rewired)),
+            trace, failed, lras,
         )
         if local_contracts is not None:
             local_contracts[name] = ContractPair(local_assumption & lra, gamma.down)
@@ -369,6 +333,6 @@ def completeness_certificate(net: BooleanNetwork, contract: ContractPair) -> boo
         block = contract.guarantee.scope.restricted_to(s.outputs)
         if block:
             out_blocks.append(block)
-    if conjunctive_decomposition(contract.assumption, ext_blocks) is None:
-        return False
-    return conjunctive_decomposition(contract.guarantee, out_blocks) is not None
+    # a side with no block has an empty scope: a constant splits over any partition
+    sides = ((contract.assumption, ext_blocks), (contract.guarantee, out_blocks))
+    return all(not blocks or conjunctive_decomposition(f, blocks) is not None for f, blocks in sides)

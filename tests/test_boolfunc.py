@@ -14,6 +14,7 @@ from boolsynth.boolfunc import (
     TableTooLargeError,
     Valuation,
     VariableSet,
+    _combined,
     all_valuations,
     check_table_size,
     conjoin,
@@ -33,6 +34,11 @@ def boolfuncs(draw, max_vars=5, scope_names=NAMES):
     bits = draw(st.integers(min_value=0, max_value=(1 << (1 << n)) - 1))
     table = np.array([(bits >> i) & 1 for i in range(1 << n)], dtype=bool)
     return BoolFunc(scope, table)
+
+
+def random_func(rng, names) -> BoolFunc:
+    scope = VariableSet(str(n) for n in names)
+    return BoolFunc(scope, rng.random(1 << len(scope)) < 0.5)
 
 
 def table_of(f: BoolFunc) -> list[bool]:
@@ -108,6 +114,38 @@ class TestOperations:
         f = a & b
         for va, vb in itertools.product([False, True], repeat=2):
             assert f.evaluate({"a": va, "b": vb}) == (va and vb)
+
+
+class TestCombined:
+    def test_pointwise_on_scopes_out_of_union_order(self):
+        # Operands over random scopes combined onto a reordering of their
+        # union, or of a superset of it, never in the union's own order.
+        rng = np.random.default_rng(20)
+        names = ["a", "b", "c", "d", "e", "f", "g"]
+        ops = {np.logical_and: bool.__and__, np.logical_or: bool.__or__, np.logical_xor: bool.__xor__}
+        supersets = 0
+        for _ in range(150):
+            f, g = (random_func(rng, rng.choice(names, int(rng.integers(0, 4)), replace=False))
+                    for _ in range(2))
+            union = f.scope.union(g.scope)
+            extra = [v for v in names if v not in union][: int(rng.integers(0, 2))]
+            supersets += bool(extra)
+            order = [*union, *extra]
+            while len(order) > 1 and order == [*union, *extra]:
+                rng.shuffle(order)
+            scope = VariableSet(order)
+            for op, reference in ops.items():
+                h = _combined(op, scope, f, g)
+                assert h.scope == scope and h.table.shape == (2,) * len(scope)
+                for val in all_valuations(scope):
+                    point = val.as_dict()
+                    assert h.evaluate(point) == reference(f.evaluate(point), g.evaluate(point))
+        assert supersets > 50
+
+    def test_refuses_a_31_variable_scope_before_allocating(self):
+        scope = VariableSet(f"x{i}" for i in range(31))
+        with pytest.raises(TableTooLargeError, match=r"2\^31"):
+            _combined(np.logical_and, scope, BoolFunc.var("x3"), BoolFunc.var("x0"))
 
 
 class TestProjection:

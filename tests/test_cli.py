@@ -248,6 +248,28 @@ class TestDistributeCommand:
         assert cli_main(["distribute", *SHARED, "--subsystem", "S2", "--oracle"]) == 0
         assert "biclique cross-check: agrees" in capsys.readouterr().out
 
+    def test_oracle_over_budget_is_skipped(self, tmp_path, capsys):
+        # S1's 2^4 valuations against S2's 2^5 need 2^16 x 32 subset steps,
+        # above the oracle's budget: the splits are still listed.
+        def system(name, prefix, outputs):
+            return {"name": name, "controls": [f"u{prefix}"], "env_inputs": [f"e{prefix}"],
+                    "outputs": [{"name": f"{prefix}{k}", "expr": f"u{prefix} ^ e{prefix}" if k else f"u{prefix}"}
+                                for k in range(outputs)]}
+
+        net = tmp_path / "wide.net.json"
+        net.write_text(json.dumps({"subsystems": [system("S1", "y", 4), system("S2", "z", 5)]}))
+        contract = tmp_path / "wide.ctr.json"
+        contract.write_text(json.dumps({"assumptions": [], "guarantees": ["y0 | z0"]}))
+        argv = ["distribute", str(net), str(contract), "--subsystem", "S1", "--oracle"]
+        assert cli_main(argv) == 0
+        out = capsys.readouterr().out
+        assert "2 maximal distribution(s) for S1:" in out
+        assert "biclique cross-check skipped: biclique oracle limited to 65536 subset steps" in out
+        assert cli_main([*argv, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["distributions"]) == 2
+        assert report["oracle"] == {"ran": False, "reason": "biclique oracle limited to 65536 subset steps, got 2^16 x 32"}
+
 
 class TestEpsCommand:
     def test_end_to_end(self, tmp_path, capsys):
@@ -391,6 +413,7 @@ class TestDegenerateInputs:
         assert cli_main([*argv, *flags]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["success"] is False
+        assert report["completeness_certificate"] is True
         assert report["oracle"] == {"ran": True, "oracle_realizable": False, "agrees": True}
         assert not out_file.exists()
 

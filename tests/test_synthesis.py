@@ -840,6 +840,17 @@ class TestCompleteness:
         ]:
             assert completeness_certificate(net, contract) == expected
 
+    @pytest.mark.parametrize("assume", [False, True])
+    @pytest.mark.parametrize("guarantee", [False, True])
+    def test_constant_sides_over_the_empty_scope_are_certified(self, serial_chain, assume, guarantee):
+        # A constant splits over any partition, the empty one included, so on
+        # a forest the certificate holds whichever way the constants fall.
+        from boolsynth.network import BooleanNetwork
+
+        contract = ContractPair(BoolFunc.const(VariableSet(), assume), BoolFunc.const(VariableSet(), guarantee))
+        for net in (serial_chain[0], BooleanNetwork(())):
+            assert completeness_certificate(net, contract)
+
     def test_forest_with_conjunctive_contract_certified(self, shared_or_guarantee):
         net, _ = shared_or_guarantee
         contract = ContractPair(
