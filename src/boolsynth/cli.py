@@ -11,8 +11,9 @@ Subcommands::
 
 Exit codes: 0 success/realizable, 1 unrealizable or verification failure,
 2 input or usage error, including an instance whose truth tables would
-exceed ``boolfunc.MAX_TABLE_CELLS`` (`TableTooLargeError`, a ValueError),
-3 the ``--oracle`` cross-check disagrees.
+exceed ``boolfunc.MAX_TABLE_CELLS`` (`TableTooLargeError`, a ValueError) or
+that runs out of memory (`MemoryError`), 3 the ``--oracle`` cross-check
+disagrees.
 ``--oracle`` cross-checks the command's result against an independent
 reference: brute-force controller enumeration for synthesize/eps and the
 subset biclique oracle for distribute, each only when the instance fits its
@@ -277,6 +278,9 @@ def cli_main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except MemoryError:
+        print("error: out of memory: the instance's tables do not fit this process", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

@@ -28,16 +28,16 @@ guarantee is put in that order once per call (the EPS compile already emits
 it so), and every guarantee the search builds keeps its scope a subsequence
 of it.  So the leaf being peeled leads: its distribution graph is a reshape
 of the guarantee's table, a split's remainder needs no reordering, and the
-strengthened guarantee is one `boolfunc._combined` AND of the remainder and
-the rewired assumption onto their scope in that order.
+strengthened guarantee is one `boolfunc._combined` AND of the remainder,
+which spans the rest of the guarantee's scope, and the rewired assumption,
+which spans the leaf's driving outputs: one scope per leaf, planned once.
 
-Two memos, dicts made per `distributed_synthesis` call, stop the search from
-redoing work (nogood recording limited to exact repeats).  A failed
-subproblem, keyed by depth, guarantee scope and guarantee table bytes,
+The assumption never changes, so the search's state is the leaf and the
+guarantee.  Each leaf keeps two memos, dicts made per call and keyed by table
+bytes (nogood recording limited to exact repeats).  A failed guarantee
 records the trace slice it appended, and a repeat replays that slice, so the
 trace still lists every attempt.  A least restrictive assumption, keyed by
-depth and the split's local guarantee bytes, is computed and rewired once
-and reused.
+the split's local guarantee, is computed and rewired once and reused.
 """
 
 from __future__ import annotations
@@ -217,24 +217,25 @@ def distributed_synthesis(net: BooleanNetwork, contract: ContractPair) -> Synthe
     # into the search's one output order: a copy at most once per call, and
     # none for a compiled EPS guarantee, which is built in that order
     scope = net.peel_outputs.restricted_to(guarantee.scope)
-    contract = ContractPair(contract.assumption, guarantee.extend(scope))
-    # (system, internal inputs, local assumption, that assumption over the
-    # environment inputs, the rewiring of the internal inputs onto their
-    # drivers) per leaf: removing a leaf leaves the induced subgraph, so none
-    # depends on the recursion level.  Each system is a fresh copy, so the
-    # rank tables it memoizes serve this call's attempts and extractions and
-    # are freed when the call returns.
-    steps = []
+    guarantee = guarantee.extend(scope)
+    # Per leaf, in peel order: the system, its internal inputs, its local
+    # assumption and that over its environment inputs, the rewiring of its
+    # internal inputs, the scope of every guarantee it hands on, and its two
+    # memos.  None depends on the path to the leaf.  Each system is a fresh
+    # copy, so the rank tables it memoizes last for this call.
+    leaves = []
     for sys in reversed(net.topological):
         local = project_assumption(contract.assumption, net, sys.name)
         internal = sys.env_inputs.restricted_to(net.drivers)
-        steps.append((replace(sys), internal, local, local.extend(sys.env_inputs),
-                      _rewiring(internal, net, sys.name)))
+        rewiring = _rewiring(internal, net, sys.name)
+        scope = net.peel_outputs.restricted_to([*scope.without(sys.outputs), *rewiring[0]])
+        leaves.append((replace(sys), internal, local, local.extend(sys.env_inputs),
+                       rewiring, scope, {}, {}))
     trace: list[TraceEntry] = []
-    local_contracts = _synthesize(net, steps, contract, trace, {}, {})
+    local_contracts = _synthesize(net, leaves, guarantee, trace)
     if local_contracts is None:
         return SynthesisOutcome(False, {}, {}, tuple(trace))
-    systems = {sys.name: sys for sys, *_ in steps}
+    systems = {sys.name: sys for sys, *_ in leaves}
     controllers = {
         name: extract_controller(systems[name], lc.assumption, lc.guarantee)
         for name, lc in local_contracts.items()
@@ -243,65 +244,48 @@ def distributed_synthesis(net: BooleanNetwork, contract: ContractPair) -> Synthe
 
 
 def _synthesize(
-    net: BooleanNetwork,
-    steps: list,
-    contract: ContractPair,
-    trace: list[TraceEntry],
-    failed: dict,
-    lras: dict,
+    net: BooleanNetwork, leaves: list, guarantee: BoolFunc, trace: list[TraceEntry]
 ) -> dict[str, ContractPair] | None:
-    """The local contract of every leaf in `steps`, or None once every split
+    """The local contract of every leaf in `leaves`, or None once every split
     of some leaf has failed.  With no leaf left, the guarantee that remains
     has an empty scope and decides alone: true succeeds, false fails.
 
-    Steps and assumption are fixed per call, so the remaining leaves
-    (`len(steps)`) and the guarantee decide the answer.  `failed` maps
-    (depth, guarantee scope) to {guarantee table bytes: trace slice} of each
-    subproblem that failed; a repeat replays its slice.  The table is copied
-    into a key only when its bucket exists or on failure, so a search that
-    never fails at a level copies nothing.  `lras` maps (depth, split-down
-    table bytes) to the least restrictive assumption already computed for
-    that leaf and that local guarantee, whose scope is the leaf's outputs,
-    and to that assumption rewired onto the parent outputs, or None when it
-    is False.  The strengthened guarantee keeps its scope in
-    `net.peel_outputs` order.
+    The first leaf's facts are fixed per call, so the guarantee alone
+    decides the answer.  `failed` maps the bytes of each guarantee that
+    failed here to the trace slice it appended; a repeat replays that slice.
+    A table is copied into a key only once the leaf has failed, so a leaf
+    that never fails copies nothing.  `lras` maps split-down table bytes to
+    the least restrictive assumption of that local guarantee and to it
+    rewired onto the parent outputs, or None when it is False.
     """
-    if not steps:
-        return {} if contract.guarantee.is_true else None
-    depth, guarantee = len(steps), contract.guarantee
-    bucket = failed.get((depth, guarantee.scope))
+    if not leaves:
+        return {} if guarantee.is_true else None
+    sys, internal, local_assumption, admissible, rewiring, scope, failed, lras = leaves[0]
     key = None
-    if bucket is not None:
+    if failed:
         key = guarantee.table.tobytes()
-        if key in bucket:
-            trace.extend(bucket[key])
+        if key in failed:
+            trace.extend(failed[key])
             return None
     start = len(trace)
-    sys, internal, local_assumption, admissible, rewiring = steps[0]
-    name = sys.name
-    for idx, gamma in enumerate(maximal_distributions(guarantee, net, name)):
-        down = (depth, gamma.down.table.tobytes())
+    for idx, gamma in enumerate(maximal_distributions(guarantee, net, sys.name)):
+        down = gamma.down.table.tobytes()
         known = lras.get(down)
         if known is None:
             lra = least_restrictive_assumption(sys, admissible, gamma.down, internal)
             known = lras[down] = lra, None if lra.is_false else _rewired(lra, rewiring)
         lra, rewired = known
-        trace.append(TraceEntry(name, idx, lra))
+        trace.append(TraceEntry(sys.name, idx, lra))
         if rewired is None:
             continue
-        up = gamma.up
-        scope = net.peel_outputs.restricted_to([*up.scope, *rewired.scope])
         local_contracts = _synthesize(
-            net, steps[1:],
-            ContractPair(contract.assumption, _combined(np.logical_and, scope, up, rewired)),
-            trace, failed, lras,
-        )
+            net, leaves[1:], _combined(np.logical_and, scope, gamma.up, rewired), trace)
         if local_contracts is not None:
-            local_contracts[name] = ContractPair(local_assumption & lra, gamma.down)
+            local_contracts[sys.name] = ContractPair(local_assumption & lra, gamma.down)
             return local_contracts
     if key is None:
         key = guarantee.table.tobytes()
-    failed.setdefault((depth, guarantee.scope), {})[key] = trace[start:]
+    failed[key] = trace[start:]
     return None
 
 

@@ -348,6 +348,23 @@ class TestEpsCommand:
         assert "2^35 = 34359738368 cells" in done.stderr
         assert elapsed < 2.0
 
+    def test_out_of_memory_is_an_input_error_not_unrealizable(self, tmp_path):
+        # One group of all 20 nodes of the four-generator chain is within the
+        # table guard, yet its compile outgrows the child's 1 GiB address
+        # space; exit 1 would claim the contract unrealizable.
+        pytest.importorskip("resource")
+        topology = FIXTURES / "eps_chain4.topology.json"
+        nodes = [n["name"] for n in json.loads(topology.read_text())["nodes"]]
+        partition = tmp_path / "one_group.partition.json"
+        partition.write_text(json.dumps({"groups": [{"name": "ALL", "nodes": nodes}]}))
+        done = run_with_memory_limit(
+            "import runpy\nrunpy.run_module('boolsynth', run_name='__main__')\n",
+            "eps", str(topology), "--partition", str(partition),
+        )
+        assert done.returncode == 2, done.stderr
+        assert "error: out of memory" in done.stderr
+        assert "Traceback" not in done.stderr
+
     def test_central_five_generator_chain_is_refused_by_size(self):
         # Its flattened plant spans 34 external inputs and controls.
         done = run_with_memory_limit(

@@ -591,20 +591,23 @@ class TestFactsReadOnce:
             assert got == want
 
 
-def memo_free_synthesize(net, steps, contract, trace, *memos):
+def memo_free_synthesize(net, leaves, guarantee, trace):
     """`synthesis._synthesize` as it was before its memos: every subproblem
-    and every least restrictive assumption is computed afresh."""
-    if not steps:
-        return {}
-    sys, internal, local_assumption, admissible, *_ = steps[0]
-    for idx, gamma in enumerate(synthesis.maximal_distributions(contract.guarantee, net, sys.name)):
+    and every least restrictive assumption is computed afresh, and each
+    strengthened guarantee is built by `update_contract` over its own union
+    of scopes, not over the leaf's planned scope."""
+    if not leaves:
+        return {} if guarantee.is_true else None
+    sys, internal, local_assumption, admissible, *_ = leaves[0]
+    for idx, gamma in enumerate(synthesis.maximal_distributions(guarantee, net, sys.name)):
         lra = synthesis.least_restrictive_assumption(sys, admissible, gamma.down, internal)
         trace.append(TraceEntry(sys.name, idx, lra))
         if lra.is_false:
             continue
+        contract = ContractPair(BoolFunc.const(VariableSet(), True), guarantee)
         local_contracts = memo_free_synthesize(
-            net, steps[1:],
-            update_contract(contract, gamma.up, rewire_to_parent_outputs(lra, net, sys.name)),
+            net, leaves[1:],
+            update_contract(contract, gamma.up, rewire_to_parent_outputs(lra, net, sys.name)).guarantee,
             trace,
         )
         if local_contracts is not None:
@@ -629,8 +632,8 @@ def counting(monkeypatch, name: str) -> dict:
 def net_fixtures_and_random_dags() -> list:
     """Every net fixture, 150 seeded random DAGs of one to three subsystems
     and 150 of five, many of which backtrack, and 150 of five whose
-    guarantee reads a random subset of the outputs, so that the guarantees of
-    two recursion depths can share a scope."""
+    guarantee reads a random subset of the outputs, so that some leaves
+    receive guarantees that read only part of their outputs."""
     instances = []
     for path in sorted(FIXTURES.glob("*.net.json")):
         net = load_network(path)
@@ -702,10 +705,22 @@ def peel_order(net) -> list[str]:
     return [y for sys in reversed(net.topological) for y in sys.outputs]
 
 
+def handed_scope(net, initial: set, name: str) -> list[str]:
+    """The scope of every guarantee the search hands to leaf `name`: the
+    initial scope and the drivers of each peeled leaf's internal inputs,
+    less the peeled leaves' outputs, in peel order."""
+    leaves = list(reversed(net.topological))
+    peeled = leaves[: [s.name for s in leaves].index(name)]
+    added = {net.drivers[v] for s in peeled for v in s.env_inputs if v in net.drivers}
+    gone = {y for s in peeled for y in s.outputs}
+    return [y for y in peel_order(net) if (y in initial or y in added) and y not in gone]
+
+
 class TestOneVariableOrder:
     """Each guarantee the search splits has its scope in the peel order, so
     the leaf's outputs lead and the distribution graph is a view of the
-    guarantee's table."""
+    guarantee's table; and every guarantee handed to one leaf within a call
+    has one scope, fixed by the leaves peeled before it."""
 
     def test_every_split_guarantee_follows_the_peel_order(self, monkeypatch):
         instances = net_fixtures_and_random_dags()
@@ -723,9 +738,8 @@ class TestOneVariableOrder:
             return result
 
         def checking(guarantee, net, name):
-            order = peel_order(net)
             scope = list(guarantee.scope)
-            assert scope == [y for y in order if y in guarantee.scope]
+            assert scope == handed_scope(net, initial, name)
             read = [y for y in net.subsystem(name).outputs if y in guarantee.scope]
             assert scope[: len(read)] == read
             seen["calls"] += 1
@@ -736,7 +750,8 @@ class TestOneVariableOrder:
         monkeypatch.setattr(synthesis, "maximal_distributions", checking)
         monkeypatch.setattr(contracts, "build_distribution_graph", viewed)
         for net, contract in instances:
-            initial = set(contract.guarantee.scope)
+            # an unsatisfiable assumption leaves the guarantee True over no outputs
+            initial = set() if contract.assumption.is_false else set(contract.guarantee.scope)
             distributed_synthesis(net, contract)
         assert seen["calls"] > 3000 and seen["views"] > 3000
         # guarantees that do not read all of the leaf's outputs, and
