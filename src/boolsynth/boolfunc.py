@@ -1,10 +1,10 @@
 """Boolean functions over named variables, stored as explicit truth tables.
 
-A function's scope is an ordered set of variable names; the truth table is a
-boolean numpy array of shape ``(2,) * len(scope)`` whose axis ``i`` carries
-variable ``scope[i]`` (index 0 = False, index 1 = True).  Valuations enumerate
-lexicographically with False before True, which equals C-order iteration of
-the table.
+A function's scope is a `VariableSet`, a tuple of distinct variable names;
+its truth table is a boolean numpy array of shape ``(2,) * len(scope)``
+whose axis ``i`` carries variable ``scope[i]`` (index 0 = False, index 1 =
+True).  Valuations enumerate lexicographically with False before True, which
+equals C-order iteration of the table.
 
 Binary operations align scopes by cylindrical extension to the ordered union
 of both scopes, so functions over different variable sets combine freely.
@@ -68,78 +68,55 @@ def check_name(name: str) -> str:
     return name
 
 
-class VariableSet(Sequence[str]):
-    """Ordered collection of distinct variable names.
+class VariableSet(tuple):
+    """A scope: a tuple of distinct variable names.
 
     The order is canonical: it fixes the axis order of truth tables and the
-    enumeration order of valuations.
+    enumeration order of valuations.  Being a tuple, a scope equals and
+    hashes like the plain tuple of its names, and `in` and `index` scan it.
     """
 
-    __slots__ = ("_names", "_pos")
+    __slots__ = ()
 
-    def __init__(self, names: Iterable[str] = ()):
+    def __new__(cls, names: Iterable[str] = ()) -> "VariableSet":
         names = tuple(names)
         for n in names:
             check_name(n)
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ValueError(f"duplicate variable names: {', '.join(dupes)}")
-        self._names = names
-        self._pos = {n: i for i, n in enumerate(names)}
+        return tuple.__new__(cls, names)
 
     @classmethod
     def _derived(cls, names: tuple[str, ...]) -> "VariableSet":
         """A scope over `names`, distinct names already checked (a subset or
         a union of checked scopes), built without checking them again."""
-        scope = cls.__new__(cls)
-        scope._names = names
-        scope._pos = {n: i for i, n in enumerate(names)}
-        return scope
-
-    def __len__(self) -> int:
-        return len(self._names)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._names)
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._pos
-
-    def __getitem__(self, i):
-        return self._names[i]
+        return tuple.__new__(cls, names)
 
     def index(self, name: str) -> int:  # type: ignore[override]
         try:
-            return self._pos[name]
-        except KeyError:
-            raise ValueError(f"{name!r} is not in scope {self._names}") from None
+            return tuple.index(self, name)
+        except ValueError:
+            raise ValueError(f"{name!r} is not in scope {tuple(self)}") from None
 
     def union(self, other: Iterable[str]) -> "VariableSet":
         """Self's variables followed by the new ones of `other`, in order."""
-        extra = tuple(n for n in other if n not in self._pos)
+        extra = tuple(n for n in other if n not in self)
         if isinstance(other, VariableSet):
-            return VariableSet._derived(self._names + extra)
-        return VariableSet(self._names + extra)
+            return VariableSet._derived(self + extra)
+        return VariableSet(self + extra)
 
     def without(self, names: Iterable[str]) -> "VariableSet":
         drop = set(names)
-        return VariableSet._derived(tuple(n for n in self._names if n not in drop))
+        return VariableSet._derived(tuple(n for n in self if n not in drop))
 
     def restricted_to(self, names: Iterable[str]) -> "VariableSet":
         """Subset of self (preserving self's order) that also occurs in `names`."""
         keep = set(names)
-        return VariableSet._derived(tuple(n for n in self._names if n in keep))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, VariableSet):
-            return self._names == other._names
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._names)
+        return VariableSet._derived(tuple(n for n in self if n in keep))
 
     def __repr__(self) -> str:
-        return f"VariableSet({list(self._names)!r})"
+        return f"VariableSet({list(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -213,9 +190,14 @@ def _aligned_table(f: "BoolFunc", scope: VariableSet) -> np.ndarray:
     if f.scope == scope:
         return f.table
     check_table_size(len(scope))
+    k, n = len(f.scope), len(scope)
+    if scope[:k] == f.scope:  # f's variables lead, in order: a free reshape
+        return f.table.reshape(f.table.shape + (1,) * (n - k))
+    if scope[n - k:] == f.scope:  # or trail
+        return f.table.reshape((1,) * (n - k) + f.table.shape)
     pos = [scope.index(v) for v in f.scope]
     t = f.table.transpose(sorted(range(len(pos)), key=pos.__getitem__))
-    shape = [1] * len(scope)
+    shape = [1] * n
     for p in pos:
         shape[p] = 2
     return t.reshape(shape)
@@ -288,8 +270,8 @@ class BoolFunc:
                 )
         arr = arr.copy()
         arr.setflags(write=False)
-        object.__setattr__(self, "scope", scope)
-        object.__setattr__(self, "table", arr)
+        _set_scope(self, scope)
+        _set_table(self, arr)
 
     @classmethod
     def _wrap(cls, scope: VariableSet, table: np.ndarray) -> "BoolFunc":
@@ -300,12 +282,17 @@ class BoolFunc:
             arr = arr.reshape((2,) * len(scope))
         arr.setflags(write=False)
         f = object.__new__(cls)
-        object.__setattr__(f, "scope", scope)
-        object.__setattr__(f, "table", arr)
+        _set_scope(f, scope)
+        _set_table(f, arr)
         return f
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("BoolFunc is immutable")
+
+    def __reduce__(self):
+        """Pickle and copy through the constructor: the default restores
+        the slots through `__setattr__`, which refuses."""
+        return BoolFunc, (self.scope, self.table)
 
     # -- constructors ------------------------------------------------------
 
@@ -438,13 +425,12 @@ class BoolFunc:
 
     def support(self) -> VariableSet:
         """The variables the function actually depends on, in scope order."""
-        keep = []
-        for i, v in enumerate(self.scope):
-            if not np.array_equal(
-                np.take(self.table, 0, axis=i), np.take(self.table, 1, axis=i)
-            ):
-                keep.append(v)
-        return VariableSet(keep)
+        return VariableSet._derived(tuple(self.scope[i] for i in self._support_axes()))
+
+    def _support_axes(self) -> list[int]:
+        """The axes of the support variables, in scope order."""
+        t = self.table
+        return [i for i in range(t.ndim) if (np.take(t, 0, axis=i) != np.take(t, 1, axis=i)).any()]
 
     # -- comparisons -------------------------------------------------------
 
@@ -472,12 +458,11 @@ class BoolFunc:
             return "true"
         if self.is_false:
             return "false"
-        core = self.project(self.support())
-        terms = []
-        for val in core.satisfying_valuations():
-            lits = [n if b else f"!{n}" for n, b in zip(core.scope, val.bits)]
-            terms.append(" & ".join(lits))
-        return " | ".join(terms)
+        axes = self._support_axes()
+        core = self.table[tuple(slice(None) if i in axes else 0 for i in range(len(self.scope)))]
+        lits = [(f"!{self.scope[i]}", self.scope[i]) for i in axes]
+        return " | ".join(" & ".join(lit[b] for lit, b in zip(lits, row))
+                          for row in np.argwhere(core).tolist())
 
     def __repr__(self) -> str:
         if len(self.scope) <= 4:
@@ -486,6 +471,10 @@ class BoolFunc:
             f"BoolFunc(<{self.count_satisfying()}/{self.table.size} satisfying>"
             f" over {list(self.scope)})"
         )
+
+
+# The slots' own setters, which the immutable `__setattr__` does not reach.
+_set_scope, _set_table = BoolFunc.scope.__set__, BoolFunc.table.__set__
 
 
 def conjoin(funcs: Iterable[BoolFunc]) -> BoolFunc:

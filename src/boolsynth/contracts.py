@@ -43,7 +43,7 @@ __all__ = [
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContractPair:
     """An assumption over (external) environment inputs and a guarantee over
     outputs; the closed loop must satisfy ``assumption -> guarantee``."""

@@ -38,6 +38,8 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 
+import numpy as np
+
 from .boolfunc import BoolFunc, VariableSet
 from .contracts import ContractPair
 from .network import (
@@ -150,14 +152,15 @@ def _env_label(k: int, n: int) -> str:
 
 
 def _controller_entry(ctrl: Controller) -> dict:
-    n = len(ctrl.inputs)
+    n, m = len(ctrl.inputs), len(ctrl.controls)
+    bits = (ctrl.table.view(np.uint8) + 48).tobytes().decode()  # "0"/"1", row after row
     return {
         "subsystem": ctrl.subsystem,
         "inputs": list(ctrl.inputs),
         "controls": list(ctrl.controls),
         "rows": [
-            {"env": _env_label(k, n), "controls": "".join("01"[b] for b in row)}
-            for k, row in enumerate(ctrl.table.tolist())
+            {"env": _env_label(k, n), "controls": bits[k * m:(k + 1) * m]}
+            for k in range(len(ctrl.table))
         ],
     }
 

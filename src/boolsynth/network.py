@@ -46,7 +46,7 @@ class IllPosedNetworkError(ValueError):
         super().__init__("ill-posed network: " + "; ".join(self.violations))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BooleanSystem:
     """A memoryless subsystem ``(controls, env_inputs, outputs, functions)``.
 
@@ -113,7 +113,7 @@ class BooleanSystem:
         return ranks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Link:
     """One wire: an output of `from_sys` drives an env input of `to_sys`."""
 
@@ -123,7 +123,7 @@ class Link:
     to_input: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interconnection:
     links: tuple[Link, ...] = ()
 
@@ -211,7 +211,7 @@ def validate(net: BooleanNetwork) -> list[str]:
 
     seen: dict[str, str] = {}
     for s in net.subsystems:
-        for v in list(s.controls) + list(s.env_inputs) + list(s.outputs):
+        for v in s.controls + s.env_inputs + s.outputs:
             if v in seen:
                 problems.append(f"variable {v!r} declared in both {seen[v]} and {s.name}")
             else:

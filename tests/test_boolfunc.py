@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import itertools
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -21,8 +23,10 @@ from boolsynth.boolfunc import (
     valuation_bits,
     valuation_ranks,
 )
+from boolsynth.contracts import ContractPair
+from boolsynth.network import Interconnection, Link
 
-from .conftest import run_with_memory_limit
+from .conftest import make_system, run_with_memory_limit
 
 NAMES = ["a", "b", "c", "d", "e", "f"]
 
@@ -74,9 +78,36 @@ class TestVariableSet:
         }
         for names, scope in derived.items():
             built = VariableSet(names)
+            assert isinstance(scope, VariableSet)
             assert scope == built and hash(scope) == hash(built)
             assert tuple(scope) == names
             assert [scope.index(n) for n in names] == list(range(len(names)))
+
+    def test_index_of_a_missing_name_names_the_scope(self):
+        with pytest.raises(ValueError, match=r"^'z' is not in scope \('x', 'y'\)$"):
+            VariableSet(["x", "y"]).index("z")
+
+    def test_a_scope_equals_the_tuple_of_its_names(self):
+        s = VariableSet(["x", "y"])
+        assert s == ("x", "y") and hash(s) == hash(("x", "y"))
+        assert {("x", "y"): "found"}[s] == "found"
+        assert s != ("y", "x") and s != ["x", "y"]
+        assert repr(s) == "VariableSet(['x', 'y'])"
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+                             ids=["deepcopy", "pickle"])
+    def test_scopes_and_the_records_holding_them_copy_equal(self, clone):
+        sys = make_system("S", ["u"], ["e"], {"y": "u & e"})
+        sys.output_ranks(sys.outputs)
+        link = Link("S", "y", "T", "w")
+        records = (VariableSet(), sys.env_inputs, sys.functions["y"], sys, link,
+                   Interconnection((link,)), ContractPair(BoolFunc.var("e"), BoolFunc.var("y")))
+        for record in records:
+            twin = clone(record)
+            assert type(twin) is type(record) and twin == record
+        twin = clone(sys)
+        assert not twin.functions["y"].table.flags.writeable
+        assert np.array_equal(twin.output_ranks(twin.outputs), sys.output_ranks(sys.outputs))
 
 
 class TestConstants:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,6 +43,32 @@ class TestBooleanSystem:
         rogue = BoolFunc.var("z")
         with pytest.raises(ValueError):
             BooleanSystem("S", cs, es, VariableSet(["y"]), {"y": rogue})
+
+    def test_replace_checks_the_new_fields(self):
+        sys = make_system("S", ["u"], ["e"], {"y": "u & e"})
+        assert replace(sys) == sys and replace(sys) is not sys
+        with pytest.raises(ValueError, match="output 'z' has no defining function"):
+            replace(sys, outputs=VariableSet(["z"]))
+
+
+class TestRecordMemory:
+    def test_random_networks_stay_within_their_bytes(self):
+        # A scope is a bare tuple and the frozen records are slotted, so 200
+        # random networks hold about 2.7 kB each under tracemalloc; with a
+        # name->position dict per scope and a __dict__ per record they held
+        # 4.4 kB.
+        import tracemalloc
+
+        from ._random_instances import random_dag_network
+
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            nets = [random_dag_network(rng) for _ in range(200)]
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held / len(nets) <= 3500
 
 
 class TestOutputRanks:
