@@ -11,9 +11,10 @@ Subcommands::
 
 Exit codes: 0 success/realizable, 1 unrealizable or verification failure,
 2 input or usage error, including an instance whose truth tables would
-exceed ``boolfunc.MAX_TABLE_CELLS`` (`TableTooLargeError`, a ValueError) or
-that runs out of memory (`MemoryError`), 3 the ``--oracle`` cross-check
-disagrees.
+exceed ``boolfunc.MAX_TABLE_CELLS`` (`TableTooLargeError`, a ValueError),
+that runs out of memory (`MemoryError`) or that chains more subsystems than
+the search's recursion holds (`RecursionError`, about 990), 3 the
+``--oracle`` cross-check disagrees.
 ``--oracle`` cross-checks the command's result against an independent
 reference: brute-force controller enumeration for synthesize/eps and the
 subset biclique oracle for distribute, each only when the instance fits its
@@ -281,6 +282,9 @@ def cli_main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT_ERROR
     except MemoryError:
         print("error: out of memory: the instance's tables do not fit this process", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except RecursionError:
+        print("error: too deep: the search recurses once per subsystem, past the recursion limit", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

@@ -187,17 +187,16 @@ def _maximal_bicliques(adjacency: np.ndarray) -> list[tuple[np.ndarray, np.ndarr
     lexicographically least left index list.
 
     The concepts of the lines of the smaller side, the rows or, for a tall
-    matrix, the columns (`_concepts`).  One `np.packbits` along the other
-    axis turns each line into a Python int whose bit i is the line's cell i,
-    and sizes come from `int.bit_count`.  Masks become tables only on
-    return; an intent equal to a line is returned as a view of that line of
-    `adjacency`.
+    matrix, the columns (`_concepts`).  One `np.packbits` of the lines,
+    copied to contiguous rows first if they are not, turns each line into a
+    Python int whose bit i is the line's cell i, and sizes come from
+    `int.bit_count`.  Masks become tables only on return; an intent equal
+    to a line is returned as a view of that line of `adjacency`.
     """
     m = np.asarray(adjacency, dtype=bool)
     transposed = m.shape[0] > m.shape[1]
-    packed = np.packbits(m, axis=int(not transposed), bitorder="little")
-    if transposed:
-        m, packed = m.T, np.ascontiguousarray(packed.T)
+    m = m.T if transposed else m
+    packed = np.packbits(np.ascontiguousarray(m), axis=1, bitorder="little")
     n, width = m.shape
     step = packed.shape[1]
     data = memoryview(packed.reshape(-1))

@@ -350,8 +350,11 @@ def _orient_groups(
         group_of[n.name] for n in topo.nodes if n.kind == "generator"
     }
     cross = [e for e in topo.edges if group_of[e.a] != group_of[e.b]]
-    if cross and not gen_groups:
-        raise TopologyError("cross-group edges exist but no group contains a generator")
+    if not gen_groups:
+        raise TopologyError(
+            "cross-group edges exist but no group contains a generator" if cross
+            else "topology has no generators; nothing can be powered"
+        )
 
     # Breadth-first depth from the generator-bearing groups fixes power-flow
     # direction; equal depths would leave a crossing unoriented.  Every
@@ -398,9 +401,6 @@ def _orient_groups(
                 f"feeders into {name} attach at multiple parent nodes "
                 f"{sorted(attach[name])}; power could re-enter the region"
             )
-
-    if not gen_groups:
-        raise TopologyError("topology has no generators; nothing can be powered")
 
     parent = {name: next(iter(attach[name]), None) for name, _ in partition}
     # The output a child's feed reads: the attach node's bus bit, or a feed

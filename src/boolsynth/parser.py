@@ -2,23 +2,22 @@
 
 Grammar (whitespace insignificant)::
 
-    expr  := iff
-    iff   := impl ("<->" impl)*
-    impl  := or ("->" or)*            right-associative
-    or    := xor ("|" xor)*
-    xor   := and ("^" and)*
-    and   := unary ("&" unary)*
-    unary := "!" unary | atom
-    atom  := "true" | "false" | IDENT | "(" expr ")"
+    expr      := binary(0)
+    binary(i) := binary(i+1) (OP_i binary(i+1))*    OP_i: row i of `_BINARY`
+    binary(5) := unary
+    unary     := "!" unary | atom
+    atom      := "true" | "false" | IDENT | "(" expr ")"
 
-Precedence, tightest first: ``!  &  ^  |  ->  <->``.  Each ``!`` and ``(``
-nests the unary below it one level deeper; at most `MAX_NESTING` levels
-are accepted, so no text exhausts the interpreter's recursion limit.
+The binary precedence lives in `_BINARY`, loosest first: ``<->``, ``->``
+(right-associative), ``|``, ``^``, ``&``; ``!`` binds tightest.  Each ``!``
+and ``(`` nests the unary below it one level deeper; at most `MAX_NESTING`
+levels are accepted, so no text exhausts the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 import re
+from functools import reduce
 
 from .boolfunc import BoolFunc, VariableSet
 
@@ -46,6 +45,14 @@ MAX_NESTING = 64
 
 _TOKEN_RE = re.compile(r"(<->|->|[()!&^|])|([A-Za-z_][A-Za-z0-9_]*)")
 _WS_RE = re.compile(r"\s*")
+# Binary operators, loosest first: token, operation, right-associative.
+_BINARY = (
+    ("<->", BoolFunc.iff, False),
+    ("->", BoolFunc.implies, True),
+    ("|", BoolFunc.__or__, False),
+    ("^", BoolFunc.__xor__, False),
+    ("&", BoolFunc.__and__, False),
+)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -89,41 +96,16 @@ class _Parser:
             return True
         return False
 
-    def expr(self) -> BoolFunc:
-        return self.iff()
-
-    def iff(self) -> BoolFunc:
-        f = self.impl()
-        while self.accept("<->"):
-            f = f.iff(self.impl())
-        return f
-
-    def impl(self) -> BoolFunc:
-        operands = [self.or_()]
-        while self.accept("->"):
-            operands.append(self.or_())
-        f = operands[-1]
-        for g in reversed(operands[:-1]):
-            f = g.implies(f)
-        return f
-
-    def or_(self) -> BoolFunc:
-        f = self.xor()
-        while self.accept("|"):
-            f = f | self.xor()
-        return f
-
-    def xor(self) -> BoolFunc:
-        f = self.and_()
-        while self.accept("^"):
-            f = f ^ self.and_()
-        return f
-
-    def and_(self) -> BoolFunc:
-        f = self.unary()
-        while self.accept("&"):
-            f = f & self.unary()
-        return f
+    def expr(self, level: int = 0) -> BoolFunc:
+        if level == len(_BINARY):
+            return self.unary()
+        op, combine, right = _BINARY[level]
+        operands = [self.expr(level + 1)]
+        while self.accept(op):
+            operands.append(self.expr(level + 1))
+        if right:
+            return reduce(lambda f, g: combine(g, f), reversed(operands))
+        return reduce(combine, operands)
 
     def unary(self) -> BoolFunc:
         self.depth += 1

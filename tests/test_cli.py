@@ -411,6 +411,26 @@ class TestDegenerateInputs:
         assert cli_main(["synthesize", SERIAL[0], str(contract)]) == 2
         assert "nested deeper than" in capsys.readouterr().err
 
+    def test_network_too_deep_for_the_search_is_an_input_error(self, tmp_path):
+        # The search recurses once per subsystem; 1500 of them pass the
+        # interpreter's recursion limit on a realizable contract, which exit
+        # 1 would call unrealizable.
+        net = tmp_path / "deep.net.json"
+        net.write_text(json.dumps({"subsystems": [
+            {"name": f"S{i}", "controls": [f"u{i}"], "env_inputs": [],
+             "outputs": [{"name": "y", "expr": "u0"}] if i == 0 else []}
+            for i in range(1500)
+        ]}))
+        contract = tmp_path / "deep.contract.json"
+        contract.write_text(json.dumps({"assumptions": [], "guarantees": ["y"]}))
+        done = run_with_memory_limit(
+            "import runpy\nrunpy.run_module('boolsynth', run_name='__main__')\n",
+            "synthesize", str(net), str(contract),
+        )
+        assert done.returncode == 2, done.stderr
+        assert [line for line in done.stderr.splitlines() if line.startswith("error:")] == [done.stderr.strip()]
+        assert "Traceback" not in done.stderr
+
     def test_empty_network_is_trivially_realizable(self, tmp_path):
         net = tmp_path / "empty.net.json"
         net.write_text(json.dumps({"subsystems": [], "wiring": []}))

@@ -317,6 +317,11 @@ class TestCompile:
         with pytest.raises(TopologyError, match="topology has no generators"):
             compile_to_network(topo)
 
+    def test_generatorless_single_group_refused(self):
+        topo = bus_chain_topology(2)
+        with pytest.raises(TopologyError, match="nothing can be powered"):
+            compile_to_network(topo, [("ALL", ["B0", "B1"])])
+
     def test_duplicate_group_name_rejected(self):
         topo = load_topology(FIXTURES / "eps_tree.topology.json")
         names = [n.name for n in topo.nodes]

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import functools
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -105,3 +109,93 @@ def test_unknown_identifier_is_named():
 @given(boolfuncs(max_vars=5))
 def test_roundtrip_through_canonical_expression(f):
     assert parse_expr(f.to_expr(), f.scope) == f
+
+
+# Binary operators, loosest first, with the `BoolFunc`-free pointwise meaning
+# the tests check the parser against, and whether each groups from the right.
+OPERATORS = [
+    ("<->", lambda a, b: a == b, False),
+    ("->", lambda a, b: not a or b, True),
+    ("|", lambda a, b: a or b, False),
+    ("^", lambda a, b: a != b, False),
+    ("&", lambda a, b: a and b, False),
+]
+NOT_LEVEL = len(OPERATORS)
+ATOM_LEVEL = NOT_LEVEL + 1
+
+
+def random_tree(rng, names, depth):
+    """A random expression tree: a name, ("!", child) or (level, left, right)."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(names)
+    if rng.random() < 0.2:
+        return ("!", random_tree(rng, names, depth - 1))
+    return (rng.randrange(len(OPERATORS)), random_tree(rng, names, depth - 1), random_tree(rng, names, depth - 1))
+
+
+def evaluate_tree(tree, valuation):
+    if isinstance(tree, str):
+        return valuation[tree]
+    if tree[0] == "!":
+        return not evaluate_tree(tree[1], valuation)
+    level, left, right = tree
+    return OPERATORS[level][1](evaluate_tree(left, valuation), evaluate_tree(right, valuation))
+
+
+def tree_level(tree):
+    if isinstance(tree, str):
+        return ATOM_LEVEL
+    return NOT_LEVEL if tree[0] == "!" else tree[0]
+
+
+def print_tree(tree, minimal):
+    """The tree's text, with the fewest parentheses the grammar allows or
+    with every operation parenthesized."""
+    if isinstance(tree, str):
+        return tree
+    if tree[0] == "!":
+        child = print_tree(tree[1], minimal)
+        return "!" + (child if tree_level(tree[1]) >= NOT_LEVEL else f"({child})")
+    level, left, right = tree
+    token, _, right_assoc = OPERATORS[level]
+    left_text, right_text = print_tree(left, minimal), print_tree(right, minimal)
+    if not minimal:
+        return f"({left_text} {token} {right_text})"
+    # The side the operator groups toward may hold the same level bare.
+    if tree_level(left) < level or (right_assoc and tree_level(left) == level):
+        left_text = f"({left_text})"
+    if tree_level(right) < level or (not right_assoc and tree_level(right) == level):
+        right_text = f"({right_text})"
+    return f"{left_text} {token} {right_text}"
+
+
+def test_random_trees_parse_to_their_pointwise_value_with_fewest_and_all_parentheses():
+    rng = random.Random(2016)
+    bare = 0
+    for trial in range(300):
+        names = ["a", "b", "c", "d"][: rng.randint(1, 4)]
+        scope = VariableSet(names)
+        tree = random_tree(rng, names, rng.randint(1, 5))
+        valuations = [dict(zip(names, bits)) for bits in itertools.product([False, True], repeat=len(names))]
+        want = [evaluate_tree(tree, v) for v in valuations]
+        for minimal in (True, False):
+            text = print_tree(tree, minimal)
+            f = parse_expr(text, scope)
+            assert [f.evaluate(v) for v in valuations] == want, f"trial {trial}: {text}"
+        bare += print_tree(tree, True).count("(") < print_tree(tree, False).count("(")
+    assert bare > 150
+
+
+@pytest.mark.parametrize("token, apply, right_assoc", OPERATORS, ids=[op[0] for op in OPERATORS])
+def test_long_flat_chains_parse_without_recursion(token, apply, right_assoc):
+    names = ["a", "b", "c"]
+    operands = [names[i % 3] for i in range(20_000)]
+    f = parse_expr(f" {token} ".join(operands), VariableSet(names))
+    for bits in itertools.product([False, True], repeat=3):
+        valuation = dict(zip(names, bits))
+        values = [valuation[name] for name in operands]
+        if right_assoc:
+            want = functools.reduce(lambda acc, value: apply(value, acc), reversed(values))
+        else:
+            want = functools.reduce(apply, values)
+        assert f.evaluate(valuation) == want, valuation
