@@ -1,13 +1,22 @@
-"""Boolean functions over named variables, stored as explicit truth tables.
+"""Boolean functions over named variables, stored as packed truth tables.
 
-A function's scope is a `VariableSet`, a tuple of distinct variable names;
-its truth table is a boolean numpy array of shape ``(2,) * len(scope)``
-whose axis ``i`` carries variable ``scope[i]`` (index 0 = False, index 1 =
-True).  Valuations enumerate lexicographically with False before True, which
-equals C-order iteration of the table.
+A function's scope is a `VariableSet`, a tuple of distinct variable names.
+Its truth table is one Python int, `BoolFunc.bits`, whose bit i is the
+function's value at the valuation of rank i.  Valuations are ranked
+lexicographically with False before True and the first variable most
+significant, so bit i is cell i of the table in C order.  The EPS compile
+bit-slices its tables in this layout and Close-by-One reads its lines from
+it.
 
-Binary operations align scopes by cylindrical extension to the ordered union
-of both scopes, so functions over different variable sets combine freely.
+Every operation is int arithmetic.  Binary operations align both tables on
+the ordered union of the scopes and make one AND, OR or XOR; the complement
+is an XOR with the all-true table.  A change of scope moves blocks of cells
+by shifts under variable patterns, the cells whose rank has one bit set,
+cached per (variables, position) for small tables: `extend` inserts each new
+variable, `project` ORs and splits halves, and a reordering swaps two
+variables at a time.  `BoolFunc.table` unpacks the int into a read-only bool
+array on demand, for the code that indexes cells.
+
 Equality is semantic over identical scopes; use :meth:`BoolFunc.equivalent`
 to compare functions whose scopes differ.
 """
@@ -15,9 +24,10 @@ to compare functions whose scopes differ.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
+from operator import and_, or_, xor
 
 import numpy as np
 
@@ -38,7 +48,9 @@ __all__ = [
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 MAX_TABLE_CELLS = 1 << 30
-"""Largest truth table, in cells of one byte each, that any operation builds."""
+"""Largest truth table, in cells, that any operation builds: 2^30 cells are
+128 MiB as a packed int, or 1 GiB where a table is unpacked to one byte per
+cell (`BoolFunc.table` and the arrays of the closed-loop walk)."""
 
 
 class TableTooLargeError(ValueError):
@@ -183,116 +195,230 @@ def _as_scope(scope: Iterable[str] | VariableSet) -> VariableSet:
     return scope if isinstance(scope, VariableSet) else VariableSet(scope)
 
 
-def _aligned_table(f: "BoolFunc", scope: VariableSet) -> np.ndarray:
-    """View of f's table on the axes of `scope` (a superset of f.scope), with
-    a size-1 axis for each variable f does not read, so that it broadcasts
-    against any table over `scope`."""
+# -- packed tables ------------------------------------------------------------
+# A table over n variables is an int of 2^n bits, cell i at bit i.  The
+# variable at position n - 1 - k of the scope is rank bit k: its cells come in
+# blocks of 2^k that alternate between clear and set, so moving a variable
+# moves blocks of 2^k cells by shifts under masks (Knuth, TAOCP 4A, 7.1.3).
+
+_CACHED_VARIABLES = 16
+"""Variable patterns over up to this many variables (8 KiB each) are cached."""
+
+
+def _full(n: int) -> int:
+    """The all-true table over `n` variables."""
+    return (1 << (1 << n)) - 1
+
+
+def _build_pattern(n: int, k: int) -> int:
+    block = 1 << k
+    bits, width = ((1 << block) - 1) << block, block << 1  # one period
+    while width < 1 << n:
+        bits |= bits << width
+        width <<= 1
+    return bits
+
+
+_cached_pattern = lru_cache(maxsize=None)(_build_pattern)
+
+
+def _variable_pattern(n: int, k: int) -> int:
+    """The cells of a table over `n` variables whose rank has bit `k` set:
+    the variable at position ``n - 1 - k`` as a table over the scope.  Cached
+    per (variables, position) up to `_CACHED_VARIABLES` variables, and built
+    by doubling one period above that."""
+    return _cached_pattern(n, k) if n <= _CACHED_VARIABLES else _build_pattern(n, k)
+
+
+@lru_cache(maxsize=4096)
+def _embedding(scope: VariableSet, target: VariableSet) -> tuple:
+    """How `_extended` puts a table over `scope` on `target`, a superset in
+    any order: the delta swaps that put the scope in target order, then one
+    insertion per run of consecutive new variables, lowest rank bits first,
+    so that the table is small while most of it moves.  Cached, most recent
+    first: the search extends the few scopes of each leaf again and again.
+
+    A swap, ``(m, a, b)`` for a table over m variables, exchanges the rank
+    bits ``a < b`` of a variable out of place and of the one that belongs
+    there: each cell with bit a set and bit b clear trades places with the
+    cell ``2^b - 2^a`` above it.
+
+    An insertion of g variables at rank bit t moves the cells whose rank has
+    bit r set, for each variable above t from the most significant down, by
+    ``2^(r+g) - 2^r``: every variable moved before lands above r, so bit r
+    of a cell's position still holds its value.  It then copies every cell
+    into the halves where the new variables are set, by shifts of ``2^t``
+    to ``2^(t+g-1)`` (Knuth, TAOCP 4A, 7.1.3).  Each insertion is a pair of
+    the moves, as (variables, rank bit, distance), and the copy distances;
+    the masks are variable patterns, looked up as the plan is applied.
+    """
+    have = set(scope)
+    order = tuple(v for v in target if v in have)
+    m, at, swaps = len(order), list(scope), []
+    for i, v in enumerate(order):
+        j = at.index(v, i)
+        if j != i:
+            swaps.append((m, m - 1 - j, m - 1 - i))
+            at[i], at[j] = at[j], at[i]
+    at = list(reversed(order))  # the variable at each rank bit, from bit 0
+    n, t, insertions = len(target), 0, []
+    while t < n:
+        g = 0
+        while t + g < n and target[n - 1 - t - g] not in have:
+            g += 1
+        if g:
+            size = len(at) + g
+            moves = [(size, r, (1 << (r + g)) - (1 << r)) for r in range(len(at) - 1, t - 1, -1)]
+            insertions.append((moves, [1 << (t + i) for i in range(g)]))
+            at[t:t] = [None] * g
+        t += g + 1
+    return swaps, insertions
+
+
+def _halves(tables: list[int], width: int) -> list[int]:
+    """Each table of `width` cells as its two halves, low first: the
+    cofactors of its first variable."""
+    half = width >> 1
+    low = (1 << half) - 1
+    return [t for table in tables for t in (table & low, table >> half)]
+
+
+def _cofactors(bits: int, n: int, k: int) -> list[int]:
+    """The cofactors of a table over `n` variables on its first `k`, in rank
+    order of their valuations: the table cut into 2^k tables over the other
+    n - k variables."""
+    tables, width = [bits], 1 << n
+    for _ in range(k):
+        tables = _halves(tables, width)
+        width >>= 1
+    return tables
+
+
+def _joined(tables: list[int], width: int) -> int:
+    """Tables of `width` cells each, a power of two of them, as one table
+    that holds them in order: the inverse of repeated `_halves`."""
+    while len(tables) > 1:
+        tables = [lo | hi << width for lo, hi in zip(tables[::2], tables[1::2])]
+        width <<= 1
+    return tables[0]
+
+
+def _projected(bits: int, scope: tuple[str, ...], keep) -> int:
+    """The table over `scope` quantified existentially over the variables
+    not in the set `keep`, as a table over the kept ones in scope order.
+
+    The variables are read from the first: a dropped one ORs the two halves
+    of every piece, a kept one splits every piece into its halves, so the
+    pieces are the cofactors over the kept variables read so far.  Once only
+    dropped variables remain a piece is one cell, set when the piece is not
+    zero; once only kept ones remain the pieces are joined as they are.  A
+    run of leading dropped variables costs one pass over the table.
+    """
+    flags = [v in keep for v in scope]
+    if all(flags):
+        return bits
+    last_dropped = len(flags) - 1 - flags[::-1].index(False)
+    last_kept = len(flags) - 1 - flags[::-1].index(True) if True in flags else -1
+    pieces, width = [bits], 1 << len(scope)
+    for kept in flags[:min(last_dropped, last_kept) + 1]:
+        if kept:
+            pieces = _halves(pieces, width)
+        else:
+            low = (1 << (width >> 1)) - 1
+            pieces = [piece & low | piece >> (width >> 1) for piece in pieces]
+        width >>= 1
+    if last_kept > last_dropped:
+        return _joined(pieces, width)
+    return _joined([1 if piece else 0 for piece in pieces], 1)
+
+
+def _extended(f: "BoolFunc", scope: VariableSet) -> int:
+    """f's table over `scope`, a superset of f.scope in any order: a constant
+    is all or nothing, a literal its variable's pattern, and any other table
+    goes through its `_embedding` in `scope`."""
     if f.scope == scope:
-        return f.table
-    check_table_size(len(scope))
-    k, n = len(f.scope), len(scope)
-    if scope[:k] == f.scope:  # f's variables lead, in order: a free reshape
-        return f.table.reshape(f.table.shape + (1,) * (n - k))
-    if scope[n - k:] == f.scope:  # or trail
-        return f.table.reshape((1,) * (n - k) + f.table.shape)
-    pos = [scope.index(v) for v in f.scope]
-    t = f.table.transpose(sorted(range(len(pos)), key=pos.__getitem__))
-    shape = [1] * n
-    for p in pos:
-        shape[p] = 2
-    return t.reshape(shape)
+        return f.bits
+    n = len(scope)
+    check_table_size(n)
+    if len(f.scope) < 2:
+        full = _full(n)
+        if f.bits in (0, _full(len(f.scope))):
+            return full if f.bits else 0
+        pattern = _variable_pattern(n, n - 1 - scope.index(f.scope[0]))
+        return pattern if f.bits == 0b10 else full ^ pattern
+    swaps, insertions = _embedding(f.scope, scope)
+    bits = f.bits
+    for m, a, b in swaps:
+        distance = (1 << b) - (1 << a)
+        diff = (bits ^ bits >> distance) & _variable_pattern(m, a)
+        diff ^= diff & _variable_pattern(m, b)
+        bits ^= diff ^ diff << distance
+    for moves, copies in insertions:
+        for size, r, distance in moves:
+            moved = bits & _variable_pattern(size, r)
+            bits ^= moved ^ moved << distance
+        for distance in copies:
+            bits |= bits << distance
+    return bits
 
 
 def _combined(op, scope: VariableSet, f: "BoolFunc", g: "BoolFunc") -> "BoolFunc":
-    """``op(f, g)`` over `scope`, a superset of both scopes in any order: one
-    ufunc call on their aligned tables, which numpy broadcasts onto the
-    result's axes."""
-    return BoolFunc._wrap(scope, op(_aligned_table(f, scope), _aligned_table(g, scope),
-                                    out=np.empty((2,) * len(scope), dtype=bool)))
-
-
-# Unsigned integer per width in bytes: contiguous bool cells read as one word.
-_WORDS = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
-
-
-def _any_over(table: np.ndarray, drop: Sequence[bool]) -> np.ndarray:
-    """OR a C-contiguous table over the axes flagged in `drop`.
-
-    Adjacent axes of one kind merge into one run by a free reshape.  A
-    trailing dropped run is ORed away up to eight cells at a time by testing
-    machine words of its contiguous bytes against zero.  The trailing kept
-    run is then read as words too, so the one reduction over the remaining
-    dropped runs ORs whole words, not single cells.  Returns the kept cells
-    in scope order, shaped by their runs.
-    """
-    sizes: list[int] = []
-    dropped: list[bool] = []
-    for d in drop:
-        if dropped and dropped[-1] == d:
-            sizes[-1] *= 2
-        else:
-            sizes.append(2)
-            dropped.append(d)
-    t = table.reshape(sizes)
-    while dropped and dropped[-1]:
-        width = min(sizes[-1], 8)
-        t = t.view(_WORDS[width]).astype(bool)
-        sizes[-1] //= width
-        if sizes[-1] == 1:
-            sizes.pop()
-            dropped.pop()
-            t = t.reshape(sizes)
-    axes = tuple(i for i, d in enumerate(dropped) if d)
-    if not axes:
-        return t
-    word = _WORDS[min(sizes[-1], 8)]
-    return np.bitwise_or.reduce(t.view(word), axis=axes).view(bool)
+    """``op(f, g)`` over `scope`, a superset of both scopes in any order, for
+    `op` one of `operator.and_`, `or_` and `xor`: one int operation on both
+    tables extended to `scope`."""
+    return BoolFunc._wrap(scope, op(_extended(f, scope), _extended(g, scope)))
 
 
 class BoolFunc:
-    """Immutable boolean function: an ordered scope plus a full truth table."""
+    """Immutable boolean function: an ordered scope plus a packed truth table,
+    `bits`, whose bit i is the value at the valuation of rank i."""
 
-    __slots__ = ("scope", "table")
+    __slots__ = ("scope", "bits")
 
     scope: VariableSet
-    table: np.ndarray
+    bits: int
 
     def __init__(self, scope: Iterable[str] | VariableSet, table) -> None:
+        """The function whose table is `table`, any array-like of
+        ``2^len(scope)`` cells in canonical order, such as the C-ordered
+        array of shape ``(2,) * len(scope)``; it is packed, not kept."""
         scope = _as_scope(scope)
         arr = np.asarray(table, dtype=bool)
-        want = (2,) * len(scope)
-        if arr.shape != want:
-            if arr.size == 1 << len(scope):
-                arr = arr.reshape(want)
-            else:
-                raise ValueError(
-                    f"table of size {arr.size} does not fit scope of {len(scope)} variables"
-                )
-        arr = arr.copy()
-        arr.setflags(write=False)
+        if arr.size != 1 << len(scope):
+            raise ValueError(f"table of size {arr.size} does not fit scope of {len(scope)} variables")
+        packed = np.packbits(arr.reshape(-1), bitorder="little")
         _set_scope(self, scope)
-        _set_table(self, arr)
+        _set_bits(self, int.from_bytes(packed.tobytes(), "little"))
 
     @classmethod
-    def _wrap(cls, scope: VariableSet, table: np.ndarray) -> "BoolFunc":
-        """Adopt a table no caller can write to, such as an operator's fresh
-        result or another function's table, without copying it."""
-        arr = np.ascontiguousarray(table, dtype=bool)
-        if arr.ndim != len(scope):
-            arr = arr.reshape((2,) * len(scope))
-        arr.setflags(write=False)
+    def _wrap(cls, scope: VariableSet, bits: int) -> "BoolFunc":
+        """Adopt `bits`, a packed table below ``2^(2^len(scope))``, unchecked."""
         f = object.__new__(cls)
         _set_scope(f, scope)
-        _set_table(f, arr)
+        _set_bits(f, bits)
         return f
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("BoolFunc is immutable")
 
     def __reduce__(self):
-        """Pickle and copy through the constructor: the default restores
+        """Pickle and copy as the scope and the int: the default restores
         the slots through `__setattr__`, which refuses."""
-        return BoolFunc, (self.scope, self.table)
+        return BoolFunc._wrap, (self.scope, self.bits)
+
+    @property
+    def table(self) -> np.ndarray:
+        """The truth table unpacked to one bool per cell: a fresh read-only,
+        C-contiguous array of shape ``(2,) * len(scope)`` whose axis i
+        carries ``scope[i]`` (index 0 = False), so its C order is canonical
+        valuation order.  Computed on each access, for code that indexes
+        cells: `to_expr`, the documents and the closed-loop walk."""
+        cells = 1 << len(self.scope)
+        packed = np.frombuffer(self.bits.to_bytes((cells + 7) >> 3, "little"), np.uint8)
+        table = np.unpackbits(packed, count=cells, bitorder="little").view(bool)
+        table = table.reshape((2,) * len(self.scope))
+        table.setflags(write=False)
+        return table
 
     # -- constructors ------------------------------------------------------
 
@@ -300,13 +426,12 @@ class BoolFunc:
     def const(cls, scope: Iterable[str] | VariableSet, value: bool) -> "BoolFunc":
         scope = _as_scope(scope)
         check_table_size(len(scope))
-        fill = np.ones if value else np.zeros
-        return cls._wrap(scope, fill((2,) * len(scope), dtype=bool))
+        return cls._wrap(scope, _full(len(scope)) if value else 0)
 
     @classmethod
     def var(cls, name: str) -> "BoolFunc":
         """The positive literal `name` over the single-variable scope {name}."""
-        return cls._wrap(VariableSet([name]), np.array([False, True]))
+        return cls._wrap(VariableSet([name]), 0b10)
 
     @classmethod
     def exactly(cls, valuation: Valuation) -> "BoolFunc":
@@ -316,41 +441,53 @@ class BoolFunc:
     @classmethod
     def cube(cls, scope: Iterable[str] | VariableSet, literals: Mapping[str, bool]) -> "BoolFunc":
         """The conjunction of the literals (variable -> required value), over
-        `scope`: one slice assignment, free in the variables not fixed."""
+        `scope`: each free variable, from the last up, doubles the set cells
+        by a shift of its block width, and one shift moves them up by the
+        rank that the true literals add."""
         scope = _as_scope(scope)
         stray = [v for v in literals if v not in scope]
         if stray:
             raise ValueError(f"literals mention variables outside the scope: {stray}")
         check_table_size(len(scope))
-        table = np.zeros((2,) * len(scope), dtype=bool)
-        table[tuple(int(literals[v]) if v in literals else slice(None) for v in scope)] = True
-        return cls._wrap(scope, table)
+        bits, offset, width = 1, 0, 1
+        for v in reversed(scope):
+            if v not in literals:
+                bits |= bits << width
+            elif literals[v]:
+                offset |= width
+            width <<= 1
+        return cls._wrap(scope, bits << offset)
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def is_true(self) -> bool:
-        return bool(self.table.all())
+        return self.bits == _full(len(self.scope))
 
     @property
     def is_false(self) -> bool:
-        return not bool(self.table.any())
+        return not self.bits
 
     def count_satisfying(self) -> int:
-        return int(np.count_nonzero(self.table))
+        return self.bits.bit_count()
 
     def evaluate(self, assignment: Mapping[str, bool]) -> bool:
         """Evaluate at an assignment covering (at least) the scope."""
-        idx = tuple(int(bool(assignment[v])) for v in self.scope)
-        return bool(self.table[idx])
+        rank = 0
+        for v in self.scope:
+            rank = rank << 1 | bool(assignment[v])
+        return bool(self.bits >> rank & 1)
 
     def evaluate_many(self, assignments: Mapping[str, np.ndarray]) -> np.ndarray:
-        """Vectorized evaluation; each scope variable maps to a 0/1 array."""
+        """Vectorized evaluation; each scope variable maps to a 0/1 array.
+        The value at rank r is bit ``r & 7`` of byte ``r >> 3`` of the packed
+        table, which is not unpacked."""
         if not self.scope:
             probe = next(iter(assignments.values()), None)
-            shape = () if probe is None else np.shape(probe)
-            return np.broadcast_to(self.table, shape).copy()
-        return self.table.reshape(-1)[valuation_ranks(assignments[v] for v in self.scope)]
+            return np.full(() if probe is None else np.shape(probe), bool(self.bits))
+        ranks = valuation_ranks(assignments[v] for v in self.scope)
+        packed = np.frombuffer(self.bits.to_bytes(((1 << len(self.scope)) + 7) >> 3, "little"), np.uint8)
+        return (packed[ranks >> 3] >> (ranks & 7) & 1).astype(bool)
 
     def satisfying_valuations(self) -> list[Valuation]:
         """The satisfying set, in canonical (lexicographic) order."""
@@ -365,16 +502,16 @@ class BoolFunc:
         return _combined(op, self.scope.union(other.scope), self, other)
 
     def __invert__(self) -> "BoolFunc":
-        return BoolFunc._wrap(self.scope, np.logical_not(self.table))
+        return BoolFunc._wrap(self.scope, _full(len(self.scope)) ^ self.bits)
 
     def __and__(self, other: "BoolFunc") -> "BoolFunc":
-        return self._binary(other, np.logical_and)
+        return self._binary(other, and_)
 
     def __or__(self, other: "BoolFunc") -> "BoolFunc":
-        return self._binary(other, np.logical_or)
+        return self._binary(other, or_)
 
     def __xor__(self, other: "BoolFunc") -> "BoolFunc":
-        return self._binary(other, np.logical_xor)
+        return self._binary(other, xor)
 
     def implies(self, other: "BoolFunc") -> "BoolFunc":
         return ~self | other
@@ -391,7 +528,7 @@ class BoolFunc:
         missing = [v for v in self.scope if v not in scope]
         if missing:
             raise ValueError(f"extension scope is missing {missing}")
-        return BoolFunc._wrap(scope, np.broadcast_to(_aligned_table(self, scope), (2,) * len(scope)))
+        return BoolFunc._wrap(scope, _extended(self, scope))
 
     def project(self, keep: Iterable[str] | VariableSet) -> "BoolFunc":
         """Existential projection onto `keep` (a subset of the scope)."""
@@ -400,10 +537,8 @@ class BoolFunc:
         if stray:
             raise ValueError(f"cannot project onto variables outside scope: {stray}")
         kept = set(keep)
-        t = _any_over(self.table, [v not in kept for v in self.scope]).reshape((2,) * len(keep))
-        kept_order = [v for v in self.scope if v in kept]
-        perm = tuple(kept_order.index(v) for v in keep)
-        return BoolFunc._wrap(keep, t.transpose(perm))
+        order = VariableSet._derived(tuple(v for v in self.scope if v in kept))
+        return BoolFunc._wrap(order, _projected(self.bits, self.scope, kept)).extend(keep)
 
     def substitute(self, mapping: Mapping[str, "BoolFunc"]) -> "BoolFunc":
         """Replace scope variables by boolean functions of other variables.
@@ -428,9 +563,12 @@ class BoolFunc:
         return VariableSet._derived(tuple(self.scope[i] for i in self._support_axes()))
 
     def _support_axes(self) -> list[int]:
-        """The axes of the support variables, in scope order."""
-        t = self.table
-        return [i for i in range(t.ndim) if (np.take(t, 0, axis=i) != np.take(t, 1, axis=i)).any()]
+        """The positions of the support variables: those whose two cofactors
+        differ somewhere."""
+        n, bits = len(self.scope), self.bits
+        full = _full(n)
+        return [i for i in range(n)
+                if (bits ^ bits >> (1 << (n - 1 - i))) & (full ^ _variable_pattern(n, n - 1 - i))]
 
     # -- comparisons -------------------------------------------------------
 
@@ -440,11 +578,11 @@ class BoolFunc:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, BoolFunc):
-            return self.scope == other.scope and np.array_equal(self.table, other.table)
+            return self.scope == other.scope and self.bits == other.bits
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.scope, self.table.tobytes()))
+        return hash((self.scope, self.bits))
 
     # -- formatting --------------------------------------------------------
 
@@ -468,13 +606,13 @@ class BoolFunc:
         if len(self.scope) <= 4:
             return f"BoolFunc({self.to_expr()!r} over {list(self.scope)})"
         return (
-            f"BoolFunc(<{self.count_satisfying()}/{self.table.size} satisfying>"
+            f"BoolFunc(<{self.count_satisfying()}/{1 << len(self.scope)} satisfying>"
             f" over {list(self.scope)})"
         )
 
 
 # The slots' own setters, which the immutable `__setattr__` does not reach.
-_set_scope, _set_table = BoolFunc.scope.__set__, BoolFunc.table.__set__
+_set_scope, _set_bits = BoolFunc.scope.__set__, BoolFunc.bits.__set__
 
 
 def conjoin(funcs: Iterable[BoolFunc]) -> BoolFunc:

@@ -9,23 +9,25 @@ wherever the combined valuation satisfies the guarantee.
 The maximal bicliques are the formal concepts of that bipartite context
 (Ganter & Wille, *Formal Concept Analysis*, 1999).  They are enumerated by
 Close-by-One (Kuznetsov 1993) over the lines of the smaller side of the
-adjacency matrix, usually the leaf's few output valuations, each line
-packed into a Python int.  A closure is one AND and compare per line and
-at most (smaller side) closures are tried per concept, so the larger side
-only sets the width of an int.  The splits are then sorted canonically, so
-split indices do not depend on the enumeration order, and their masks are
-unpacked into truth tables.
+adjacency matrix, usually the leaf's few output valuations.  The guarantee's
+packed table is that matrix row after row, so a row is a piece of its int
+and a column, for a tall matrix, a cofactor over the other side.  A closure
+is one AND and compare per line and at most (smaller side) closures are
+tried per concept, so the larger side only sets the width of an int.  The
+splits are then sorted canonically, so split indices do not depend on the
+enumeration order; their int masks are the packed tables of the two sides.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
+from dataclasses import dataclass
 from math import prod
 
 import numpy as np
 
-from .boolfunc import BoolFunc, VariableSet
+from .boolfunc import BoolFunc, VariableSet, _cofactors, _full
 from .network import BooleanNetwork, all_outputs, classify_inputs, external_inputs
 
 __all__ = [
@@ -40,8 +42,6 @@ __all__ = [
     "conjunctive_decomposition",
 ]
 
-from dataclasses import dataclass
-
 
 @dataclass(frozen=True, slots=True)
 class ContractPair:
@@ -52,7 +52,7 @@ class ContractPair:
     guarantee: BoolFunc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Distribution:
     """A guarantee split: `down` constrains one subsystem's outputs, `up` the
     remaining outputs, such that any pair of allowed valuations jointly
@@ -62,33 +62,39 @@ class Distribution:
     up: BoolFunc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DistributionGraph:
     """Bipartite admissibility graph of a guarantee split.
 
-    ``adjacency[i, j]`` is True iff left valuation ``i`` (over `left_scope`)
-    and right valuation ``j`` (over `right_scope`) jointly satisfy the
-    guarantee.  Valuation indices are lexicographic ranks.  A writable
-    adjacency is copied; a read-only one, such as a view of a function's
-    table, is kept as given, so its memory must not change through
-    another view.  The search's adjacency is such a view: every guarantee
-    it splits lists the leaf's outputs first (`BooleanNetwork.peel_outputs`),
-    so the guarantee's table reshapes into the graph.
+    Left valuation ``i`` (over `left_scope`) and right valuation ``j`` (over
+    `right_scope`) are adjacent iff they jointly satisfy the guarantee;
+    valuation indices are lexicographic ranks.  The graph is held as
+    `relation`, the guarantee over `left_scope` followed by `right_scope`,
+    whose packed table is the adjacency matrix row after row: cell
+    ``i * 2^|right_scope| + j``.  The search's relation is the guarantee
+    itself: every guarantee it splits lists the leaf's outputs first
+    (`BooleanNetwork.peel_outputs`).  An adjacency matrix given in place of
+    the relation is packed into one, and `adjacency` unpacks the matrix on
+    demand.
     """
 
     left_scope: VariableSet
     right_scope: VariableSet
-    adjacency: np.ndarray
+    relation: BoolFunc
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.adjacency, dtype=bool)
-        want = (1 << len(self.left_scope), 1 << len(self.right_scope))
-        if arr.shape != want:
-            raise ValueError(f"adjacency shape {arr.shape} does not match scopes {want}")
-        if arr.flags.writeable:
-            arr = arr.copy()
-            arr.setflags(write=False)
-        object.__setattr__(self, "adjacency", arr)
+        if not isinstance(self.relation, BoolFunc):
+            arr = np.asarray(self.relation, dtype=bool)
+            want = (1 << len(self.left_scope), 1 << len(self.right_scope))
+            if arr.shape != want:
+                raise ValueError(f"adjacency shape {arr.shape} does not match scopes {want}")
+            object.__setattr__(self, "relation", BoolFunc(self.left_scope.union(self.right_scope), arr))
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """The adjacency matrix, a fresh read-only bool array of shape
+        ``(2^|left_scope|, 2^|right_scope|)``."""
+        return self.relation.table.reshape(1 << len(self.left_scope), 1 << len(self.right_scope))
 
 
 def check_contract(net: BooleanNetwork, contract: ContractPair) -> None:
@@ -125,28 +131,28 @@ def build_distribution_graph(
     if stray:
         raise ValueError(f"guarantee mentions non-output variables: {stray}")
     left = net.subsystem(name).outputs
+    # The relation is the guarantee itself when its scope already starts
+    # with `left`, and the guarantee reordered otherwise.
+    if guarantee.scope[:len(left)] == left:
+        return DistributionGraph(left, VariableSet._derived(guarantee.scope[len(left):]), guarantee)
     right = guarantee.scope.without(left)
-    # Axes ordered left-major so a reshape yields the bipartite adjacency: a
-    # view of the guarantee's table when its scope already starts with
-    # `left`, a copy otherwise.
-    table = guarantee.extend(left.union(right)).table
-    adjacency = table.reshape(1 << len(left), 1 << len(right))
-    return DistributionGraph(left, right, adjacency)
+    return DistributionGraph(left, right, guarantee.extend(left.union(right)))
 
 
-def _concepts(lines: list[int], full: int) -> list[tuple[int, int, int]]:
+def _concepts(lines: list[int], full: int) -> list[tuple[int, int]]:
     """Close-by-One over `lines`, int masks of the cells each line holds,
-    with `full` the mask of every cell: each (extent, intent, line) with both
-    masks nonempty, where the extent is a set of lines, the intent the cells
-    they all hold, and line the index of a line equal to the intent, or -1.
+    with `full` the mask of every cell: each (extent, intent) with both
+    masks nonempty, where the extent is a set of lines and the intent the
+    cells they all hold.
 
     The closure of an intent is the set of lines that hold all of it, one
     AND and compare per line.  A child, the closure of the parent's intent
     ANDed with line j, is kept only when its extent agrees with the
     parent's below j, so each concept is generated exactly once.
     """
-    root = sum(1 << k for k, line in enumerate(lines) if line == full)
-    concepts = [(root, full, (root & -root).bit_length() - 1)] if root else []
+    marked = [(line, 1 << k) for k, line in enumerate(lines)]
+    root = sum(bit for line, bit in marked if line == full)
+    concepts = [(root, full)] if root else []
     stack = [(root, full, 0)]
     while stack:
         extent, intent, start = stack.pop()
@@ -156,68 +162,50 @@ def _concepts(lines: list[int], full: int) -> list[tuple[int, int, int]]:
             child = intent & lines[j]
             if not child:
                 continue
-            closure, equal = 0, -1
-            for k, line in enumerate(lines):
+            closure = 0
+            for line, bit in marked:
                 if line & child == child:
-                    closure |= 1 << k
-                    if line == child:
-                        equal = k
+                    closure |= bit
             if (closure ^ extent) & ((1 << j) - 1) == 0:
-                concepts.append((closure, child, equal))
+                concepts.append((closure, child))
                 stack.append((closure, child, j + 1))
     return concepts
 
 
-def _cells(masks: list[tuple[int, int]]) -> list[np.ndarray]:
-    """Bits 0 to size - 1 of each (mask, size) pair as bool cells: views of
-    one fresh array, unpacked in one call from the masks padded to bytes."""
-    packed = b"".join(mask.to_bytes((size + 7) // 8, "little") for mask, size in masks)
-    cells = np.unpackbits(np.frombuffer(packed, np.uint8), bitorder="little").view(bool)
-    views, start = [], 0
-    for _, size in masks:
-        views.append(cells[start:start + size])
-        start += (size + 7) // 8 * 8
-    return views
-
-
-def _maximal_bicliques(adjacency: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """All maximal bicliques with both sides nonempty, as (left, right) bool
-    masks over the adjacency's rows and columns, in canonical order: most
+def _maximal_bicliques(graph: DistributionGraph) -> list[tuple[int, int]]:
+    """All maximal bicliques with both sides nonempty, as (left, right) int
+    masks over the left and right valuations, in canonical order: most
     permissive first (descending product of side sizes), ties broken by the
     lexicographically least left index list.
 
-    The concepts of the lines of the smaller side, the rows or, for a tall
-    matrix, the columns (`_concepts`).  One `np.packbits` of the lines,
-    copied to contiguous rows first if they are not, turns each line into a
-    Python int whose bit i is the line's cell i, and sizes come from
-    `int.bit_count`.  Masks become tables only on return; an intent equal
-    to a line is returned as a view of that line of `adjacency`.
+    The concepts of the lines of the smaller side (`_concepts`): the rows,
+    which are the relation's table cut into pieces, or for a tall graph the
+    columns, the rows of the relation with the right scope moved first, that
+    is its cofactors over the right valuations.
     """
-    m = np.asarray(adjacency, dtype=bool)
-    transposed = m.shape[0] > m.shape[1]
-    m = m.T if transposed else m
-    packed = np.packbits(np.ascontiguousarray(m), axis=1, bitorder="little")
-    n, width = m.shape
-    step = packed.shape[1]
-    data = memoryview(packed.reshape(-1))
-    lines = [int.from_bytes(data[i:i + step], "little") for i in range(0, n * step, step)]
-    concepts = _concepts(lines, (1 << width) - 1)
-    cells = _cells([(extent, n) for extent, _, _ in concepts]
-                   + [(intent, width) for _, intent, line in concepts if line < 0])
-    intents = iter(cells[len(concepts):])
-    tables = [(cells[k], m[line] if line >= 0 else next(intents))
-              for k, (_, _, line) in enumerate(concepts)]
-    if transposed:
-        tables = [(left, right) for right, left in tables]
-    if len(tables) < 2:
-        return tables
-    sizes = [extent.bit_count() * intent.bit_count() for extent, intent, _ in concepts]
+    left, right, relation = graph.left_scope, graph.right_scope, graph.relation
+    n = len(left) + len(right)
+    if len(left) > len(right):
+        lines = _cofactors(relation.extend(right.union(left)).bits, n, len(right))
+        concepts = [(intent, extent) for extent, intent in _concepts(lines, _full(len(left)))]
+    else:
+        concepts = _concepts(_cofactors(relation.bits, n, len(left)), _full(len(right)))
+    if len(concepts) < 2:
+        return concepts
+    sizes = [left_mask.bit_count() * right_mask.bit_count() for left_mask, right_mask in concepts]
+    if len(set(sizes)) == len(sizes):
+        return [concepts[k] for k in sorted(range(len(concepts)), key=lambda k: -sizes[k])]
     # A maximal biclique's left side determines its right side, so the left
     # index list breaks every tie; it is built only for tied sizes.
     tied = {size for size, count in Counter(sizes).items() if count > 1}
-    order = sorted(range(len(tables)), key=lambda k: (
-        -sizes[k], np.flatnonzero(tables[k][0]).tolist() if sizes[k] in tied else ()))
-    return [tables[k] for k in order]
+    order = sorted(range(len(concepts)), key=lambda k: (
+        -sizes[k], _members(concepts[k][0]) if sizes[k] in tied else ()))
+    return [concepts[k] for k in order]
+
+
+def _members(mask: int) -> list[int]:
+    """The indices of the set bits of `mask`, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def distributions_from_graph(graph: DistributionGraph) -> list[Distribution]:
@@ -226,7 +214,7 @@ def distributions_from_graph(graph: DistributionGraph) -> list[Distribution]:
     lexicographically least left satisfying set."""
     return [
         Distribution(BoolFunc._wrap(graph.left_scope, l), BoolFunc._wrap(graph.right_scope, r))
-        for l, r in _maximal_bicliques(graph.adjacency)
+        for l, r in _maximal_bicliques(graph)
     ]
 
 
@@ -248,6 +236,9 @@ def conjunctive_decomposition(
 
     `partition` must cover the scope of `f` disjointly.  As `f` implies that
     conjunction, they are equal iff `|f|` is the product of the parts' counts.
+    The blocks are projected in scope order, each from what the blocks before
+    it leave once quantified away, so a block that leads the scope costs one
+    pass over a table that halves with each of its variables.
     """
     covered: list[str] = []
     for block in partition:
@@ -256,5 +247,9 @@ def conjunctive_decomposition(
         raise ValueError("partition blocks overlap")
     if set(covered) != set(f.scope):
         raise ValueError("partition does not cover the scope exactly")
-    parts = [f.project(block) for block in partition]
-    return parts if f.count_satisfying() == prod(p.count_satisfying() for p in parts) else None
+    rest, parts = f, {}
+    for block in sorted(partition, key=lambda b: min(map(f.scope.index, b), default=-1)):
+        parts[block] = rest.project(block)
+        rest = rest.project(rest.scope.without(block))
+    counts = prod(parts[block].count_satisfying() for block in partition)
+    return [parts[block] for block in partition] if f.count_satisfying() == counts else None

@@ -35,9 +35,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
-from .boolfunc import BoolFunc, VariableSet, check_name, check_table_size, conjoin
+from .boolfunc import BoolFunc, VariableSet, _full, _variable_pattern, check_name, check_table_size, conjoin
 from .contracts import ContractPair
 from .formats import array_field, read_document
 from .network import (
@@ -455,24 +453,24 @@ def _orient_groups(
     return groups
 
 
-def _group_tables(topo: PowerTopology, group: _Group) -> list[np.ndarray]:
-    """Flat truth tables over ``controls + env`` for the group's outputs, in
+def _group_tables(topo: PowerTopology, group: _Group) -> list[int]:
+    """Packed truth tables over ``env + controls`` for the group's outputs, in
     order: bus-status bits, then coupling bits, then exported feed bits.
+    That is the input order of `BooleanSystem.output_bits`, so the local
+    game reads these tables as they are.
 
-    Liveness is bit-sliced: each node's live set is one int whose bit i is
-    the valuation of rank i over the scope, the first variable most
-    significant, so entry i of each table is that valuation's value.  The
-    fixpoint runs on these ints and only the output sets are unpacked; the
-    tables agree with `live_path` and `bus_status` pointwise.
+    Liveness is bit-sliced: each node's live set is one int in the layout of
+    `BoolFunc.bits`, bit i for the valuation of rank i over the scope, first
+    variable most significant.  Each variable is its pattern
+    (`boolfunc._variable_pattern`), the fixpoint runs on these ints, and the
+    output sets are the tables the subsystem adopts; they agree with
+    `live_path` and `bus_status` pointwise.
     """
-    scope = group.controls.union(group.env)
+    scope = group.env.union(group.controls)
     n = len(scope)
     check_table_size(n)
-    always = (1 << (1 << n)) - 1
-    # Patterns are built from whole bytes; `always` drops the padding bits
-    # of a scope under three variables.
-    nbytes = max(1, (1 << n) // 8)
-    bit = {v: _variable_pattern(n - 1 - i, nbytes) & always for i, v in enumerate(scope)}
+    always = _full(n)
+    bit = {v: _variable_pattern(n, n - 1 - i) for i, v in enumerate(scope)}
 
     # Feed entering via the attach node behaves like a generator glued to
     # the child-side endpoints of the incoming crossings.
@@ -493,27 +491,11 @@ def _group_tables(topo: PowerTopology, group: _Group) -> list[np.ndarray]:
             arcs[x].append((y, passable[y] if e.solid else bit[e.contactor] & passable[y]))
     live = _propagate(passable, arcs, sources)
     reach = {s: _propagate(passable, arcs, [s]) for s in group.ac_sources[:-1]}
-    packed = (
+    return (
         [live[b] for b in group.buses]
         + [reach[s][t] for s, t in combinations(group.ac_sources, 2)]
         + [live[p] for p in group.exports]
     )
-    return [
-        np.unpackbits(
-            np.frombuffer(x.to_bytes(nbytes, "little"), np.uint8), bitorder="little", count=1 << n
-        ).view(bool)
-        for x in packed
-    ]
-
-
-def _variable_pattern(k: int, nbytes: int) -> int:
-    """The packed valuations, over `nbytes` bytes, whose rank has bit `k` set."""
-    if k < 3:
-        block = bytes([(0xAA, 0xCC, 0xF0)[k]])
-    else:
-        run = 1 << (k - 3)
-        block = bytes(run) + b"\xff" * run
-    return int.from_bytes(block * (nbytes // len(block)), "little")
 
 
 def _propagate(
@@ -572,7 +554,7 @@ def compile_to_network(
 
     systems = []
     for g in groups:
-        scope = g.controls.union(g.env)
+        scope = g.env.union(g.controls)
         tables = _group_tables(topo, g)
         functions = {y: BoolFunc._wrap(scope, t) for y, t in zip(g.outputs, tables)}
         systems.append(BooleanSystem(g.name, g.controls, g.env, g.outputs, functions))

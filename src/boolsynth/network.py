@@ -8,13 +8,15 @@ Environment inputs driven by a wire are *internal*, the rest *external*.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
+from heapq import heappop, heappush
 
 import numpy as np
 
-from .boolfunc import BoolFunc, VariableSet, _aligned_table, check_name, check_table_size, valuation_ranks
+from .boolfunc import BoolFunc, VariableSet, check_name, check_table_size, valuation_ranks
 
 __all__ = [
     "BooleanSystem",
@@ -52,8 +54,10 @@ class BooleanSystem:
 
     `functions` maps each output name to its defining BoolFunc, whose scope
     must lie inside ``controls + env_inputs``.  Controls and environment
-    inputs are disjoint.  The system is frozen, so the rank table of each
-    output scope is computed once and kept, as `output_ranks`.
+    inputs are disjoint.  The system is frozen, so the packed tables of each
+    output scope over its inputs are computed once and kept, as
+    `output_bits`, and so are the masks that the local game of `synthesis`
+    plans per assumption (`_plans`).
     """
 
     name: str
@@ -61,9 +65,10 @@ class BooleanSystem:
     env_inputs: VariableSet
     outputs: VariableSet
     functions: dict[str, BoolFunc]
-    _ranks: dict[VariableSet, np.ndarray] = field(
+    _bits: dict[VariableSet, tuple[int, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _plans: dict[tuple, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_name(self.name)
@@ -89,28 +94,26 @@ class BooleanSystem:
             raise ValueError(f"{self.name}: functions for undeclared outputs {extra}")
         object.__setattr__(self, "functions", ordered)
 
-    def output_ranks(self, outputs: VariableSet) -> np.ndarray:
-        """Rank over `outputs`, in that order, of the output valuation at
-        each input valuation: a read-only array of shape
-        ``(2^|env_inputs|, 2^|controls|)``, so ``G.table.reshape(-1)[ranks]``
-        is ``G(f(u, e))`` for a guarantee ``G`` over `outputs`.  Computed on
-        first use per scope and shared, so not to be mutated."""
-        ranks = self._ranks.get(outputs)
-        if ranks is not None:
-            return ranks
-        stray = [y for y in outputs if y not in self.outputs]
-        if stray:
-            raise ValueError(f"{self.name} has no outputs {stray}")
-        inputs = self.env_inputs.union(self.controls)
-        check_table_size(len(inputs))
-        ranks = np.zeros((2,) * len(inputs), np.min_scalar_type((1 << len(outputs)) - 1))
-        for y in outputs:
-            ranks <<= 1
-            ranks |= _aligned_table(self.functions[y], inputs)
-        ranks = ranks.reshape(1 << len(self.env_inputs), 1 << len(self.controls))
-        ranks.setflags(write=False)
-        self._ranks[outputs] = ranks
-        return ranks
+    def _fresh(self) -> "BooleanSystem":
+        """This system with empty memos, copied without checking it again."""
+        copy = object.__new__(BooleanSystem)
+        for f in fields(BooleanSystem):
+            object.__setattr__(copy, f.name, getattr(self, f.name) if f.init else {})
+        return copy
+
+    def output_bits(self, outputs: VariableSet) -> tuple[int, ...]:
+        """Each output of `outputs`, in that order, as a packed table over the
+        inputs, environment inputs first, then controls: bit
+        ``e * 2^|controls| + u`` is the output at environment valuation ``e``
+        and control valuation ``u``.  Computed on first use per scope."""
+        bits = self._bits.get(outputs)
+        if bits is None:
+            stray = [y for y in outputs if y not in self.outputs]
+            if stray:
+                raise ValueError(f"{self.name} has no outputs {stray}")
+            inputs = self.env_inputs.union(self.controls)
+            bits = self._bits[outputs] = tuple(self.functions[y].extend(inputs).bits for y in outputs)
+        return bits
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,10 +150,18 @@ class BooleanNetwork:
         object.__setattr__(self, "subsystems", tuple(self.subsystems))
 
     def subsystem(self, name: str) -> BooleanSystem:
-        for s in self.subsystems:
-            if s.name == name:
-                return s
-        raise KeyError(f"no subsystem named {name!r}")
+        position = self._positions.get(name)
+        if position is None:
+            raise KeyError(f"no subsystem named {name!r}")
+        return self.subsystems[position]
+
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        """Each subsystem name's first declaration index, computed on first use."""
+        positions: dict[str, int] = {}
+        for i, s in enumerate(self.subsystems):
+            positions.setdefault(s.name, i)
+        return positions
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -174,10 +185,10 @@ class BooleanNetwork:
         the declaration order of the parent, then of the child; computed on
         first use; refuses an ill-posed network."""
         _require_well_posed(self)
-        names = self.names
+        position = self._positions
         return tuple(sorted(
             {(l.from_sys, l.to_sys) for l in self.wiring.links},
-            key=lambda e: (names.index(e[0]), names.index(e[1])),
+            key=lambda e: (position[e[0]], position[e[1]]),
         ))
 
     @cached_property
@@ -206,7 +217,7 @@ def validate(net: BooleanNetwork) -> list[str]:
     """
     problems: list[str] = []
     names = [s.name for s in net.subsystems]
-    for n in sorted({n for n in names if names.count(n) > 1}):
+    for n in sorted(n for n, count in Counter(names).items() if count > 1):
         problems.append(f"duplicate subsystem name {n!r}")
 
     seen: dict[str, str] = {}
@@ -239,8 +250,8 @@ def validate(net: BooleanNetwork) -> list[str]:
         if ok:
             good_links.append(l)
 
-    targets = [(l.to_sys, l.to_input) for l in good_links]
-    for t in sorted({t for t in targets if targets.count(t) > 1}):
+    targets = Counter((l.to_sys, l.to_input) for l in good_links)
+    for t in sorted(t for t, count in targets.items() if count > 1):
         problems.append(f"environment input {t[0]}.{t[1]} has more than one driver")
 
     # Cycle check over the links that at least reference real endpoints.
@@ -262,16 +273,37 @@ def classify_inputs(net: BooleanNetwork, name: str) -> tuple[VariableSet, Variab
 
 def _leaf_order(names: Sequence[str], edges: Sequence[tuple[str, str]]) -> list[str] | None:
     """Leaves in peeling order: repeatedly the first node, in declaration order,
-    with no edge to a node still present; None when a cycle leaves no such node."""
-    children = {n: {b for a, b in edges if a == n} for n in names}
-    present, order = dict.fromkeys(names), []
-    while present:
-        leaf = next((n for n in present if present.keys().isdisjoint(children[n])), None)
-        if leaf is None:
-            return None
-        del present[leaf]
-        order.append(leaf)
-    return order
+    with no edge to a node still present; None when a cycle leaves no such node.
+    A repeated name counts once, at its first declaration, and edges naming
+    no node are ignored.
+
+    Kahn's algorithm on the reversed graph: a node's count is its number of
+    distinct children still present, and a min-heap of declaration indices
+    holds the nodes whose count is zero."""
+    index: dict[str, int] = {}
+    for n in names:
+        index.setdefault(n, len(index))
+    children: list[set[int]] = [set() for _ in index]
+    parents: list[list[int]] = [[] for _ in index]
+    for a, b in edges:
+        i, j = index.get(a), index.get(b)
+        if i is not None and j is not None and j not in children[i]:
+            children[i].add(j)
+            parents[j].append(i)
+    pending = [len(c) for c in children]
+    leaves = [i for i, count in enumerate(pending) if not count]  # ascending: a heap
+    order = []
+    while leaves:
+        i = heappop(leaves)
+        order.append(i)
+        for p in parents[i]:
+            pending[p] -= 1
+            if not pending[p]:
+                heappush(leaves, p)
+    if len(order) < len(index):
+        return None
+    declared = list(index)
+    return [declared[i] for i in order]
 
 
 def is_forest(net: BooleanNetwork) -> bool:

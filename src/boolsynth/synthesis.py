@@ -3,50 +3,66 @@
 A local contract is realizable when for every admissible environment
 valuation some control valuation makes the guarantee hold; the witness of
 that forall-exists question is a controller table.  Realizability, the
-least restrictive assumption and extraction all read one matrix, G(f(u, e))
-with a row per environment valuation and a column per control valuation.
-A subsystem's output functions never change, so the matrix is a gather from
-the guarantee's flat table at the subsystem's memoized rank table
-(`BooleanSystem.output_ranks`), not a fresh composition per attempt;
-`distributed_synthesis` searches on a fresh copy of each subsystem, so these
-tables last for one call.  The distributed procedure peels leaf subsystems
-off the system graph in one fixed order, the network's topological order
-backwards: it projects the assumption once per leaf, tries each maximal
-guarantee split, constrains the leaf's internal inputs by the least
-restrictive assumption, turns that constraint into a guarantee for the
-remaining subsystems by aliasing each internal input to its driving output,
-and recurses, backtracking over splits.  Every least restrictive assumption
-of a leaf spans the leaf's internal inputs, so the plan of that aliasing
-(`_rewiring`: the driving outputs and, under fan-out, the einsum axes) is
-made once per leaf, and each attempt only applies it (`_rewired`).  The
-search yields one local contract per subsystem; a controller is extracted
-from each of them once the search has succeeded.
+least restrictive assumption and extraction all read one packed table,
+G(f(u, e)) over the subsystem's inputs, environment inputs first, so each
+environment valuation owns a row of cells, one per control valuation
+(`_winning`).  A subsystem's output functions never change, so each is
+packed over the inputs once (`BooleanSystem.output_bits`) and G(f) is a
+Shannon expansion of G over its outputs, one AND per branch, not a fresh
+composition per attempt.  The masks an attempt reads of the assumption
+and the internal inputs are planned once per leaf as well (`_plan`), so
+the losing set ``A & ~exists u: G(f)`` of each internal valuation is one
+OR-fold of the rows and one AND (`_losing`).  `distributed_synthesis`
+searches on a fresh copy of each subsystem, so these tables last for one
+call.  The distributed procedure peels leaf subsystems off the system graph
+in one fixed order, the network's topological order backwards: it projects
+the assumption once per leaf, tries each maximal guarantee split, constrains
+the leaf's internal inputs by the least restrictive assumption, turns that
+constraint into a guarantee for the remaining subsystems by aliasing each
+internal input to its driving output, and recurses, backtracking over
+splits.  Every least restrictive assumption of a leaf spans the leaf's
+internal inputs, so the plan of that aliasing (`_rewiring`: the driving
+outputs and, under fan-out, the cells of the diagonal) is made once per
+leaf, and each attempt only applies it (`_rewired`).  The search yields one
+local contract per subsystem; a controller is extracted from each of them
+once the search has succeeded.
 
 The outputs follow one order as well, `BooleanNetwork.peel_outputs`: the
 leaves in peel order, each leaf's outputs in declaration order.  The
 guarantee is put in that order once per call (the EPS compile already emits
 it so), and every guarantee the search builds keeps its scope a subsequence
-of it.  So the leaf being peeled leads: its distribution graph is a reshape
-of the guarantee's table, a split's remainder needs no reordering, and the
+of it.  So the leaf being peeled leads: its distribution graph's relation is
+the guarantee itself, a split's remainder needs no reordering, and the
 strengthened guarantee is one `boolfunc._combined` AND of the remainder,
 which spans the rest of the guarantee's scope, and the rewired assumption,
 which spans the leaf's driving outputs: one scope per leaf, planned once.
 
 The assumption never changes, so the search's state is the leaf and the
-guarantee.  Each leaf keeps two memos, dicts made per call and keyed by table
-bytes (nogood recording limited to exact repeats).  A failed guarantee
-records the trace slice it appended, and a repeat replays that slice, so the
-trace still lists every attempt.  A least restrictive assumption, keyed by
-the split's local guarantee, is computed and rewired once and reused.
+guarantee.  Each leaf keeps two memos, dicts made per call and keyed by
+packed tables (nogood recording limited to exact repeats).  A failed
+guarantee records the trace slice it appended, and a repeat replays that
+slice, so the trace still lists every attempt.  A least restrictive
+assumption, keyed by the split's local guarantee, is computed and rewired
+once and reused.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from operator import and_
 
 import numpy as np
 
-from .boolfunc import BoolFunc, Valuation, VariableSet, _combined, valuation_bits
+from .boolfunc import (
+    BoolFunc,
+    Valuation,
+    VariableSet,
+    _cofactors,
+    _combined,
+    _full,
+    _variable_pattern,
+    valuation_bits,
+)
 from .contracts import (
     ContractPair,
     check_contract,
@@ -102,16 +118,64 @@ class SynthesisOutcome:
     trace: tuple[TraceEntry, ...]
 
 
-def _guarantee_over_inputs(sys: BooleanSystem, guarantee: BoolFunc) -> np.ndarray:
-    """G(f(u, e)) as a bool array with one row per environment valuation and
-    one column per control valuation: a gather from G's flat table."""
-    return guarantee.table.reshape(-1)[sys.output_ranks(guarantee.scope)]
+def _winning(sys: BooleanSystem, guarantee: BoolFunc) -> int:
+    """G(f(u, e)) packed over the system's inputs, environment inputs then
+    controls: the Shannon expansion of G over its outputs, from the first,
+    with each branch on output y ANDed with y's packed table
+    (`BooleanSystem.output_bits`) or its complement.  A constant branch ends
+    the expansion, so a cube costs one AND per output."""
+    full = _full(len(sys.env_inputs) + len(sys.controls))
+    outputs = sys.output_bits(guarantee.scope)
+
+    def expand(bits: int, i: int, width: int) -> int:
+        if not bits:
+            return 0
+        if bits == (1 << width) - 1:
+            return full
+        width >>= 1
+        lo, hi = expand(bits & ((1 << width) - 1), i + 1, width), expand(bits >> width, i + 1, width)
+        if lo == hi:
+            return lo
+        f = outputs[i]
+        return (hi & f) | (lo & (full ^ f))
+
+    return expand(guarantee.bits, 0, 1 << len(guarantee.scope))
 
 
-def _losing(sys: BooleanSystem, assumption: BoolFunc, win: np.ndarray) -> np.ndarray:
-    """Flat mask over environment valuations: admissible, yet no control
-    valuation makes `win` hold.  `assumption` must be over `sys.env_inputs`."""
-    return np.greater(assumption.extend(sys.env_inputs).table.reshape(-1), win.any(axis=1))
+def _plan(sys: BooleanSystem, assumption: BoolFunc, internal: VariableSet) -> tuple:
+    """What the game reads of `assumption` and `internal` on the packed
+    inputs of `sys`, where environment valuation e owns the row of cells
+    ``e * 2^|controls|`` onwards, one per control valuation: the shifts that
+    OR each row into its first cell, and per valuation of `internal` the
+    first cells of the admissible rows that extend it.  Made once per
+    (assumption, internal) and kept on the system."""
+    plan = sys._plans.get((assumption, internal))
+    if plan is None:
+        env, controls = sys.env_inputs, sys.controls
+        stray = [v for v in internal if v not in env]
+        if stray:
+            raise ValueError(f"cannot project onto variables outside scope: {stray}")
+        n = len(env) + len(controls)
+        firsts = assumption.extend(env).extend(env.union(controls)).bits
+        for k in range(len(controls)):
+            firsts ^= firsts & _variable_pattern(n, k)
+        cylinders = [firsts]
+        for v in internal:  # split each cylinder on v, false first
+            pattern = _variable_pattern(n, n - 1 - env.index(v))
+            cylinders = [half for c in cylinders for half in (c ^ (c & pattern), c & pattern)]
+        plan = sys._plans[(assumption, internal)] = tuple(1 << k for k in range(len(controls))), cylinders
+    return plan
+
+
+def _losing(sys: BooleanSystem, assumption: BoolFunc, win: int, internal: VariableSet) -> list[int]:
+    """Per valuation of `internal`, the first cells of the admissible rows
+    that extend it and that `win`, a `_winning` table, leaves empty: the
+    losing set ``A & ~exists u: G(f)``, one OR-fold of the rows and one AND
+    per valuation."""
+    folds, cylinders = _plan(sys, assumption, internal)
+    for shift in folds:
+        win |= win >> shift
+    return [cells ^ (cells & win) for cells in cylinders]
 
 
 def check_realizable(sys: BooleanSystem, assumption: BoolFunc, guarantee: BoolFunc) -> bool:
@@ -121,26 +185,28 @@ def check_realizable(sys: BooleanSystem, assumption: BoolFunc, guarantee: BoolFu
     be conjoined in), and any other variable in it is refused with
     ValueError; `guarantee` is over outputs.
     """
-    return not _losing(sys, assumption, _guarantee_over_inputs(sys, guarantee)).any()
+    return not _losing(sys, assumption, _winning(sys, guarantee), VariableSet())[0]
 
 
 def extract_controller(sys: BooleanSystem, assumption: BoolFunc, guarantee: BoolFunc) -> Controller:
     """Total controller table; on each admissible row the guarantee holds.
 
     Ties break to the lexicographically least control valuation that
-    satisfies the guarantee; rows where none exists get all-False controls
-    and must be inadmissible, otherwise the contract is unrealizable.
+    satisfies the guarantee, the lowest set cell of the environment
+    valuation's row of `_winning`; rows where none exists get all-False
+    controls and must be inadmissible, otherwise the contract is
+    unrealizable.
     """
     env, ctr = sys.env_inputs, sys.controls
-    win = _guarantee_over_inputs(sys, guarantee)
-    bad = _losing(sys, assumption, win)
-    if bad.any():
-        witness = Valuation.from_index(env, int(np.argmax(bad)))
+    win = _winning(sys, guarantee)
+    (lost,) = _losing(sys, assumption, win, VariableSet())
+    if lost:
+        witness = Valuation.from_index(env, ((lost & -lost).bit_length() - 1) >> len(ctr))
         raise UnrealizableError(
             f"{sys.name}: no control satisfies the guarantee at admissible input ({witness})"
         )
-    # argmax picks column 0, all-False, on a row that no control wins
-    choice = np.argmax(win, axis=1)
+    rows = _cofactors(win, len(env) + len(ctr), len(env))
+    choice = np.array([(row & -row).bit_length() - 1 if row else 0 for row in rows])
     return Controller(sys.name, env, ctr, valuation_bits(choice, len(ctr)).T)
 
 
@@ -152,38 +218,44 @@ def least_restrictive_assumption(
 ) -> BoolFunc:
     """The set of internal-input valuations under which the local contract is
     realizable, as a function over `internal`, a subset of the environment
-    inputs.
+    inputs, computed on packed tables.
 
     Constant False means no internal valuation helps; internal valuations
     outside the satisfying set make the guarantee unachievable.  Computed as
-    ``forall e_ext: A -> exists u: G(f)``, i.e. the complement of the
-    projection onto `internal` of the losing set ``A & ~exists u: G(f)``;
-    `BoolFunc.project` refuses variables outside the environment inputs.
+    ``forall e_ext: A -> exists u: G(f)``, the valuations whose losing set
+    (`_losing`) is empty; variables of `internal` outside the environment
+    inputs are refused with ValueError.
     """
-    losing = _losing(sys, assumption, _guarantee_over_inputs(sys, guarantee))
-    return ~BoolFunc._wrap(sys.env_inputs, losing).project(internal)
+    lost = _losing(sys, assumption, _winning(sys, guarantee), internal)
+    return BoolFunc._wrap(internal, sum(1 << i for i, cells in enumerate(lost) if not cells))
 
 
 def _rewiring(internal: VariableSet, net: BooleanNetwork, name: str) -> tuple:
     """How `_rewired` puts a function over `internal`, driven inputs of
     subsystem `name`, onto the parent outputs driving them: those outputs,
-    each once, in order of first use, and the einsum axis of each input, or
-    None when no two inputs share a driver, so the table is kept as it is."""
+    each once, in order of first use, and per valuation of them the rank of
+    the internal valuation that copies it (the diagonal), or None when no
+    two inputs share a driver, so the table is kept as it is."""
     undriven = [v for v in internal if v not in net.drivers]
     if undriven:
         raise ValueError(f"{name}.{undriven[0]} has no driving link; cannot rewire onto parent outputs")
     drivers = [net.drivers[v] for v in internal]
     parents = VariableSet._derived(tuple(dict.fromkeys(drivers)))
-    axes = None if len(parents) == len(drivers) else [parents.index(y) for y in drivers]
-    return parents, axes
+    if len(parents) == len(drivers):
+        return parents, None
+    shifts = [len(parents) - 1 - parents.index(y) for y in drivers]
+    diagonal = [sum((p >> b & 1) << (len(shifts) - 1 - k) for k, b in enumerate(shifts))
+                for p in range(1 << len(parents))]
+    return parents, diagonal
 
 
 def _rewired(lra: BoolFunc, rewiring: tuple) -> BoolFunc:
     """`lra` on the parent outputs of `rewiring`, a `_rewiring` of its scope;
-    inputs that one output drives read the einsum diagonal."""
-    parents, axes = rewiring
-    table = lra.table if axes is None else np.einsum(lra.table, axes, range(len(parents)))
-    return BoolFunc._wrap(parents, table)
+    inputs that one output drives read the diagonal."""
+    parents, diagonal = rewiring
+    if diagonal is None:
+        return BoolFunc._wrap(parents, lra.bits)
+    return BoolFunc._wrap(parents, sum(1 << p for p, r in enumerate(diagonal) if lra.bits >> r & 1))
 
 
 def rewire_to_parent_outputs(lra: BoolFunc, net: BooleanNetwork, name: str) -> BoolFunc:
@@ -229,7 +301,7 @@ def distributed_synthesis(net: BooleanNetwork, contract: ContractPair) -> Synthe
         internal = sys.env_inputs.restricted_to(net.drivers)
         rewiring = _rewiring(internal, net, sys.name)
         scope = net.peel_outputs.restricted_to([*scope.without(sys.outputs), *rewiring[0]])
-        leaves.append((replace(sys), internal, local, local.extend(sys.env_inputs),
+        leaves.append((sys._fresh(), internal, local, local.extend(sys.env_inputs),
                        rewiring, scope, {}, {}))
     trace: list[TraceEntry] = []
     local_contracts = _synthesize(net, leaves, guarantee, trace)
@@ -251,41 +323,34 @@ def _synthesize(
     has an empty scope and decides alone: true succeeds, false fails.
 
     The first leaf's facts are fixed per call, so the guarantee alone
-    decides the answer.  `failed` maps the bytes of each guarantee that
-    failed here to the trace slice it appended; a repeat replays that slice.
-    A table is copied into a key only once the leaf has failed, so a leaf
-    that never fails copies nothing.  `lras` maps split-down table bytes to
-    the least restrictive assumption of that local guarantee and to it
-    rewired onto the parent outputs, or None when it is False.
+    decides the answer.  `failed` maps the packed table of each guarantee
+    that failed here to the trace slice it appended; a repeat replays that
+    slice.  It is looked up only once the leaf has failed, so a leaf that
+    never fails hashes no table.  `lras` maps the packed table of a split's
+    local guarantee to its least restrictive assumption and to that rewired
+    onto the parent outputs, or None when it is False.
     """
     if not leaves:
         return {} if guarantee.is_true else None
     sys, internal, local_assumption, admissible, rewiring, scope, failed, lras = leaves[0]
-    key = None
-    if failed:
-        key = guarantee.table.tobytes()
-        if key in failed:
-            trace.extend(failed[key])
-            return None
+    if failed and guarantee.bits in failed:
+        trace.extend(failed[guarantee.bits])
+        return None
     start = len(trace)
     for idx, gamma in enumerate(maximal_distributions(guarantee, net, sys.name)):
-        down = gamma.down.table.tobytes()
-        known = lras.get(down)
+        known = lras.get(gamma.down.bits)
         if known is None:
             lra = least_restrictive_assumption(sys, admissible, gamma.down, internal)
-            known = lras[down] = lra, None if lra.is_false else _rewired(lra, rewiring)
+            known = lras[gamma.down.bits] = lra, None if lra.is_false else _rewired(lra, rewiring)
         lra, rewired = known
         trace.append(TraceEntry(sys.name, idx, lra))
         if rewired is None:
             continue
-        local_contracts = _synthesize(
-            net, leaves[1:], _combined(np.logical_and, scope, gamma.up, rewired), trace)
+        local_contracts = _synthesize(net, leaves[1:], _combined(and_, scope, gamma.up, rewired), trace)
         if local_contracts is not None:
             local_contracts[sys.name] = ContractPair(local_assumption & lra, gamma.down)
             return local_contracts
-    if key is None:
-        key = guarantee.table.tobytes()
-    failed[key] = trace[start:]
+    failed[guarantee.bits] = trace[start:]
     return None
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import itertools
 import json
+import operator
 import pickle
 
 import numpy as np
@@ -98,7 +99,7 @@ class TestVariableSet:
                              ids=["deepcopy", "pickle"])
     def test_scopes_and_the_records_holding_them_copy_equal(self, clone):
         sys = make_system("S", ["u"], ["e"], {"y": "u & e"})
-        sys.output_ranks(sys.outputs)
+        sys.output_bits(sys.outputs)
         link = Link("S", "y", "T", "w")
         records = (VariableSet(), sys.env_inputs, sys.functions["y"], sys, link,
                    Interconnection((link,)), ContractPair(BoolFunc.var("e"), BoolFunc.var("y")))
@@ -107,7 +108,7 @@ class TestVariableSet:
             assert type(twin) is type(record) and twin == record
         twin = clone(sys)
         assert not twin.functions["y"].table.flags.writeable
-        assert np.array_equal(twin.output_ranks(twin.outputs), sys.output_ranks(sys.outputs))
+        assert twin.output_bits(twin.outputs) == sys.output_bits(sys.outputs)
 
 
 class TestConstants:
@@ -153,7 +154,7 @@ class TestCombined:
         # union, or of a superset of it, never in the union's own order.
         rng = np.random.default_rng(20)
         names = ["a", "b", "c", "d", "e", "f", "g"]
-        ops = {np.logical_and: bool.__and__, np.logical_or: bool.__or__, np.logical_xor: bool.__xor__}
+        ops = {operator.and_: bool.__and__, operator.or_: bool.__or__, operator.xor: bool.__xor__}
         supersets = 0
         for _ in range(150):
             f, g = (random_func(rng, rng.choice(names, int(rng.integers(0, 4)), replace=False))
@@ -176,7 +177,7 @@ class TestCombined:
     def test_refuses_a_31_variable_scope_before_allocating(self):
         scope = VariableSet(f"x{i}" for i in range(31))
         with pytest.raises(TableTooLargeError, match=r"2\^31"):
-            _combined(np.logical_and, scope, BoolFunc.var("x3"), BoolFunc.var("x0"))
+            _combined(operator.and_, scope, BoolFunc.var("x3"), BoolFunc.var("x0"))
 
 
 class TestProjection:
@@ -225,7 +226,7 @@ class TestProjection:
 
 class TestTableKernels:
     def test_projection_equals_any_definition(self):
-        # The run-merged, word-wise projection against np.any over the
+        # The halving and splitting projection against np.any over the
         # dropped axes, for kept subsets in permuted order, none and all.
         rng = np.random.default_rng(5)
         for trial in range(600):
@@ -282,6 +283,86 @@ class TestTableKernels:
         before = f.table.copy()
         raw[:] = ~raw
         assert np.array_equal(f.table, before)
+
+
+def dense_on(table: np.ndarray, scope: list, target: list) -> np.ndarray:
+    """The reference alignment: a dense table over `scope` broadcast onto the
+    axes of `target`, a superset of `scope` in any order."""
+    at = [target.index(v) for v in scope]
+    shape = [1] * len(target)
+    for i in at:
+        shape[i] = 2
+    moved = table.transpose(sorted(range(len(at)), key=at.__getitem__)).reshape(shape)
+    return np.broadcast_to(moved, (2,) * len(target))
+
+
+def packed(table: np.ndarray) -> int:
+    """The reference packing: cell i of the C-ordered table at bit i."""
+    return sum(1 << i for i, cell in enumerate(table.reshape(-1).tolist()) if cell)
+
+
+class TestPackedAgainstDense:
+    """Every operation on packed tables against a plain numpy computation on
+    dense bool tables, for random functions of 0 to 10 variables whose
+    scopes are permuted and partly overlap."""
+
+    NAMES = [f"v{i}" for i in range(12)]
+
+    def random_pair(self, rng):
+        names = list(rng.permutation(self.NAMES))
+        f_scope = names[: int(rng.integers(0, 11))]
+        shared = [v for v in f_scope if rng.random() < 0.5]
+        g_scope = list(rng.permutation(shared + names[len(f_scope):][: int(rng.integers(0, 11 - len(shared)))]))
+        density = rng.choice([0.05, 0.5, 0.95])
+        dense = [(rng.random((2,) * len(sc)) < density) for sc in (f_scope, g_scope)]
+        return (f_scope, dense[0]), (g_scope, dense[1])
+
+    def test_operations_match_numpy(self):
+        rng = np.random.default_rng(2026)
+        ops = {"&": (lambda a, b: a & b, np.logical_and), "|": (lambda a, b: a | b, np.logical_or),
+               "^": (lambda a, b: a ^ b, np.logical_xor)}
+        for trial in range(400):
+            (fs, ft), (gs, gt) = self.random_pair(rng)
+            f, g = BoolFunc(fs, ft), BoolFunc(gs, gt)
+            assert f.bits == packed(ft) and np.array_equal(f.table, ft)
+            union = fs + [v for v in gs if v not in fs]
+            for name, (op, reference) in ops.items():
+                h = op(f, g)
+                want = reference(dense_on(ft, fs, union), dense_on(gt, gs, union))
+                assert list(h.scope) == union and h.bits == packed(want), (trial, name)
+            assert (~f).bits == packed(~ft)
+            target = list(rng.permutation(fs + [v for v in self.NAMES if v not in fs][: int(rng.integers(0, 3))]))
+            assert f.extend(target).bits == packed(dense_on(ft, fs, target)), trial
+            keep = [fs[i] for i in rng.permutation(len(fs))[: int(rng.integers(0, len(fs) + 1))]]
+            dropped = tuple(i for i, v in enumerate(fs) if v not in keep)
+            kept = [v for v in fs if v in keep]
+            want = ft.any(axis=dropped).transpose([kept.index(v) for v in keep])
+            assert f.project(keep).bits == packed(want), trial
+            assert f.is_true == bool(ft.all()) and f.is_false == (not ft.any())
+            assert f.count_satisfying() == int(ft.sum())
+            support = [v for i, v in enumerate(fs) if not np.array_equal(np.take(ft, 0, i), np.take(ft, 1, i))]
+            assert list(f.support()) == support
+            for _ in range(4):
+                point = {v: bool(rng.integers(0, 2)) for v in fs}
+                assert f.evaluate(point) == bool(ft[tuple(int(point[v]) for v in fs)])
+
+    def test_equality_hash_and_copies_read_the_table(self):
+        rng = np.random.default_rng(2027)
+        for trial in range(200):
+            (fs, ft), _ = self.random_pair(rng)
+            f = BoolFunc(fs, ft)
+            twin = BoolFunc(fs, ft.copy())
+            assert f == twin and hash(f) == hash(twin)
+            if fs:
+                flipped = ft.copy()
+                flipped[tuple(rng.integers(0, 2, len(fs)))] ^= True
+                assert f != BoolFunc(fs, flipped)
+            for clone in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+                assert type(clone) is BoolFunc and clone == f and clone.bits == f.bits
+            table = f.table
+            assert not table.flags.writeable and table.flags.c_contiguous
+            assert table.shape == (2,) * len(fs) and np.array_equal(table, ft)
+            assert table is not f.table  # unpacked on each access, not kept
 
 
 GUARD_CHILD = """

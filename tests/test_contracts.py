@@ -301,32 +301,31 @@ class TestCanonicalOrder:
             assert len(distributions_from_graph(graph_of(graphs[1]))) == 1
         assert ties > 50
 
-    def test_an_intent_equal_to_a_row_views_the_guarantee(self):
-        # With no more rows than columns the intents are `up` sides, and
-        # one that equals a row, a valuation of the leaf's outputs, is read
-        # from the guarantee's table, not copied.
+    def test_the_lines_are_pieces_of_the_guarantee(self):
+        # With the leaf's outputs first, the graph's relation is the
+        # guarantee itself, and Close-by-One's lines, the rows or, for a
+        # tall graph, the columns, are its cofactors over that side: pieces
+        # of its packed table, checked against the unpacked adjacency.
+        from boolsynth.boolfunc import _cofactors
         from boolsynth.network import BooleanNetwork
 
         from .conftest import make_system
 
         rng = np.random.default_rng(17)
-        viewed = 0
         for trial in range(60):
-            n_left = int(rng.integers(1, 3))
-            n_right = int(rng.integers(n_left, 5))
+            n_left = int(rng.integers(1, 4))
+            n_right = int(rng.integers(0, 4))
             s1 = make_system("L", ["u0"], ["e0"], {f"a{i}": "u0" for i in range(n_left)})
             s2 = make_system("R", ["u1"], ["e1"], {f"b{j}": "u1" for j in range(n_right)})
             net = BooleanNetwork((s1, s2))
             g = BoolFunc(all_outputs(net), rng.random(1 << (n_left + n_right)) < 0.6)
             graph = build_distribution_graph(g, net, "L")
-            assert np.shares_memory(graph.adjacency, g.table)
-            rows = graph.adjacency.reshape(1 << n_left, -1)
-            for d in maximal_distributions(g, net, "L"):
-                up = d.up.table.reshape(-1)
-                if any(np.array_equal(up, row) for row in rows):
-                    assert np.shares_memory(up, g.table), f"trial {trial}"
-                    viewed += 1
-        assert viewed > 60
+            assert graph.relation is g
+            rows = _cofactors(g.bits, n_left + n_right, n_left)
+            assert [[bool(row >> j & 1) for j in range(1 << n_right)] for row in rows] == graph.adjacency.tolist()
+            columns = _cofactors(g.extend(graph.right_scope.union(graph.left_scope)).bits, n_left + n_right, n_right)
+            assert [[bool(column >> i & 1) for i in range(1 << n_left)] for column in columns] \
+                == graph.adjacency.T.tolist(), f"trial {trial}"
 
 class TestConjunctiveDecomposition:
     def test_already_conjunctive(self):

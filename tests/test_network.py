@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from boolsynth.boolfunc import BoolFunc, TableTooLargeError, Valuation, VariableSet, all_valuations
+from boolsynth.boolfunc import BoolFunc, TableTooLargeError, VariableSet, all_valuations
 from boolsynth.network import (
     BooleanNetwork,
     BooleanSystem,
@@ -24,6 +24,7 @@ from boolsynth.network import (
     remove_subsystem,
     validate,
 )
+from boolsynth.network import _leaf_order
 
 from .conftest import make_system, serial_chain_net, shared_or_guarantee_net, two_parents_net
 
@@ -71,45 +72,43 @@ class TestRecordMemory:
         assert held / len(nets) <= 3500
 
 
-class TestOutputRanks:
-    def test_ranks_enumerate_output_valuations_pointwise(self):
+class TestOutputBits:
+    def test_bits_hold_each_output_at_every_input_valuation(self):
         sys = make_system("S", ["u"], ["e1", "e2"], {"a": "u & e1", "b": "u | e2", "c": "e1 ^ e2"})
         outputs = VariableSet(["c", "a"])
-        ranks = sys.output_ranks(outputs)
-        assert ranks.shape == (4, 2) and ranks.dtype == np.uint8
+        bits = sys.output_bits(outputs)
+        assert len(bits) == 2
         for e in all_valuations(sys.env_inputs):
             for u in all_valuations(sys.controls):
                 point = e.as_dict() | u.as_dict()
-                want = Valuation(outputs, tuple(sys.functions[y].evaluate(point) for y in outputs))
-                assert ranks[e.index(), u.index()] == want.index()
+                cell = e.index() << len(sys.controls) | u.index()
+                assert [table >> cell & 1 for table in bits] == [sys.functions[y].evaluate(point) for y in outputs]
 
-    def test_ranks_are_memoized_per_scope_and_read_only(self):
+    def test_bits_are_memoized_per_scope(self):
         sys = make_system("S", ["u"], ["e"], {"a": "u", "b": "e"})
-        ab = sys.output_ranks(VariableSet(["a", "b"]))
-        assert sys.output_ranks(VariableSet(["a", "b"])) is ab
-        assert sys.output_ranks(VariableSet(["b", "a"])) is not ab
-        assert not ab.flags.writeable
-        empty = sys.output_ranks(VariableSet())
-        assert empty.shape == (2, 2) and not empty.any()
+        ab = sys.output_bits(VariableSet(["a", "b"]))
+        assert sys.output_bits(VariableSet(["a", "b"])) is ab
+        assert sys.output_bits(VariableSet(["b", "a"])) == ab[::-1]
+        assert sys.output_bits(VariableSet()) == ()
 
-    @pytest.mark.parametrize("n, dtype", [(8, np.uint8), (9, np.uint16), (17, np.uint32)])
-    def test_smallest_unsigned_dtype_holds_the_rank(self, n, dtype):
+    @pytest.mark.parametrize("n", [8, 9, 17])
+    def test_every_output_is_packed_over_the_inputs(self, n):
+        # env first, then controls: u is the last variable, so its table
+        # over (u) is its table over the inputs
         sys = make_system("S", ["u"], [], {f"y{k}": "u" for k in range(n)})
-        ranks = sys.output_ranks(sys.outputs)
-        assert ranks.dtype == dtype
-        assert ranks.tolist() == [[0, (1 << n) - 1]]
+        assert sys.output_bits(sys.outputs) == (0b10,) * n
 
     def test_unknown_output_rejected(self):
         sys = make_system("S", ["u"], [], {"y": "u"})
         with pytest.raises(ValueError, match="no outputs"):
-            sys.output_ranks(VariableSet(["z"]))
+            sys.output_bits(VariableSet(["z"]))
 
     def test_oversized_input_scope_refused_before_allocating(self):
-        # Output functions may read a few inputs only; the rank table spans all.
+        # Output functions may read a few inputs only; the packed tables span all.
         env = VariableSet(f"e{k}" for k in range(31))
         sys = BooleanSystem("S", VariableSet(["u"]), env, VariableSet(["y"]), {"y": BoolFunc.var("u")})
         with pytest.raises(TableTooLargeError, match=r"2\^32"):
-            sys.output_ranks(sys.outputs)
+            sys.output_bits(sys.outputs)
 
 
 class TestValidate:
@@ -251,6 +250,75 @@ class TestSystemGraph:
                         sum(b == n for _, b in pairs) <= 1 for n in variant.names
                     )
         assert min(seen.values()) > 50
+
+
+def quadratic_leaf_order(names, edges) -> list[str] | None:
+    """`network._leaf_order` before it became Kahn's algorithm, kept as the
+    reference: one scan of the present nodes per leaf."""
+    children = {n: {b for a, b in edges if a == n} for n in names}
+    present, order = dict.fromkeys(names), []
+    while present:
+        leaf = next((n for n in present if present.keys().isdisjoint(children[n])), None)
+        if leaf is None:
+            return None
+        del present[leaf]
+        order.append(leaf)
+    return order
+
+
+def load_perfbench_instances():
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "instances.py"
+    spec = importlib.util.spec_from_file_location("perfbench_instances", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestLeafOrder:
+    def test_equals_the_quadratic_scan_on_random_digraphs(self):
+        # Repeated names, self-loops, edges to undeclared names, acyclic and
+        # cyclic graphs.
+        rng = np.random.default_rng(31)
+        outcomes = {True: 0, False: 0}
+        for trial in range(3000):
+            pool = [f"n{k}" for k in range(int(rng.integers(1, 9)))]
+            names = [pool[k] for k in rng.integers(0, len(pool), int(rng.integers(0, 10)))]
+            rank = {n: r for r, n in enumerate(rng.permutation(pool))}
+            edges = [(pool[a], pool[b]) for a, b in rng.integers(0, len(pool), (int(rng.integers(0, 12)), 2))]
+            if trial % 2:  # keep the graph acyclic: every edge follows one order
+                edges = [(a, b) for a, b in edges if rank[a] < rank[b]]
+            if trial % 7 == 0:
+                edges.append(("undeclared", pool[0]))
+            want = quadratic_leaf_order(names, edges)
+            assert _leaf_order(names, edges) == want, (names, edges)
+            outcomes[want is None] += 1
+        assert min(outcomes.values()) > 500
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_equals_the_quadratic_scan_on_shuffled_benchmark_pools(self, seed):
+        instances = load_perfbench_instances()
+        rng = np.random.default_rng(seed)
+        for net, _ in instances.random_dag_pool(np.random.default_rng(seed), 800):
+            shuffled = BooleanNetwork(tuple(net.subsystems[i] for i in rng.permutation(len(net.subsystems))),
+                                      net.wiring)
+            want = quadratic_leaf_order(shuffled.names, shuffled.edges)
+            assert _leaf_order(shuffled.names, shuffled.edges) == want
+            assert [s.name for s in shuffled.topological] == want[::-1]
+
+    def test_topological_on_a_long_serial_chain(self):
+        n = 4000
+        systems = [make_system("S0", ["u0"], [], {"y0": "u0"})] + [
+            make_system(f"S{i}", [f"u{i}"], [f"w{i}"], {f"y{i}": f"u{i} & w{i}"}) for i in range(1, n)
+        ]
+        links = tuple(Link(f"S{i - 1}", f"y{i - 1}", f"S{i}", f"w{i}") for i in range(1, n))
+        # declared children first, so every leaf is found at the end of the order
+        net = BooleanNetwork(tuple(reversed(systems)), Interconnection(links))
+        assert net.violations == ()
+        assert [s.name for s in net.topological] == [f"S{i}" for i in range(n)]
+        assert net.edges == tuple((f"S{i - 1}", f"S{i}") for i in range(n - 1, 0, -1))
 
 
 class TestClassifyInputs:

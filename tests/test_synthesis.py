@@ -179,17 +179,17 @@ def random_system(rng) -> BooleanSystem:
     return BooleanSystem("S", controls, env, outputs, functions)
 
 
-def record_output_ranks(monkeypatch) -> list:
-    """Patch `BooleanSystem.output_ranks` to log ``(system name, outputs,
-    ranks)`` per call; returns the log."""
+def record_output_bits(monkeypatch) -> list:
+    """Patch `BooleanSystem.output_bits` to log ``(system name, outputs,
+    packed tables)`` per call; returns the log."""
     calls = []
-    original = BooleanSystem.output_ranks
+    original = BooleanSystem.output_bits
 
     def recording(sys, outputs):
         calls.append((sys.name, outputs, original(sys, outputs)))
         return calls[-1][2]
 
-    monkeypatch.setattr(BooleanSystem, "output_ranks", recording)
+    monkeypatch.setattr(BooleanSystem, "output_bits", recording)
     return calls
 
 
@@ -258,26 +258,26 @@ class TestGameAgainstSubstitution:
     @pytest.mark.parametrize(
         "fixture", ["serial_chain", "xor_assumption", "shared_or_guarantee", "two_parents"]
     )
-    def test_each_subsystem_ranks_each_scope_once(self, fixture, request, monkeypatch):
+    def test_each_subsystem_packs_each_scope_once(self, fixture, request, monkeypatch):
         net, contract = request.getfixturevalue(fixture)
-        calls = record_output_ranks(monkeypatch)
+        calls = record_output_bits(monkeypatch)
         out = distributed_synthesis(net, contract)
         first = {}
-        for name, outputs, ranks in calls:
-            assert first.setdefault((name, outputs), ranks) is ranks
+        for name, outputs, bits in calls:
+            assert first.setdefault((name, outputs), bits) is bits
         assert {name for name, _ in first} == set(net.names)
-        # each extraction after a success reuses the ranks of the winning attempt
+        # each extraction after a success reuses the tables of the winning attempt
         assert len(calls) - len(first) >= (len(net.names) if out.success else 0)
 
-    def test_rank_tables_last_one_call(self, two_parents, monkeypatch):
+    def test_packed_tables_last_one_call(self, two_parents, monkeypatch):
         net, contract = two_parents
-        calls = record_output_ranks(monkeypatch)
+        calls = record_output_bits(monkeypatch)
         distributed_synthesis(net, contract)
-        first_call = [ranks for _, _, ranks in calls]
+        first_call = [bits for _, _, bits in calls]
         distributed_synthesis(net, contract)
-        second_call = [ranks for _, _, ranks in calls[len(first_call):]]
+        second_call = [bits for _, _, bits in calls[len(first_call):]]
         assert second_call and not any(a is b for a in first_call for b in second_call)
-        assert all(not s._ranks for s in net.subsystems)
+        assert all(not s._bits and not s._plans for s in net.subsystems)
 
     @pytest.mark.parametrize("stray", ["u1", "e2", "y1"])
     def test_assumption_over_non_environment_variables_refused(self, serial_chain, stray):
@@ -468,8 +468,8 @@ class TestDistributedSynthesis:
     def test_central_synthesis_builds_the_plant_game_once(self, fixture, request, monkeypatch):
         net, contract = request.getfixturevalue(fixture)
         calls = []
-        original = synthesis._guarantee_over_inputs
-        monkeypatch.setattr(synthesis, "_guarantee_over_inputs", lambda *a: calls.append(a) or original(*a))
+        original = synthesis._winning
+        monkeypatch.setattr(synthesis, "_winning", lambda *a: calls.append(a) or original(*a))
         controller = centralized_synthesis(net, contract)
         assert len(calls) == 1
         realizable = check_realizable(flatten(net), contract.assumption, contract.guarantee)
@@ -718,8 +718,8 @@ def handed_scope(net, initial: set, name: str) -> list[str]:
 
 class TestOneVariableOrder:
     """Each guarantee the search splits has its scope in the peel order, so
-    the leaf's outputs lead and the distribution graph is a view of the
-    guarantee's table; and every guarantee handed to one leaf within a call
+    the leaf's outputs lead and the distribution graph's relation is the
+    guarantee itself; and every guarantee handed to one leaf within a call
     has one scope, fixed by the leaves peeled before it."""
 
     def test_every_split_guarantee_follows_the_peel_order(self, monkeypatch):
@@ -733,7 +733,7 @@ class TestOneVariableOrder:
         def viewed(guarantee, net, name):
             result = graph(guarantee, net, name)
             if guarantee.scope[: len(result.left_scope)] == tuple(result.left_scope):
-                assert np.shares_memory(result.adjacency, guarantee.table)
+                assert result.relation is guarantee
                 seen["views"] += 1
             return result
 
@@ -761,17 +761,18 @@ class TestOneVariableOrder:
 
 class TestSearchMemory:
     def test_chain5_peak_stays_within_its_ratio_of_the_guarantee(self):
-        # The search views its guarantees rather than copying them into
-        # another order.  Its tracemalloc peak on the compiled five-generator
-        # chain was 2.51 times the guarantee's table bytes while every leaf
-        # copied the guarantee into leaf-first order; with one order it is
-        # 1.15, and reordering the compiled guarantee inside the search
-        # would read 2.15.
+        # The search holds packed tables, 2^n / 8 bytes for n variables, and
+        # splits the guarantee it receives without reordering it.  On the
+        # compiled five-generator chain (n = 20) its tracemalloc peak is
+        # 2.50 times the guarantee's packed bytes (328004 bytes); with bool
+        # tables it was 1.14 times their 2^20 bytes, and the bound was 1.5
+        # times that, four times looser than this one.
         import tracemalloc
 
         from boolsynth.eps import compile_to_network, load_topology
 
         net, contract = compile_to_network(load_topology(FIXTURES / "eps_chain5.topology.json"))
+        packed_bytes = (1 << len(contract.guarantee.scope)) // 8
         tracemalloc.start()
         try:
             out = distributed_synthesis(net, contract)
@@ -779,7 +780,7 @@ class TestSearchMemory:
         finally:
             tracemalloc.stop()
         assert out.success
-        assert peak <= 1.5 * contract.guarantee.table.nbytes
+        assert peak <= 3 * packed_bytes
 
 
 class TestVacuousContracts:
