@@ -204,6 +204,11 @@ def _as_scope(scope: Iterable[str] | VariableSet) -> VariableSet:
 _CACHED_VARIABLES = 16
 """Variable patterns over up to this many variables (8 KiB each) are cached."""
 
+_BLOCK_VARIABLES = 10
+"""An insertion into a table above `_CACHED_VARIABLES` whose copied blocks
+have at least 2^10 cells cuts the table into blocks instead of moving cells
+under patterns (`_embedding`)."""
+
 
 def _full(n: int) -> int:
     """The all-true table over `n` variables."""
@@ -243,14 +248,23 @@ def _embedding(scope: VariableSet, target: VariableSet) -> tuple:
     there: each cell with bit a set and bit b clear trades places with the
     cell ``2^b - 2^a`` above it.
 
-    An insertion of g variables at rank bit t moves the cells whose rank has
-    bit r set, for each variable above t from the most significant down, by
-    ``2^(r+g) - 2^r``: every variable moved before lands above r, so bit r
-    of a cell's position still holds its value.  It then copies every cell
-    into the halves where the new variables are set, by shifts of ``2^t``
-    to ``2^(t+g-1)`` (Knuth, TAOCP 4A, 7.1.3).  Each insertion is a pair of
-    the moves, as (variables, rank bit, distance), and the copy distances;
-    the masks are variable patterns, looked up as the plan is applied.
+    An insertion of g variables at rank bit t, ``(present, t, g)`` for a
+    table over `present` variables, spaces out the table's blocks of 2^t
+    cells and copies each into the cells where the new variables are set.
+    Where the result has at most `_CACHED_VARIABLES` variables it moves the
+    cells whose rank has bit r set, for each variable above t from the most
+    significant down, by ``2^(r+g) - 2^r`` under the cached variable
+    pattern: every variable moved before lands above r, so bit r of a
+    cell's position still holds its value.  The copies are then shifts of
+    ``2^t`` to ``2^(t+g-1)`` (Knuth, TAOCP 4A, 7.1.3).  A larger result
+    needs a pattern built per move and g passes of copies over the whole
+    table, so where the copied blocks of ``2^(t+g)`` cells are large too
+    (`_BLOCK_VARIABLES`) the table is cut into its cofactors on the
+    variables above t, each block is copied while it is small, and the
+    blocks are joined at the new stride: 5 times faster for the cone
+    functions of the flattened four-generator EPS chain, put on its 27
+    inputs.  Blocks of a few cells stay with the moves, since cutting costs
+    a Python step per block.
     """
     have = set(scope)
     order = tuple(v for v in target if v in have)
@@ -260,17 +274,14 @@ def _embedding(scope: VariableSet, target: VariableSet) -> tuple:
         if j != i:
             swaps.append((m, m - 1 - j, m - 1 - i))
             at[i], at[j] = at[j], at[i]
-    at = list(reversed(order))  # the variable at each rank bit, from bit 0
-    n, t, insertions = len(target), 0, []
+    n, t, present, insertions = len(target), 0, m, []
     while t < n:
         g = 0
         while t + g < n and target[n - 1 - t - g] not in have:
             g += 1
         if g:
-            size = len(at) + g
-            moves = [(size, r, (1 << (r + g)) - (1 << r)) for r in range(len(at) - 1, t - 1, -1)]
-            insertions.append((moves, [1 << (t + i) for i in range(g)]))
-            at[t:t] = [None] * g
+            insertions.append((present, t, g))
+            present += g
         t += g + 1
     return swaps, insertions
 
@@ -333,19 +344,11 @@ def _projected(bits: int, scope: tuple[str, ...], keep) -> int:
 
 
 def _extended(f: "BoolFunc", scope: VariableSet) -> int:
-    """f's table over `scope`, a superset of f.scope in any order: a constant
-    is all or nothing, a literal its variable's pattern, and any other table
-    goes through its `_embedding` in `scope`."""
+    """f's table over `scope`, a superset of f.scope in any order, by its
+    `_embedding` in `scope`."""
     if f.scope == scope:
         return f.bits
-    n = len(scope)
-    check_table_size(n)
-    if len(f.scope) < 2:
-        full = _full(n)
-        if f.bits in (0, _full(len(f.scope))):
-            return full if f.bits else 0
-        pattern = _variable_pattern(n, n - 1 - scope.index(f.scope[0]))
-        return pattern if f.bits == 0b10 else full ^ pattern
+    check_table_size(len(scope))
     swaps, insertions = _embedding(f.scope, scope)
     bits = f.bits
     for m, a, b in swaps:
@@ -353,12 +356,18 @@ def _extended(f: "BoolFunc", scope: VariableSet) -> int:
         diff = (bits ^ bits >> distance) & _variable_pattern(m, a)
         diff ^= diff & _variable_pattern(m, b)
         bits ^= diff ^ diff << distance
-    for moves, copies in insertions:
-        for size, r, distance in moves:
-            moved = bits & _variable_pattern(size, r)
-            bits ^= moved ^ moved << distance
-        for distance in copies:
-            bits |= bits << distance
+    for present, t, g in insertions:
+        if present + g <= _CACHED_VARIABLES or t + g < _BLOCK_VARIABLES:
+            for r in range(present - 1, t - 1, -1):
+                moved = bits & _variable_pattern(present + g, r)
+                bits ^= moved ^ moved << ((1 << (r + g)) - (1 << r))
+            for k in range(t, t + g):
+                bits |= bits << (1 << k)
+        else:
+            blocks = _cofactors(bits, present, present - t)
+            for k in range(t, t + g):
+                blocks = [block | block << (1 << k) for block in blocks]
+            bits = _joined(blocks, 1 << (t + g))
     return bits
 
 
@@ -480,14 +489,11 @@ class BoolFunc:
 
     def evaluate_many(self, assignments: Mapping[str, np.ndarray]) -> np.ndarray:
         """Vectorized evaluation; each scope variable maps to a 0/1 array.
-        The value at rank r is bit ``r & 7`` of byte ``r >> 3`` of the packed
-        table, which is not unpacked."""
+        The table is read packed (`_gather`), not unpacked."""
         if not self.scope:
             probe = next(iter(assignments.values()), None)
             return np.full(() if probe is None else np.shape(probe), bool(self.bits))
-        ranks = valuation_ranks(assignments[v] for v in self.scope)
-        packed = np.frombuffer(self.bits.to_bytes(((1 << len(self.scope)) + 7) >> 3, "little"), np.uint8)
-        return (packed[ranks >> 3] >> (ranks & 7) & 1).astype(bool)
+        return _gather(_packed_cells([self]), valuation_ranks(assignments[v] for v in self.scope))[0]
 
     def satisfying_valuations(self) -> list[Valuation]:
         """The satisfying set, in canonical (lexicographic) order."""
@@ -613,6 +619,22 @@ class BoolFunc:
 
 # The slots' own setters, which the immutable `__setattr__` does not reach.
 _set_scope, _set_bits = BoolFunc.scope.__set__, BoolFunc.bits.__set__
+
+
+def _packed_cells(funcs: list[BoolFunc]) -> np.ndarray:
+    """The tables of `funcs`, over scopes of one size, as the rows of a
+    uint8 array: the value of row k at rank r is bit ``r & 7`` of its byte
+    ``r >> 3``."""
+    size = ((1 << len(funcs[0].scope)) + 7) >> 3
+    joined = b"".join(f.bits.to_bytes(size, "little") for f in funcs)
+    return np.frombuffer(joined, np.uint8).reshape(len(funcs), size)
+
+
+def _gather(cells: np.ndarray, ranks) -> np.ndarray:
+    """The values at `ranks`, an int array, of each row of `cells`, packed
+    tables from `_packed_cells`: a bool array of shape
+    ``(rows, *ranks.shape)``."""
+    return (cells[:, ranks >> 3] >> (ranks & 7) & 1).astype(bool)
 
 
 def conjoin(funcs: Iterable[BoolFunc]) -> BoolFunc:

@@ -16,7 +16,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .boolfunc import BoolFunc, VariableSet, check_name, check_table_size, valuation_ranks
+from .boolfunc import BoolFunc, VariableSet, _gather, _packed_cells, check_name, check_table_size, valuation_ranks
 
 __all__ = [
     "BooleanSystem",
@@ -417,8 +417,9 @@ def closed_loop_values(
 
     In topological order, each internal input is its driver's value, each
     controller's rows are gathered once at the rank of its own inputs, and
-    each output is gathered from its function's flat table, with one rank
-    array per distinct function scope.
+    the outputs whose functions share a scope are gathered at once from
+    their packed tables, stacked once per walk, with one rank array per
+    scope.
     """
     check_table_size(len(seeds))
     values: dict[str, np.ndarray] = dict(seeds)
@@ -432,11 +433,12 @@ def closed_loop_values(
             if ctrl is not None:
                 rows = ctrl.table[valuation_ranks(values[v] for v in ctrl.inputs)]
                 values.update((c, rows[..., i]) for i, c in enumerate(ctrl.controls))
-        ranks: dict[VariableSet, np.ndarray] = {}
+        shared: dict[VariableSet, list[str]] = {}
         for y, f in sys.functions.items():
-            if f.scope not in ranks:
-                ranks[f.scope] = valuation_ranks(values[v] for v in f.scope)
-            values[y] = f.table.reshape(-1)[ranks[f.scope]]
+            shared.setdefault(f.scope, []).append(y)
+        for scope, ys in shared.items():
+            cells = _packed_cells([sys.functions[y] for y in ys])
+            values.update(zip(ys, _gather(cells, valuation_ranks(values[v] for v in scope))))
     return values
 
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boolfunc import BoolFunc, Valuation, VariableSet, valuation_bits
+from .boolfunc import BoolFunc, Valuation, VariableSet, _gather, _packed_cells, valuation_bits, valuation_ranks
 from .contracts import ContractPair, DistributionGraph, check_contract
 from .network import (
     BooleanNetwork,
@@ -85,13 +85,17 @@ def _violations(
 ) -> Callable[[Mapping[str, Controller]], np.ndarray]:
     """Controllers that pass `check_controllers` -> the mask of admissible
     valuations their closed loop does not guarantee, each external input on
-    an axis of its own.  The seeds and the admissible mask are built once."""
+    an axis of its own.  The seeds, the admissible mask and the guarantee's
+    packed table are made once."""
     seeds = axis_seeds(external_inputs(net))
     admissible = contract.assumption.evaluate_many(seeds)
-    guarantee = contract.guarantee
-    return lambda controllers: admissible & ~guarantee.evaluate_many(
-        closed_loop_values(net, seeds, controllers)
-    )
+    scope, cells = contract.guarantee.scope, _packed_cells([contract.guarantee])
+
+    def violations(controllers: Mapping[str, Controller]) -> np.ndarray:
+        values = closed_loop_values(net, seeds, controllers)
+        return admissible & ~_gather(cells, valuation_ranks(values[y] for y in scope))[0]
+
+    return violations
 
 
 def _verdict(ext: VariableSet, violated: np.ndarray) -> VerificationResult:

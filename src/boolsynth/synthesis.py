@@ -123,21 +123,33 @@ def _winning(sys: BooleanSystem, guarantee: BoolFunc) -> int:
     controls: the Shannon expansion of G over its outputs, from the first,
     with each branch on output y ANDed with y's packed table
     (`BooleanSystem.output_bits`) or its complement.  A constant branch ends
-    the expansion, so a cube costs one AND per output."""
+    the expansion, so a cube costs one AND per output.  A cofactor whose
+    branches both expand to non-constant tables is expanded once however
+    many branches reach it (memo keyed by the cofactor and its depth), so a
+    parity of k outputs costs O(k) ANDs.  A cofactor with a constant branch
+    is one AND away from its other branch and is not kept: keeping a cube's
+    chain of them would hold a table over all inputs per output, 220 MB
+    more for central synthesis of the four-generator EPS chain."""
     full = _full(len(sys.env_inputs) + len(sys.controls))
     outputs = sys.output_bits(guarantee.scope)
+    memo: dict[tuple[int, int], int] = {}
 
     def expand(bits: int, i: int, width: int) -> int:
         if not bits:
             return 0
         if bits == (1 << width) - 1:
             return full
-        width >>= 1
-        lo, hi = expand(bits & ((1 << width) - 1), i + 1, width), expand(bits >> width, i + 1, width)
-        if lo == hi:
-            return lo
-        f = outputs[i]
-        return (hi & f) | (lo & (full ^ f))
+        win = memo.get((bits, i))
+        if win is None:
+            width >>= 1
+            lo, hi = expand(bits & ((1 << width) - 1), i + 1, width), expand(bits >> width, i + 1, width)
+            if lo == hi:
+                return lo
+            f = outputs[i]
+            win = (hi & f) | (lo & (full ^ f))
+            if lo not in (0, full) and hi not in (0, full):
+                memo[bits, i] = win
+        return win
 
     return expand(guarantee.bits, 0, 1 << len(guarantee.scope))
 

@@ -364,6 +364,19 @@ class TestPackedAgainstDense:
             assert table.shape == (2,) * len(fs) and np.array_equal(table, ft)
             assert table is not f.table  # unpacked on each access, not kept
 
+    def test_extension_past_the_cached_patterns_matches_numpy(self):
+        # Targets of 17 to 19 variables, where insertions cut the table into
+        # blocks instead of moving cells under cached patterns; the new
+        # variables fall below, between and above the function's own.
+        rng = np.random.default_rng(2028)
+        names = [f"w{i}" for i in range(19)]
+        for trial in range(12):
+            target = list(rng.permutation(names)[: int(rng.integers(17, 20))])
+            fs = list(rng.permutation(target)[: int(rng.integers(0, 7))])
+            ft = rng.random((2,) * len(fs)) < 0.5
+            f = BoolFunc(fs, ft)
+            assert np.array_equal(f.extend(target).table, dense_on(ft, fs, target)), trial
+
 
 GUARD_CHILD = """
 import json

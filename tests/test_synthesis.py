@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import operator
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -194,7 +197,7 @@ def record_output_bits(monkeypatch) -> list:
 
 
 class TestGameAgainstSubstitution:
-    """The rank gather against the existential route ``guarantee.substitute``."""
+    """The packed game against the existential route ``guarantee.substitute``."""
 
     @staticmethod
     def reference(sys, assumption, guarantee, internal):
@@ -228,6 +231,41 @@ class TestGameAgainstSubstitution:
                     with pytest.raises(UnrealizableError):
                         extract_controller(sys, assumption, guarantee)
         assert realizable > 100 and unrealizable > 100
+
+    def test_parity_guarantee_expands_each_cofactor_once(self, monkeypatch):
+        # y0 ^ ... ^ y13 has 2^13 satisfying valuations, but at each depth
+        # only two cofactors, the parity of the outputs left and its
+        # complement, so the expansion reads the output tables O(14) times
+        # (29: the last output's two literals are not kept) where the plain
+        # expansion would read them 2^14 - 1 times.
+        reads = []
+
+        class Counted(tuple):
+            def __getitem__(self, i):
+                reads.append(i)
+                return tuple.__getitem__(self, i)
+
+        original = BooleanSystem.output_bits
+        monkeypatch.setattr(BooleanSystem, "output_bits", lambda sys, outputs: Counted(original(sys, outputs)))
+        rng = np.random.default_rng(14)
+        controls, env = VariableSet(["u0", "u1"]), VariableSet(["e0", "e1", "e2"])
+        outputs = VariableSet(f"y{k}" for k in range(14))
+        guarantee = reduce(operator.xor, map(BoolFunc.var, outputs))
+        verdicts = set()
+        for _ in range(4):
+            functions = {y: random_boolfunc(rng, random_subset(rng, controls.union(env))) for y in outputs}
+            sys = BooleanSystem("S", controls, env, outputs, functions)
+            assumption = random_boolfunc(rng, random_subset(rng, env))
+            internal = random_subset(rng, env)
+            ok, lra, rows = self.reference(sys, assumption, guarantee, internal)
+            reads.clear()
+            assert check_realizable(sys, assumption, guarantee) == ok
+            assert len(reads) <= 2 * len(outputs) + 1
+            assert least_restrictive_assumption(sys, assumption, guarantee, internal) == lra
+            if ok:
+                assert [tuple(r) for r in extract_controller(sys, assumption, guarantee).table.tolist()] == rows
+            verdicts.add(ok)
+        assert verdicts == {True, False}
 
     def test_internal_inputs_and_assumption_out_of_environment_order(self):
         # The LRA is projected in environment-input order and transposed
