@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 import numpy as np
@@ -60,7 +59,7 @@ EXIT_ORACLE_DISAGREES = 3
 
 def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
-        print(json.dumps(report, indent=2))
+        print(formats.dumps(report))
     else:
         for line in lines:
             print(line)
@@ -114,7 +113,7 @@ def _synthesize_and_report(args, net: BooleanNetwork, contract: ContractPair,
         lines.append(f"closed loop verified: {verified}")
         if args.out and verified:
             document = (formats.central_document(controller) if args.central
-                        else formats.controllers_document(net, outcome))
+                        else formats.controllers_document(net, outcome, report["trace"]))
             formats.dump_document(args.out, document)
             report["out"] = args.out
             lines.append(f"controller document written to {args.out}")

@@ -36,7 +36,10 @@ order, so row k belongs to the environment valuation of rank k, and its
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping
+import os
+import stat
+from collections.abc import Iterator, Mapping
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -63,6 +66,7 @@ __all__ = [
     "parse_controllers_document",
     "load_controllers",
     "dump_document",
+    "dumps",
     "read_document",
     "array_field",
 ]
@@ -146,27 +150,33 @@ def load_contract(path, net: BooleanNetwork) -> ContractPair:
     return ContractPair(assumption, guarantee)
 
 
-def _env_label(k: int, n: int) -> str:
-    """The bit string of the valuation of rank `k` over `n` inputs."""
-    return format(k, f"0{n}b") if n else ""
+def _env_labels(n: int) -> Iterator[str]:
+    """The bit strings of the valuations over `n` inputs, in rank order."""
+    if not n:
+        return iter(("",))
+    spec = f"0{n}b"
+    return (format(k, spec) for k in range(1 << n))
 
 
 def _controller_entry(ctrl: Controller) -> dict:
-    n, m = len(ctrl.inputs), len(ctrl.controls)
+    m = len(ctrl.controls)
     bits = (ctrl.table.view(np.uint8) + 48).tobytes().decode()  # "0"/"1", row after row
     return {
         "subsystem": ctrl.subsystem,
         "inputs": list(ctrl.inputs),
         "controls": list(ctrl.controls),
         "rows": [
-            {"env": _env_label(k, n), "controls": bits[k * m:(k + 1) * m]}
-            for k in range(len(ctrl.table))
+            {"env": env, "controls": bits[k * m:(k + 1) * m]}
+            for k, env in enumerate(_env_labels(len(ctrl.inputs)))
         ],
     }
 
 
-def controllers_document(net: BooleanNetwork, outcome: SynthesisOutcome) -> dict:
-    """Serialize a successful distributed synthesis outcome."""
+def controllers_document(net: BooleanNetwork, outcome: SynthesisOutcome,
+                         trace: list[dict] | None = None) -> dict:
+    """Serialize a successful distributed synthesis outcome.  `trace` is
+    `trace_document(outcome)` when the caller already built it, so that no
+    LRA is printed twice."""
     order = [s.name for s in net.subsystems if s.name in outcome.controllers]
     return {
         "mode": "distributed",
@@ -179,7 +189,7 @@ def controllers_document(net: BooleanNetwork, outcome: SynthesisOutcome) -> dict
             }
             for n in order
         ],
-        "trace": trace_document(outcome),
+        "trace": trace_document(outcome) if trace is None else trace,
     }
 
 
@@ -235,10 +245,10 @@ def parse_controllers_document(doc: Mapping, net: BooleanNetwork) -> tuple[str, 
         if len(rows_doc) != 1 << len(inputs):
             raise FormatError(f"{name}: expected {1 << len(inputs)} rows, found {len(rows_doc)}")
         rows = []
-        for k, row in enumerate(rows_doc):
+        for k, (row, label) in enumerate(zip(rows_doc, _env_labels(len(inputs)))):
             env, bits = (str(_field(row, key, name)) for key in ("env", "controls"))
-            if env != _env_label(k, len(inputs)):
-                raise FormatError(f"{name}: row {k} has env {env!r}, expected {_env_label(k, len(inputs))!r}")
+            if env != label:
+                raise FormatError(f"{name}: row {k} has env {env!r}, expected {label!r}")
             if len(bits) != len(controls) or bits.strip("01"):
                 raise FormatError(f"{name}: row {k} control bits {bits!r} are malformed")
             rows.append(bits)
@@ -250,6 +260,77 @@ def load_controllers(path, net: BooleanNetwork) -> tuple[str, dict[str, Controll
     return parse_controllers_document(read_document(path), net)
 
 
+def dumps(doc) -> str:
+    """`json.dumps(doc, indent=2)`, byte for byte, without its pure-Python
+    encoder, which `indent` forces.
+
+    Dicts, lists and tuples (`VariableSet` among them) are walked here and
+    strings escaped by json's own ASCII escaper; numbers, `None`, the
+    booleans and non-string keys go to `json.dumps`, so every value it
+    refuses, such as a set or a numpy bool, raises the same `TypeError`.  A
+    document that contains itself raises `RecursionError`, where
+    `json.dumps` raises `ValueError`.
+    """
+    parts: list[str] = []
+    _encode(doc, "\n", parts.append)
+    return "".join(parts)
+
+
+def _encode(value, newline: str, emit) -> None:
+    """Emit `value` as `dumps` does, its lines after the first starting
+    with `newline` (a line break and the current indent)."""
+    if isinstance(value, str):
+        emit(_quote(value))
+    elif isinstance(value, dict):
+        if not value:
+            emit("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                key = _key(key)
+            emit(f"{separator}{_quote(key)}: ")
+            _encode(item, inner, emit)
+            separator = "," + inner
+        emit(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            emit("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            emit(separator)
+            _encode(item, inner, emit)
+            separator = "," + inner
+        emit(newline + "]")
+    else:
+        emit(json.dumps(value))
+
+
+def _key(key) -> str:
+    """A non-string dict key as `json.dumps` writes it, before quoting."""
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
 def dump_document(path, doc: Mapping) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
+    """Write `dumps(doc)` and a line break to `path`.
+
+    An existing file is rewritten in place, keeping its inode and
+    permissions, and a regular file is then truncated to the document's
+    length; a new one is created as `open(path, "w")` creates it.  Opening
+    without truncating spares the file system freeing and reallocating the
+    file's blocks on every rewrite.  Like the truncate-then-write it
+    replaces, the write is not atomic: a failure part way through can leave
+    a mix of the old and new documents, which is why every document is
+    checked before it is used.  A target that is not a regular file (a
+    pipe, a terminal, `os.devnull`) is written and never truncated.
+    """
+    data = (dumps(doc) + "\n").encode("ascii")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()

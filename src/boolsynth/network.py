@@ -141,7 +141,8 @@ class BooleanNetwork:
     refuse to run until the report is empty.  The network is frozen, so its
     report is computed once and cached as `violations`, and so are the wiring,
     the system graph, the evaluation order and the output order of a
-    well-posed one, as `drivers`, `edges`, `topological` and `peel_outputs`."""
+    well-posed one, as `drivers`, `edges`, `topological` and `peel_outputs`,
+    and its external inputs, outputs and controls in declaration order."""
 
     subsystems: tuple[BooleanSystem, ...]
     wiring: Interconnection = field(default_factory=Interconnection)
@@ -206,6 +207,23 @@ class BooleanNetwork:
         guarantee's scope in this order, so the outputs of the leaf it
         peels next lead."""
         return VariableSet._derived(tuple(y for s in reversed(self.topological) for y in s.outputs))
+
+    @cached_property
+    def external_inputs(self) -> VariableSet:
+        """All external environment inputs, in declaration order, computed
+        on first use; refuses an ill-posed network."""
+        drivers = self.drivers
+        return VariableSet(v for s in self.subsystems for v in s.env_inputs if v not in drivers)
+
+    @cached_property
+    def all_outputs(self) -> VariableSet:
+        """Every output, in declaration order, computed on first use."""
+        return VariableSet(v for s in self.subsystems for v in s.outputs)
+
+    @cached_property
+    def all_controls(self) -> VariableSet:
+        """Every control, in declaration order, computed on first use."""
+        return VariableSet(v for s in self.subsystems for v in s.controls)
 
 
 def validate(net: BooleanNetwork) -> list[str]:
@@ -315,16 +333,15 @@ def is_forest(net: BooleanNetwork) -> bool:
 
 def external_inputs(net: BooleanNetwork) -> VariableSet:
     """All external environment inputs, in declaration order."""
-    drivers = net.drivers
-    return VariableSet(v for s in net.subsystems for v in s.env_inputs if v not in drivers)
+    return net.external_inputs
 
 
 def all_outputs(net: BooleanNetwork) -> VariableSet:
-    return VariableSet(v for s in net.subsystems for v in s.outputs)
+    return net.all_outputs
 
 
 def all_controls(net: BooleanNetwork) -> VariableSet:
-    return VariableSet(v for s in net.subsystems for v in s.controls)
+    return net.all_controls
 
 
 @dataclass(frozen=True, eq=False)

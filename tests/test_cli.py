@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import errno
 import json
+import os
 import sys
 import time
 
@@ -121,6 +123,28 @@ class TestSynthesizeCommand:
         assert report["success"] is True and report["closed_loop_verified"] is False
         assert "out" not in report
         assert not out_file.exists()
+
+
+    def test_out_to_a_device_is_written_without_truncating(self, capsys):
+        assert cli_main(["synthesize", *SERIAL, "--out", os.devnull]) == 0
+        assert f"controller document written to {os.devnull}" in capsys.readouterr().out
+
+    def test_read_only_out_is_an_input_error(self, tmp_path, monkeypatch, capsys):
+        out_file = tmp_path / "ctrl.json"
+        out_file.write_text("{}\n")
+        out_file.chmod(0o444)
+        if os.access(out_file, os.W_OK):  # mode bits do not bind this user: refuse as the kernel would
+            def refusing_open(path, flags, *args):
+                if os.fspath(path) == str(out_file) and flags & (os.O_WRONLY | os.O_RDWR):
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+                return real_open(path, flags, *args)
+
+            real_open = os.open
+            monkeypatch.setattr(os, "open", refusing_open)
+        assert cli_main(["synthesize", *SERIAL, "--out", str(out_file)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "Permission denied" in err[0]
+        assert out_file.read_text() == "{}\n"
 
 
 class TestFanOut:

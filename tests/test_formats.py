@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import json
+import os
+import random
 
+import numpy as np
 import pytest
 
+from boolsynth.boolfunc import VariableSet
 from boolsynth.formats import (
     FormatError,
     central_document,
     controllers_document,
     dump_document,
+    dumps,
     load_contract,
     load_controllers,
     load_network,
@@ -123,3 +128,104 @@ def test_duplicate_subsystem_rejected():
     doc["controllers"].append(doc["controllers"][0])
     with pytest.raises(FormatError, match="more than one controller"):
         parse_controllers_document(doc, net)
+
+
+# Characters that exercise every escape: quotes, backslash, controls,
+# non-ASCII (one and two UTF-16 units) and plain ASCII.
+_ALPHABET = 'ab Z09"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\U0001f600'
+
+
+def _random_string(rng: random.Random) -> str:
+    return "".join(rng.choice(_ALPHABET) for _ in range(rng.randrange(6)))
+
+
+def _random_scalar(rng: random.Random):
+    return rng.choice([
+        lambda: None, lambda: True, lambda: False,
+        lambda: rng.randrange(-10**20, 10**20), lambda: rng.randrange(-3, 3),
+        lambda: rng.uniform(-1e6, 1e6), lambda: rng.choice([0.0, -0.0, 1e300, 1e-300, 0.1]),
+        lambda: rng.choice([float("nan"), float("inf"), float("-inf")]),
+        lambda: _random_string(rng),
+    ])()
+
+
+def _random_key(rng: random.Random):
+    if rng.random() < 0.8:
+        return _random_string(rng)
+    return rng.choice([None, True, False, rng.randrange(-99, 99), rng.uniform(-9, 9), float("nan")])
+
+
+def _random_value(rng: random.Random, depth: int):
+    kind = rng.randrange(6) if depth else 0
+    if kind == 0:
+        return _random_scalar(rng)
+    n = rng.randrange(4)  # empty containers included
+    if kind == 1:
+        return {_random_key(rng): _random_value(rng, depth - 1) for _ in range(n)}
+    if kind == 2:
+        return [_random_value(rng, depth - 1) for _ in range(n)]
+    if kind == 3:
+        return tuple(_random_value(rng, depth - 1) for _ in range(n))
+    if kind == 4:
+        return VariableSet(f"v{k}" for k in rng.sample(range(10), n))
+    return rng.choice(["", " ", '"', "\x00", "\u00ff"]) + _random_string(rng)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_dumps_matches_json_dumps_with_indent(seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        doc = _random_value(rng, rng.randrange(5))
+        assert dumps(doc) == json.dumps(doc, indent=2)
+
+
+def test_dumps_matches_the_controller_documents():
+    net = serial_chain_net()
+    contract = make_contract(net, "e1", "y2")
+    for doc in (controllers_document(net, distributed_synthesis(net, contract)),
+                central_document(centralized_synthesis(net, contract))):
+        assert dumps(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("bad", [
+    np.bool_(True), np.int64(1), {1, 2}, frozenset(), b"bytes", object(),
+    {(1, 2): "tuple key"}, {"k": [1, {"deep": {3}}]}, [np.array([1])],
+])
+def test_dumps_refuses_what_json_dumps_refuses(bad):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(bad, indent=2)
+    with pytest.raises(TypeError) as got:
+        dumps(bad)
+    assert str(got.value) == str(expected.value)
+
+
+def test_shorter_document_rewrites_a_longer_file_in_place(tmp_path):
+    path = tmp_path / "doc.json"
+    dump_document(path, {"rows": ["0" * 64] * 32})
+    inode, size = os.stat(path).st_ino, os.path.getsize(path)
+    short = {"mode": "central"}
+    dump_document(path, short)
+    assert path.read_bytes() == (json.dumps(short, indent=2) + "\n").encode()
+    assert os.path.getsize(path) < size
+    assert os.stat(path).st_ino == inode
+
+
+def test_new_document_gets_the_mode_open_gives(tmp_path):
+    previous = os.umask(0o027)
+    try:
+        dump_document(tmp_path / "new.json", {})
+        with open(tmp_path / "reference.json", "w"):
+            pass
+    finally:
+        os.umask(previous)
+    modes = {os.stat(tmp_path / name).st_mode for name in ("new.json", "reference.json")}
+    assert modes == {0o100640}
+
+
+def test_existing_document_keeps_its_permissions(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text("x" * 100)
+    path.chmod(0o600)
+    dump_document(path, [])
+    assert path.read_text() == "[]\n"
+    assert os.stat(path).st_mode == 0o100600

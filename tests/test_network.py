@@ -15,6 +15,7 @@ from boolsynth.network import (
     Interconnection,
     Link,
     all_controls,
+    all_outputs,
     check_controllers,
     classify_inputs,
     compose,
@@ -348,6 +349,30 @@ class TestClassifyInputs:
     def test_unknown_subsystem(self):
         with pytest.raises(KeyError):
             classify_inputs(serial_chain_net(), "SX")
+
+
+class TestNetworkScopes:
+    def test_declaration_order_computed_once(self):
+        # the child is declared first, so declaration and evaluation orders differ
+        child = make_system("C", ["uc", "vc"], ["ec", "c_from_p"], {"yc": "uc & c_from_p", "zc": "vc | ec"})
+        parent = make_system("P", ["up"], ["ep"], {"yp": "up ^ ep"})
+        net = BooleanNetwork((child, parent), Interconnection((Link("P", "yp", "C", "c_from_p"),)))
+        assert external_inputs(net) == ("ec", "ep")
+        assert all_outputs(net) == ("yc", "zc", "yp")
+        assert all_controls(net) == ("uc", "vc", "up")
+        for function in (external_inputs, all_outputs, all_controls):
+            assert isinstance(function(net), VariableSet)
+            assert function(net) is function(net) is getattr(net, function.__name__)
+
+    def test_ill_posed_networks_are_refused_on_every_call(self):
+        s1 = make_system("S1", ["u1"], ["e1"], {"y": "u1"})
+        s2 = make_system("S2", ["u2"], ["e2"], {"y": "u2"})
+        net = BooleanNetwork((s1, s2))
+        for _ in range(2):
+            with pytest.raises(IllPosedNetworkError):
+                external_inputs(net)
+            with pytest.raises(ValueError, match="duplicate variable names: y"):
+                all_outputs(net)
 
 
 class TestLeavesAndForest:
