@@ -14,8 +14,11 @@ is an XOR with the all-true table.  A change of scope moves blocks of cells
 by shifts under variable patterns, the cells whose rank has one bit set,
 cached per (variables, position) for small tables: `extend` inserts each new
 variable, `project` ORs and splits halves, and a reordering swaps two
-variables at a time.  `BoolFunc.table` unpacks the int into a read-only bool
-array on demand, for the code that indexes cells.
+variables at a time.  One reader lists a table's set cells in ascending
+rank (`_set_cells`), for formatting, valuations and the oracles.  Arrays
+appear only where data comes in or goes out: the constructor packs one,
+`BoolFunc.table` unpacks one for tests and `DistributionGraph.adjacency`,
+and `evaluate_many` gathers cells for the closed-loop walk.
 
 Equality is semantic over identical scopes; use :meth:`BoolFunc.equivalent`
 to compare functions whose scopes differ.
@@ -49,8 +52,8 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 MAX_TABLE_CELLS = 1 << 30
 """Largest truth table, in cells, that any operation builds: 2^30 cells are
-128 MiB as a packed int, or 1 GiB where a table is unpacked to one byte per
-cell (`BoolFunc.table` and the arrays of the closed-loop walk)."""
+128 MiB as a packed int, or 1 GiB as one byte per cell: the arrays of the
+closed-loop walk, an array given to `BoolFunc` and `BoolFunc.table`."""
 
 
 class TableTooLargeError(ValueError):
@@ -147,11 +150,11 @@ class Valuation:
 
     @classmethod
     def from_index(cls, scope: VariableSet, index: int) -> "Valuation":
-        return cls(scope, tuple(valuation_bits(index, len(scope)).tolist()))
+        return cls(scope, tuple(index >> k & 1 for k in reversed(range(len(scope)))))
 
     def index(self) -> int:
         """Lexicographic rank of this valuation (False < True)."""
-        return int(valuation_ranks(self.bits))
+        return reduce(lambda rank, b: rank << 1 | b, self.bits, 0)
 
     def __getitem__(self, name: str) -> bool:
         return self.bits[self.scope.index(name)]
@@ -213,6 +216,16 @@ under patterns (`_embedding`)."""
 def _full(n: int) -> int:
     """The all-true table over `n` variables."""
     return (1 << (1 << n)) - 1
+
+
+def _set_cells(bits: int) -> Iterator[int]:
+    """The ranks of the set cells of the packed table `bits`, ascending: the
+    one way the library lists a table's cells."""
+    digits = bin(bits)[:1:-1]  # cell 0 first
+    rank = digits.find("1")
+    while rank >= 0:
+        yield rank
+        rank = digits.find("1", rank + 1)
 
 
 def _build_pattern(n: int, k: int) -> int:
@@ -420,8 +433,9 @@ class BoolFunc:
         """The truth table unpacked to one bool per cell: a fresh read-only,
         C-contiguous array of shape ``(2,) * len(scope)`` whose axis i
         carries ``scope[i]`` (index 0 = False), so its C order is canonical
-        valuation order.  Computed on each access, for code that indexes
-        cells: `to_expr`, the documents and the closed-loop walk."""
+        valuation order.  Computed on each access, for tests and
+        `DistributionGraph.adjacency`: the library reads cells packed
+        (`_set_cells`, `evaluate_many`)."""
         cells = 1 << len(self.scope)
         packed = np.frombuffer(self.bits.to_bytes((cells + 7) >> 3, "little"), np.uint8)
         table = np.unpackbits(packed, count=cells, bitorder="little").view(bool)
@@ -497,8 +511,7 @@ class BoolFunc:
 
     def satisfying_valuations(self) -> list[Valuation]:
         """The satisfying set, in canonical (lexicographic) order."""
-        hits = np.argwhere(self.table)
-        return [Valuation(self.scope, tuple(bool(b) for b in row)) for row in hits]
+        return [Valuation.from_index(self.scope, rank) for rank in _set_cells(self.bits)]
 
     # -- operations --------------------------------------------------------
 
@@ -565,16 +578,13 @@ class BoolFunc:
         return acc.project(acc.scope.without(keys))
 
     def support(self) -> VariableSet:
-        """The variables the function actually depends on, in scope order."""
-        return VariableSet._derived(tuple(self.scope[i] for i in self._support_axes()))
-
-    def _support_axes(self) -> list[int]:
-        """The positions of the support variables: those whose two cofactors
-        differ somewhere."""
+        """The variables the function actually depends on, in scope order:
+        those whose two cofactors differ somewhere."""
         n, bits = len(self.scope), self.bits
         full = _full(n)
-        return [i for i in range(n)
-                if (bits ^ bits >> (1 << (n - 1 - i))) & (full ^ _variable_pattern(n, n - 1 - i))]
+        return VariableSet._derived(tuple(
+            v for i, v in enumerate(self.scope)
+            if (bits ^ bits >> (1 << (n - 1 - i))) & (full ^ _variable_pattern(n, n - 1 - i))))
 
     # -- comparisons -------------------------------------------------------
 
@@ -602,11 +612,12 @@ class BoolFunc:
             return "true"
         if self.is_false:
             return "false"
-        axes = self._support_axes()
-        core = self.table[tuple(slice(None) if i in axes else 0 for i in range(len(self.scope)))]
-        lits = [(f"!{self.scope[i]}", self.scope[i]) for i in axes]
-        return " | ".join(" & ".join(lit[b] for lit, b in zip(lits, row))
-                          for row in np.argwhere(core).tolist())
+        support = self.support()
+        core = _projected(self.bits, self.scope, set(support))
+        n = len(support)
+        lits = [(f"!{v}", v) for v in support]
+        return " | ".join(" & ".join(lit[rank >> (n - 1 - k) & 1] for k, lit in enumerate(lits))
+                          for rank in _set_cells(core))
 
     def __repr__(self) -> str:
         if len(self.scope) <= 4:

@@ -32,10 +32,9 @@ import argparse
 import functools
 import sys
 
-import numpy as np
-
 from . import eps as eps_mod
 from . import formats
+from .boolfunc import _set_cells
 from .contracts import ContractPair, build_distribution_graph, distributions_from_graph
 from .network import BooleanNetwork, all_outputs, external_inputs
 from .oracle import (
@@ -101,8 +100,7 @@ def _synthesize_and_report(args, net: BooleanNetwork, contract: ContractPair,
             controllers = outcome.controllers
         else:
             lines.append("trace:")
-            for t in outcome.trace:
-                lines.append(f"  {t.subsystem} split#{t.distribution}: lra = {t.lra.to_expr()}")
+            lines.extend(f"  {t['subsystem']} split#{t['distribution']}: lra = {t['lra']}" for t in report["trace"])
             if report["completeness_certificate"]:
                 lines.append("completeness certificate holds: no distributed controller exists")
     report["success"] = success
@@ -187,7 +185,7 @@ def _cmd_distribute(args) -> int:
             report["oracle"] = {"ran": False, "reason": str(exc)}
             lines.append(f"biclique cross-check skipped: {exc}")
         else:
-            got = {tuple(frozenset(np.flatnonzero(f.table).tolist()) for f in (d.down, d.up)) for d in dists}
+            got = {tuple(frozenset(_set_cells(f.bits)) for f in (d.down, d.up)) for d in dists}
             agrees = got == want
             report["oracle"] = {"ran": True, "agrees": agrees}
             lines.append(f"biclique cross-check: {'agrees' if agrees else 'DISAGREES'}")

@@ -25,9 +25,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from math import prod
 
-import numpy as np
-
-from .boolfunc import BoolFunc, VariableSet, _cofactors, _full
+from .boolfunc import BoolFunc, VariableSet, _cofactors, _full, _set_cells
 from .network import BooleanNetwork, all_outputs, classify_inputs, external_inputs
 
 __all__ = [
@@ -68,32 +66,23 @@ class DistributionGraph:
 
     Left valuation ``i`` (over `left_scope`) and right valuation ``j`` (over
     `right_scope`) are adjacent iff they jointly satisfy the guarantee;
-    valuation indices are lexicographic ranks.  The graph is held as
+    valuation indices are lexicographic ranks.  The graph is its
     `relation`, the guarantee over `left_scope` followed by `right_scope`,
     whose packed table is the adjacency matrix row after row: cell
     ``i * 2^|right_scope| + j``.  The search's relation is the guarantee
     itself: every guarantee it splits lists the leaf's outputs first
-    (`BooleanNetwork.peel_outputs`).  An adjacency matrix given in place of
-    the relation is packed into one, and `adjacency` unpacks the matrix on
-    demand.
+    (`BooleanNetwork.peel_outputs`).  A matrix is packed into a relation by
+    ``BoolFunc(left_scope.union(right_scope), matrix)``.
     """
 
     left_scope: VariableSet
     right_scope: VariableSet
     relation: BoolFunc
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.relation, BoolFunc):
-            arr = np.asarray(self.relation, dtype=bool)
-            want = (1 << len(self.left_scope), 1 << len(self.right_scope))
-            if arr.shape != want:
-                raise ValueError(f"adjacency shape {arr.shape} does not match scopes {want}")
-            object.__setattr__(self, "relation", BoolFunc(self.left_scope.union(self.right_scope), arr))
-
     @property
-    def adjacency(self) -> np.ndarray:
-        """The adjacency matrix, a fresh read-only bool array of shape
-        ``(2^|left_scope|, 2^|right_scope|)``."""
+    def adjacency(self):
+        """The adjacency matrix unpacked, a fresh read-only bool array of
+        shape ``(2^|left_scope|, 2^|right_scope|)``, for tests and tracing."""
         return self.relation.table.reshape(1 << len(self.left_scope), 1 << len(self.right_scope))
 
 
@@ -199,13 +188,8 @@ def _maximal_bicliques(graph: DistributionGraph) -> list[tuple[int, int]]:
     # index list breaks every tie; it is built only for tied sizes.
     tied = {size for size, count in Counter(sizes).items() if count > 1}
     order = sorted(range(len(concepts)), key=lambda k: (
-        -sizes[k], _members(concepts[k][0]) if sizes[k] in tied else ()))
+        -sizes[k], list(_set_cells(concepts[k][0])) if sizes[k] in tied else ()))
     return [concepts[k] for k in order]
-
-
-def _members(mask: int) -> list[int]:
-    """The indices of the set bits of `mask`, ascending."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def distributions_from_graph(graph: DistributionGraph) -> list[Distribution]:

@@ -30,9 +30,10 @@ enters each group at one node.  Dummy nodes never fail.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .boolfunc import BoolFunc, VariableSet, _full, _variable_pattern, check_name, check_table_size, conjoin
@@ -105,11 +106,11 @@ class PowerTopology:
                 raise TopologyError(f"node {n.name!r} has unknown kind {n.kind!r}")
             if n.current not in ("ac", "dc"):
                 raise TopologyError(f"node {n.name!r} has unknown current tag {n.current!r}")
-        dupes = sorted({n for n in names if names.count(n) > 1})
+        dupes = sorted(n for n, count in Counter(names).items() if count > 1)
         if dupes:
             raise TopologyError(f"duplicate node names: {', '.join(dupes)}")
         contactors = [e.contactor for e in self.edges if e.contactor is not None]
-        dupes = sorted({c for c in contactors if contactors.count(c) > 1})
+        dupes = sorted(c for c, count in Counter(contactors).items() if count > 1)
         if dupes:
             raise TopologyError(f"duplicate contactor names: {', '.join(dupes)}")
         clash = sorted(set(contactors) & set(names))
@@ -129,11 +130,16 @@ class PowerTopology:
             if f not in contactor_set:
                 raise TopologyError(f"feeder {f!r} is not a contactor edge")
 
+    @cached_property
+    def _by_name(self) -> dict[str, PowerNode]:
+        """Each node by its name, computed on first use."""
+        return {n.name: n for n in self.nodes}
+
     def node(self, name: str) -> PowerNode:
-        for n in self.nodes:
-            if n.name == name:
-                return n
-        raise KeyError(f"no component named {name!r}")
+        node = self._by_name.get(name)
+        if node is None:
+            raise KeyError(f"no component named {name!r}")
+        return node
 
     @property
     def contactor_names(self) -> tuple[str, ...]:

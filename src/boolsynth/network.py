@@ -142,7 +142,8 @@ class BooleanNetwork:
     report is computed once and cached as `violations`, and so are the wiring,
     the system graph, the evaluation order and the output order of a
     well-posed one, as `drivers`, `edges`, `topological` and `peel_outputs`,
-    and its external inputs, outputs and controls in declaration order."""
+    and its names, external inputs, outputs and controls in declaration
+    order."""
 
     subsystems: tuple[BooleanSystem, ...]
     wiring: Interconnection = field(default_factory=Interconnection)
@@ -164,8 +165,9 @@ class BooleanNetwork:
             positions.setdefault(s.name, i)
         return positions
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
+        """The subsystem names in declaration order, computed on first use."""
         return tuple(s.name for s in self.subsystems)
 
     @cached_property
@@ -406,7 +408,7 @@ def check_controllers(net: BooleanNetwork, controllers: Mapping[str, Controller]
         ctrl = controllers[sys.name]
         if ctrl.inputs != sys.env_inputs or ctrl.controls != sys.controls:
             raise ValueError(f"controller for {sys.name!r} does not match its interface")
-    extra = [name for name in controllers if name not in net.names]
+    extra = [name for name in controllers if name not in net._positions]
     if extra:
         raise ValueError(f"controllers for no subsystem of the network: {extra}")
 

@@ -16,7 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boolfunc import BoolFunc, Valuation, VariableSet, _gather, _packed_cells, valuation_bits, valuation_ranks
+from .boolfunc import (BoolFunc, Valuation, VariableSet, _gather, _packed_cells, _set_cells,
+                       valuation_bits, valuation_ranks)
 from .contracts import ContractPair, DistributionGraph, check_contract
 from .network import (
     BooleanNetwork,
@@ -77,7 +78,9 @@ def verify_closed_loop(
     """
     check_contract(net, contract)
     check_controllers(net, controllers)
-    return _verdict(external_inputs(net), _violations(net, contract)(controllers))
+    ext, violated = external_inputs(net), _violations(net, contract)(controllers)
+    first = int(np.argmax(np.broadcast_to(violated, (2,) * len(ext)))) if violated.any() else None
+    return _verdict(ext, first)
 
 
 def _violations(
@@ -98,13 +101,12 @@ def _violations(
     return violations
 
 
-def _verdict(ext: VariableSet, violated: np.ndarray) -> VerificationResult:
-    """The result for a violation mask that broadcasts to the table over
-    `ext`, whose C order is canonical valuation order."""
-    if not violated.any():
+def _verdict(ext: VariableSet, first: int | None) -> VerificationResult:
+    """The result for `first`, the rank of the first valuation of `ext` that
+    violates the contract, or None when none does."""
+    if first is None:
         return VerificationResult(True)
-    grid = np.broadcast_to(violated, (2,) * len(ext))
-    return VerificationResult(False, Valuation.from_index(ext, int(np.argmax(grid))))
+    return VerificationResult(False, Valuation.from_index(ext, first))
 
 
 def verify_by_substitution(
@@ -126,8 +128,8 @@ def verify_by_substitution(
         for y, f in sys.functions.items():
             closed[y] = f.substitute(controls).substitute(drivers)
     guarantee = contract.guarantee.substitute({y: closed[y] for y in contract.guarantee.scope})
-    ext = external_inputs(net)
-    return _verdict(ext, ~contract.assumption.implies(guarantee).extend(ext).table)
+    violated = ~contract.assumption.implies(guarantee).extend(external_inputs(net))
+    return _verdict(violated.scope, next(_set_cells(violated.bits), None))
 
 
 @lru_cache(maxsize=65536)
@@ -186,24 +188,20 @@ def enumerate_bicliques_subset(graph: DistributionGraph) -> frozenset[tuple[froz
     2^(smaller side) subsets times the larger side, exceeds
     `MAX_BICLIQUE_WORK`.
     """
-    adjacency = graph.adjacency
-    n_left, n_right = adjacency.shape
+    n_left, n_right = 1 << len(graph.left_scope), 1 << len(graph.right_scope)
+    small, large = sorted((n_left, n_right))
+    if large << small > MAX_BICLIQUE_WORK:
+        raise BudgetExceededError(
+            f"biclique oracle limited to {MAX_BICLIQUE_WORK} subset steps, got 2^{small} x {large}"
+        )
+    # Neighbourhoods as int bit sets: the rows are slices of the relation's
+    # table, and the columns those slices transposed.
+    row = (1 << n_right) - 1
+    left_nbr = [graph.relation.bits >> (i * n_right) & row for i in range(n_left)]
+    right_nbr = [sum((nbr >> j & 1) << i for i, nbr in enumerate(left_nbr)) for j in range(n_right)]
     transposed = n_right < n_left
     if transposed:
-        adjacency = adjacency.T
-        n_left, n_right = n_right, n_left
-    if n_right << n_left > MAX_BICLIQUE_WORK:
-        raise BudgetExceededError(
-            f"biclique oracle limited to {MAX_BICLIQUE_WORK} subset steps, "
-            f"got 2^{n_left} x {n_right}"
-        )
-
-    # Python ints as bit sets: numpy indices would overflow past bit 63.
-    left_nbr = [sum(1 << j for j in np.flatnonzero(adjacency[i]).tolist()) for i in range(n_left)]
-    right_nbr = [sum(1 << i for i in np.flatnonzero(adjacency[:, j]).tolist()) for j in range(n_right)]
-
-    def members(mask: int) -> frozenset[int]:
-        return frozenset(i for i in range(max(n_left, n_right)) if (mask >> i) & 1)
+        left_nbr, right_nbr, n_left, n_right = right_nbr, left_nbr, n_right, n_left
 
     found: set[tuple[frozenset[int], frozenset[int]]] = set()
     full_right = (1 << n_right) - 1
@@ -218,6 +216,6 @@ def enumerate_bicliques_subset(graph: DistributionGraph) -> frozenset[tuple[froz
         for j in range(n_right):
             if (common >> j) & 1:
                 closure &= right_nbr[j]
-        pair = (members(closure), members(common))
+        pair = (frozenset(_set_cells(closure)), frozenset(_set_cells(common)))
         found.add(pair if not transposed else (pair[1], pair[0]))
     return frozenset(found)

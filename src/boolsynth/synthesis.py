@@ -51,8 +51,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import and_
 
-import numpy as np
-
 from .boolfunc import (
     BoolFunc,
     Valuation,
@@ -218,7 +216,7 @@ def extract_controller(sys: BooleanSystem, assumption: BoolFunc, guarantee: Bool
             f"{sys.name}: no control satisfies the guarantee at admissible input ({witness})"
         )
     rows = _cofactors(win, len(env) + len(ctr), len(env))
-    choice = np.array([(row & -row).bit_length() - 1 if row else 0 for row in rows])
+    choice = [(row & -row).bit_length() - 1 if row else 0 for row in rows]
     return Controller(sys.name, env, ctr, valuation_bits(choice, len(ctr)).T)
 
 

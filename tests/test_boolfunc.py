@@ -342,6 +342,14 @@ class TestPackedAgainstDense:
             assert f.count_satisfying() == int(ft.sum())
             support = [v for i, v in enumerate(fs) if not np.array_equal(np.take(ft, 0, i), np.take(ft, 1, i))]
             assert list(f.support()) == support
+            # formatting: the support's minterms in rank order, read from the dense table
+            core = ft[tuple(slice(None) if v in support else 0 for v in fs)]
+            minterms = [" & ".join(v if b else f"!{v}" for v, b in zip(support, row)) for row in np.argwhere(core)]
+            want = "true" if ft.all() else " | ".join(minterms) if ft.any() else "false"
+            assert f.to_expr() == want, trial
+            hits = f.satisfying_valuations()
+            assert [v.bits for v in hits] == [tuple(map(bool, row)) for row in np.argwhere(ft)], trial
+            assert [v.index() for v in hits] == np.flatnonzero(ft).tolist()
             for _ in range(4):
                 point = {v: bool(rng.integers(0, 2)) for v in fs}
                 assert f.evaluate(point) == bool(ft[tuple(int(point[v]) for v in fs)])

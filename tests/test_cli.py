@@ -76,6 +76,19 @@ class TestSynthesizeCommand:
         assert "failure" in out
         assert "S1" in out and "lra = false" in out
 
+    def test_failure_trace_lines_match_the_json_trace(self, monkeypatch, capsys):
+        renders = []
+        to_expr = BoolFunc.to_expr
+        monkeypatch.setattr(BoolFunc, "to_expr", lambda f: renders.append(f) or to_expr(f))
+        assert cli_main(["synthesize", *XOR, "--json"]) == 1
+        trace = json.loads(capsys.readouterr().out)["trace"]
+        renders.clear()
+        assert cli_main(["synthesize", *XOR]) == 1
+        lines = [line for line in capsys.readouterr().out.splitlines() if "split#" in line]
+        assert len(trace) == 2
+        assert lines == [f"  {t['subsystem']} split#{t['distribution']}: lra = {t['lra']}" for t in trace]
+        assert len(renders) == len(trace)  # each trace LRA is rendered once
+
     def test_central_flag(self, tmp_path):
         out_file = tmp_path / "central.json"
         assert cli_main(["synthesize", *SERIAL, "--central", "--out", str(out_file)]) == 0

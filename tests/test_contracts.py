@@ -197,11 +197,9 @@ class TestMaximalDistributions:
 def graph_of(adjacency) -> DistributionGraph:
     adjacency = np.asarray(adjacency, dtype=bool)
     n_left, n_right = (int(n).bit_length() - 1 for n in adjacency.shape)
-    return DistributionGraph(
-        VariableSet([f"l{i}" for i in range(n_left)]),
-        VariableSet([f"r{j}" for j in range(n_right)]),
-        adjacency,
-    )
+    left = VariableSet([f"l{i}" for i in range(n_left)])
+    right = VariableSet([f"r{j}" for j in range(n_right)])
+    return DistributionGraph(left, right, BoolFunc(left.union(right), adjacency))
 
 
 def index_pairs(dists) -> list[tuple[frozenset[int], frozenset[int]]]:

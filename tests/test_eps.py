@@ -100,6 +100,18 @@ class TestLoadTopology:
         with pytest.raises(TopologyError, match="duplicate contactor"):
             load_topology(path)
 
+    def test_duplicate_node_names_rejected(self):
+        nodes = [PowerNode(name, kind, "ac") for name, kind in
+                 [("G", "generator"), ("B", "bus"), ("G", "bus"), ("C", "bus"), ("B", "dummy")]]
+        with pytest.raises(TopologyError, match=r"duplicate node names: B, G\Z"):
+            PowerTopology(tuple(nodes), (PowerEdge("G", "C", "k1"),))
+
+    def test_nodes_are_found_by_name(self):
+        topo = load_topology(FIXTURES / "eps_tree.topology.json")
+        assert [topo.node(n.name) for n in topo.nodes] == list(topo.nodes)
+        with pytest.raises(KeyError, match="no component named 'nowhere'"):
+            topo.node("nowhere")
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(TopologyError):
             PowerTopology((PowerNode("X", "capacitor", "ac"),), ())

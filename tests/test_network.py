@@ -489,6 +489,14 @@ class TestCompose:
         with pytest.raises(ValueError, match="missing controller|no subsystem"):
             check_controllers(net, ctrls)
 
+    def test_names_are_cached_and_unknown_controllers_refused(self):
+        net = serial_chain_net()
+        assert net.names is net.names and net.names == ("S1", "S2")
+        ctrls = constant_controllers(net)
+        ctrls["S3"] = Controller.constant("S3", VariableSet(), VariableSet(["u3"]))
+        with pytest.raises(ValueError, match=r"controllers for no subsystem of the network: \['S3'\]"):
+            check_controllers(net, ctrls)
+
 
 class TestFlatten:
     def test_flattened_plant_matches_manual_elimination(self):

@@ -361,7 +361,7 @@ class TestBicliqueOracle:
         n_right = int(np.log2(adjacency.shape[1]))
         left = VariableSet([f"l{i}" for i in range(n_left)])
         right = VariableSet([f"r{j}" for j in range(n_right)])
-        return DistributionGraph(left, right, adjacency)
+        return DistributionGraph(left, right, BoolFunc(left.union(right), adjacency))
 
     def test_disjunction_graph_has_two_bicliques(self):
         g = self.graph([[False, True], [True, True]])
@@ -387,7 +387,7 @@ class TestBicliqueOracle:
         left = VariableSet([f"l{i}" for i in range(6)])
         right = VariableSet([f"r{j}" for j in range(6)])
         with pytest.raises(BudgetExceededError):
-            enumerate_bicliques_subset(DistributionGraph(left, right, big))
+            enumerate_bicliques_subset(DistributionGraph(left, right, BoolFunc(left.union(right), big)))
 
     def test_budget_counts_subsets_of_the_smaller_side(self):
         # 32 x 32 is 1024 node pairs but 2^32 subsets: refused before any work

@@ -736,6 +736,27 @@ class TestSearchMemos:
         assert distributed_synthesis(net, contract) == first
         assert lras["calls"] == 2 * calls
 
+    def test_a_failure_covers_every_stronger_guarantee(self):
+        # The lemma a dominance memo would rest on: the search is monotone in
+        # the guarantee, so if it fails for G it fails for any satisfiable
+        # G & h.  Five random strengthenings of each failure in two pools.
+        failures = cases = 0
+        for seed in (0, 1):
+            rng = np.random.default_rng(seed)
+            for _ in range(200):
+                net = random_dag_network(rng, 5)
+                contract = random_contract(rng, net)
+                if distributed_synthesis(net, contract).success:
+                    continue
+                failures += 1
+                for _ in range(5):
+                    stronger = contract.guarantee & random_boolfunc(rng, contract.guarantee.scope)
+                    if not stronger.is_false:
+                        cases += 1
+                        out = distributed_synthesis(net, ContractPair(contract.assumption, stronger))
+                        assert not out.success, (seed, failures)
+        assert failures > 50 and cases > 200
+
 
 def peel_order(net) -> list[str]:
     """Every output, the subsystems children first, each one's outputs in
