@@ -15,10 +15,11 @@ by shifts under variable patterns, the cells whose rank has one bit set,
 cached per (variables, position) for small tables: `extend` inserts each new
 variable, `project` ORs and splits halves, and a reordering swaps two
 variables at a time.  One reader lists a table's set cells in ascending
-rank (`_set_cells`), for formatting, valuations and the oracles.  Arrays
-appear only where data comes in or goes out: the constructor packs one,
+rank (`_set_cells`), for formatting, valuations and the oracles, and the
+closed-loop walk of `network` muxes packed tables too.  Arrays appear only
+where data comes in or goes out: the constructor packs one,
 `BoolFunc.table` unpacks one for tests and `DistributionGraph.adjacency`,
-and `evaluate_many` gathers cells for the closed-loop walk.
+and `evaluate_many` gathers cells at arrays of valuations.
 
 Equality is semantic over identical scopes; use :meth:`BoolFunc.equivalent`
 to compare functions whose scopes differ.
@@ -52,8 +53,8 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 MAX_TABLE_CELLS = 1 << 30
 """Largest truth table, in cells, that any operation builds: 2^30 cells are
-128 MiB as a packed int, or 1 GiB as one byte per cell: the arrays of the
-closed-loop walk, an array given to `BoolFunc` and `BoolFunc.table`."""
+128 MiB as a packed int, or 1 GiB as one byte per cell, as in an array
+given to `BoolFunc` and in `BoolFunc.table`."""
 
 
 class TableTooLargeError(ValueError):
@@ -278,6 +279,14 @@ def _embedding(scope: VariableSet, target: VariableSet) -> tuple:
     functions of the flattened four-generator EPS chain, put on its 27
     inputs.  Blocks of a few cells stay with the moves, since cutting costs
     a Python step per block.
+
+    Where `target` has at most `_CACHED_VARIABLES` variables the swaps and
+    insertions are resolved instead into steps ``(kind, mask, shift)`` with
+    the cached patterns in place, so that extending a small table costs
+    only its int operations: kind 0 is a delta swap of the cells under
+    `mask` with those `shift` above, 1 moves the cells under `mask` up by
+    `shift`, and 2 copies the table onto itself `shift` cells up.  Larger
+    targets get None for the steps.
     """
     have = set(scope)
     order = tuple(v for v in target if v in have)
@@ -296,7 +305,14 @@ def _embedding(scope: VariableSet, target: VariableSet) -> tuple:
             insertions.append((present, t, g))
             present += g
         t += g + 1
-    return swaps, insertions
+    if n > _CACHED_VARIABLES:
+        return swaps, insertions, None
+    steps = [(0, _cached_pattern(m, a) & ~_cached_pattern(m, b), (1 << b) - (1 << a)) for m, a, b in swaps]
+    for present, t, g in insertions:
+        steps += [(1, _cached_pattern(present + g, r), (1 << (r + g)) - (1 << r))
+                  for r in range(present - 1, t - 1, -1)]
+        steps += [(2, 0, 1 << k) for k in range(t, t + g)]
+    return (), (), tuple(steps)
 
 
 def _halves(tables: list[int], width: int) -> list[int]:
@@ -358,12 +374,20 @@ def _projected(bits: int, scope: tuple[str, ...], keep) -> int:
 
 def _extended(f: "BoolFunc", scope: VariableSet) -> int:
     """f's table over `scope`, a superset of f.scope in any order, by its
-    `_embedding` in `scope`."""
+    `_embedding` in `scope`: its resolved steps where `scope` is small."""
     if f.scope == scope:
         return f.bits
-    check_table_size(len(scope))
-    swaps, insertions = _embedding(f.scope, scope)
     bits = f.bits
+    swaps, insertions, steps = _embedding(f.scope, scope)
+    if steps is not None:
+        for kind, mask, shift in steps:
+            if kind == 2:
+                bits |= bits << shift
+            else:
+                moved = (bits ^ bits >> shift) & mask if kind == 0 else bits & mask
+                bits ^= moved ^ moved << shift
+        return bits
+    check_table_size(len(scope))
     for m, a, b in swaps:
         distance = (1 << b) - (1 << a)
         diff = (bits ^ bits >> distance) & _variable_pattern(m, a)
@@ -503,11 +527,14 @@ class BoolFunc:
 
     def evaluate_many(self, assignments: Mapping[str, np.ndarray]) -> np.ndarray:
         """Vectorized evaluation; each scope variable maps to a 0/1 array.
-        The table is read packed (`_gather`), not unpacked."""
+        The table is read packed: the cell of rank r is bit ``r & 7`` of
+        byte ``r >> 3`` of its bytes, not unpacked."""
         if not self.scope:
             probe = next(iter(assignments.values()), None)
             return np.full(() if probe is None else np.shape(probe), bool(self.bits))
-        return _gather(_packed_cells([self]), valuation_ranks(assignments[v] for v in self.scope))[0]
+        cells = np.frombuffer(self.bits.to_bytes(((1 << len(self.scope)) + 7) >> 3, "little"), np.uint8)
+        ranks = valuation_ranks(assignments[v] for v in self.scope)
+        return (cells[ranks >> 3] >> (ranks & 7) & 1).astype(bool)
 
     def satisfying_valuations(self) -> list[Valuation]:
         """The satisfying set, in canonical (lexicographic) order."""
@@ -630,22 +657,6 @@ class BoolFunc:
 
 # The slots' own setters, which the immutable `__setattr__` does not reach.
 _set_scope, _set_bits = BoolFunc.scope.__set__, BoolFunc.bits.__set__
-
-
-def _packed_cells(funcs: list[BoolFunc]) -> np.ndarray:
-    """The tables of `funcs`, over scopes of one size, as the rows of a
-    uint8 array: the value of row k at rank r is bit ``r & 7`` of its byte
-    ``r >> 3``."""
-    size = ((1 << len(funcs[0].scope)) + 7) >> 3
-    joined = b"".join(f.bits.to_bytes(size, "little") for f in funcs)
-    return np.frombuffer(joined, np.uint8).reshape(len(funcs), size)
-
-
-def _gather(cells: np.ndarray, ranks) -> np.ndarray:
-    """The values at `ranks`, an int array, of each row of `cells`, packed
-    tables from `_packed_cells`: a bool array of shape
-    ``(rows, *ranks.shape)``."""
-    return (cells[:, ranks >> 3] >> (ranks & 7) & 1).astype(bool)
 
 
 def conjoin(funcs: Iterable[BoolFunc]) -> BoolFunc:

@@ -25,8 +25,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from math import prod
 
-from .boolfunc import BoolFunc, VariableSet, _cofactors, _full, _set_cells
-from .network import BooleanNetwork, all_outputs, classify_inputs, external_inputs
+from .boolfunc import BoolFunc, VariableSet, _cofactors, _extended, _full, _projected, _set_cells
+from .network import BooleanNetwork, all_outputs, external_inputs
 
 __all__ = [
     "ContractPair",
@@ -107,9 +107,11 @@ def project_assumption(assumption: BoolFunc, net: BooleanNetwork, name: str) -> 
     subsystems) are unconstrained, so the result is the projection onto the
     overlap, cylindrically extended over the subsystem's external inputs.
     """
-    _, ext = classify_inputs(net, name)
-    overlap = assumption.scope.restricted_to(ext)
-    return assumption.project(overlap).extend(ext)
+    ext = net.subsystem(name).env_inputs.without(net.drivers)
+    kept = set(ext)
+    overlap = VariableSet._derived(tuple(v for v in assumption.scope if v in kept))
+    projected = BoolFunc._wrap(overlap, _projected(assumption.bits, assumption.scope, kept))
+    return BoolFunc._wrap(ext, _extended(projected, ext))
 
 
 def build_distribution_graph(

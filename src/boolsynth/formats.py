@@ -41,8 +41,6 @@ import stat
 from collections.abc import Iterator, Mapping
 from json.encoder import encode_basestring_ascii as _quote
 
-import numpy as np
-
 from .boolfunc import BoolFunc, VariableSet
 from .contracts import ContractPair
 from .network import (
@@ -160,14 +158,14 @@ def _env_labels(n: int) -> Iterator[str]:
 
 def _controller_entry(ctrl: Controller) -> dict:
     m = len(ctrl.controls)
-    bits = (ctrl.table.view(np.uint8) + 48).tobytes().decode()  # "0"/"1", row after row
+    spec = f"0{m}b"
     return {
         "subsystem": ctrl.subsystem,
         "inputs": list(ctrl.inputs),
         "controls": list(ctrl.controls),
         "rows": [
-            {"env": env, "controls": bits[k * m:(k + 1) * m]}
-            for k, env in enumerate(_env_labels(len(ctrl.inputs)))
+            {"env": env, "controls": format(rank, spec) if m else ""}
+            for env, rank in zip(_env_labels(len(ctrl.inputs)), ctrl.ranks)
         ],
     }
 
@@ -252,7 +250,7 @@ def parse_controllers_document(doc: Mapping, net: BooleanNetwork) -> tuple[str, 
             if len(bits) != len(controls) or bits.strip("01"):
                 raise FormatError(f"{name}: row {k} control bits {bits!r} are malformed")
             rows.append(bits)
-        controllers[name] = Controller(name, inputs, controls, [[ch == "1" for ch in bits] for bits in rows])
+        controllers[name] = Controller._from_ranks(name, inputs, controls, tuple(int(bits or "0", 2) for bits in rows))
     return mode, controllers
 
 

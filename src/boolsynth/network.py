@@ -16,7 +16,8 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .boolfunc import BoolFunc, VariableSet, _gather, _packed_cells, check_name, check_table_size, valuation_ranks
+from .boolfunc import (BoolFunc, VariableSet, _extended, _full, _variable_pattern, check_name, check_table_size,
+                       valuation_bits)
 
 __all__ = [
     "BooleanSystem",
@@ -29,8 +30,7 @@ __all__ = [
     "classify_inputs",
     "is_forest",
     "check_controllers",
-    "axis_seeds",
-    "closed_loop_values",
+    "closed_loop",
     "compose",
     "flatten",
     "remove_subsystem",
@@ -57,7 +57,10 @@ class BooleanSystem:
     inputs are disjoint.  The system is frozen, so the packed tables of each
     output scope over its inputs are computed once and kept, as
     `output_bits`, and so are the masks that the local game of `synthesis`
-    plans per assumption (`_plans`).
+    plans per assumption (`_plans`).  The copies that distributed synthesis
+    makes for one call (`_fresh`) also keep the game's table G(f) per local
+    guarantee (`_wins`), so that a controller is extracted from the table
+    its least restrictive assumption was computed on.
     """
 
     name: str
@@ -69,6 +72,7 @@ class BooleanSystem:
         default_factory=dict, init=False, repr=False, compare=False
     )
     _plans: dict[tuple, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _wins: dict[BoolFunc, int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_name(self.name)
@@ -95,10 +99,11 @@ class BooleanSystem:
         object.__setattr__(self, "functions", ordered)
 
     def _fresh(self) -> "BooleanSystem":
-        """This system with empty memos, copied without checking it again."""
+        """This system with empty memos, `_wins` among them, copied without
+        checking it again."""
         copy = object.__new__(BooleanSystem)
-        for f in fields(BooleanSystem):
-            object.__setattr__(copy, f.name, getattr(self, f.name) if f.init else {})
+        for name, init in _SYSTEM_FIELDS:
+            object.__setattr__(copy, name, getattr(self, name) if init else {})
         return copy
 
     def output_bits(self, outputs: VariableSet) -> tuple[int, ...]:
@@ -111,9 +116,14 @@ class BooleanSystem:
             stray = [y for y in outputs if y not in self.outputs]
             if stray:
                 raise ValueError(f"{self.name} has no outputs {stray}")
-            inputs = self.env_inputs.union(self.controls)
-            bits = self._bits[outputs] = tuple(self.functions[y].extend(inputs).bits for y in outputs)
+            inputs = VariableSet._derived(self.env_inputs + self.controls)
+            bits = self._bits[outputs] = tuple(_extended(self.functions[y], inputs) for y in outputs)
         return bits
+
+
+_SYSTEM_FIELDS = tuple((f.name, f.init) for f in fields(BooleanSystem))
+"""Each field of `BooleanSystem` and whether `__init__` sets it: the rest
+are memos, which `_fresh` empties."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -346,52 +356,73 @@ def all_controls(net: BooleanNetwork) -> VariableSet:
     return net.all_controls
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, slots=True, init=False)
 class Controller:
     """Total lookup table from environment-input valuations to control values.
 
-    `table` is a read-only bool array of shape ``(2^|inputs|, |controls|)``:
-    row ``k`` holds the control bits, in control declaration order, chosen
-    at the input valuation of lexicographic rank ``k``.  Any array-like of
-    that shape is accepted and copied.
+    `ranks` holds one int per input valuation, in rank order: row ``k`` is
+    the rank of the control valuation chosen at the input valuation of
+    lexicographic rank ``k``, the first control the most significant bit.
+    The constructor takes the table unpacked, any array-like of shape
+    ``(2^|inputs|, |controls|)`` whose row ``k`` holds those control bits in
+    declaration order, and keeps only the ranks; `table` unpacks them again.
     """
 
     subsystem: str
     inputs: VariableSet
     controls: VariableSet
-    table: np.ndarray
+    ranks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        want = (1 << len(self.inputs), len(self.controls))
-        table = np.array(self.table, dtype=bool, order="C")  # a jagged table raises ValueError
+    def __init__(self, subsystem: str, inputs: VariableSet, controls: VariableSet, table) -> None:
+        want = (1 << len(inputs), len(controls))
+        table = np.array(table, dtype=bool)  # a jagged table raises ValueError
         if table.shape != want:
             raise ValueError(
-                f"controller for {self.subsystem} has a table of shape {table.shape}, expected {want}"
+                f"controller for {subsystem} has a table of shape {table.shape}, expected {want}"
             )
-        table.setflags(write=False)
-        object.__setattr__(self, "table", table)
+        weights = np.left_shift(1, np.arange(len(controls) - 1, -1, -1, dtype=np.int64))
+        _init_controller(self, subsystem, inputs, controls, tuple((table @ weights).tolist()))
+
+    @classmethod
+    def _from_ranks(cls, subsystem: str, inputs: VariableSet, controls: VariableSet,
+                    ranks: tuple[int, ...]) -> "Controller":
+        """Adopt `ranks`, one control rank per input valuation, unchecked."""
+        ctrl = object.__new__(cls)
+        _init_controller(ctrl, subsystem, inputs, controls, ranks)
+        return ctrl
 
     @classmethod
     def constant(
         cls, subsystem: str, inputs: VariableSet, controls: VariableSet, value: bool = False
     ) -> "Controller":
-        return cls(subsystem, inputs, controls, np.full((1 << len(inputs), len(controls)), bool(value)))
+        rank = (1 << len(controls)) - 1 if value else 0
+        return cls._from_ranks(subsystem, inputs, controls, (rank,) * (1 << len(inputs)))
+
+    @property
+    def table(self) -> np.ndarray:
+        """The ranks unpacked to a fresh read-only, C-contiguous bool array
+        of shape ``(2^|inputs|, |controls|)``, computed on each access for
+        tests: the library reads the ranks."""
+        table = np.ascontiguousarray(valuation_bits(self.ranks, len(self.controls)).T)
+        table.setflags(write=False)
+        return table
 
     def __call__(self, env: Mapping[str, bool]) -> dict[str, bool]:
-        return dict(zip(self.controls, self.table[valuation_ranks(env[v] for v in self.inputs)].tolist()))
+        row = 0
+        for v in self.inputs:
+            row = row << 1 | bool(env[v])
+        rank, m = self.ranks[row], len(self.controls)
+        return {c: bool(rank >> (m - 1 - i) & 1) for i, c in enumerate(self.controls)}
 
     def control_function(self, control: str) -> BoolFunc:
         """The chosen value of one control as a BoolFunc of the inputs."""
-        return BoolFunc(self.inputs, self.table[:, self.controls.index(control)])
+        shift = len(self.controls) - 1 - self.controls.index(control)
+        return BoolFunc._wrap(self.inputs, sum(1 << k for k, rank in enumerate(self.ranks) if rank >> shift & 1))
 
-    def _key(self) -> tuple:
-        return self.subsystem, self.inputs, self.controls, self.table.tobytes()
 
-    def __eq__(self, other: object) -> bool:
-        return self._key() == other._key() if isinstance(other, Controller) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+def _init_controller(ctrl: Controller, *values) -> None:
+    for attr, value in zip(("subsystem", "inputs", "controls", "ranks"), values):
+        object.__setattr__(ctrl, attr, value)
 
 
 def check_controllers(net: BooleanNetwork, controllers: Mapping[str, Controller]) -> None:
@@ -413,52 +444,118 @@ def check_controllers(net: BooleanNetwork, controllers: Mapping[str, Controller]
         raise ValueError(f"controllers for no subsystem of the network: {extra}")
 
 
-def axis_seeds(free: VariableSet) -> dict[str, np.ndarray]:
-    """Seeds for `closed_loop_values`: ``free[i]`` varies along axis ``i``
-    only, so a value computed from them spans the axes of its cone and
-    broadcasts to the table over `free`."""
-    n = len(free)
-    check_table_size(n)
-    return {
-        v: np.array([False, True]).reshape([2 if j == i else 1 for j in range(n)])
-        for i, v in enumerate(free)
-    }
+def closed_loop(
+    net: BooleanNetwork, free: VariableSet, controllers: Mapping[str, Controller]
+) -> dict[str, BoolFunc]:
+    """The network's one closed-loop walk: every output as a function of
+    `free`, the external inputs and every control that no controller (one per
+    subsystem, or one central one) sets.  Each output's function spans its
+    cone, the variables of `free` it reads through the wiring and the
+    controllers, in `free` order, so a value is never wider than its cone.
 
-
-def closed_loop_values(
-    net: BooleanNetwork,
-    seeds: Mapping[str, np.ndarray],
-    controllers: Mapping[str, Controller],
-) -> dict[str, np.ndarray]:
-    """The network's one closed-loop walk: a bool array per variable, from
-    `seeds`, broadcasting arrays for the external inputs and every control
-    that no controller (one per subsystem, or one central one) sets.
-
-    In topological order, each internal input is its driver's value, each
-    controller's rows are gathered once at the rank of its own inputs, and
-    the outputs whose functions share a scope are gathered at once from
-    their packed tables, stacked once per walk, with one rank array per
-    scope.
+    In topological order each output is closed in two steps.  Where its
+    subsystem's own controller sets controls that it reads, it becomes a
+    table over the subsystem's environment inputs, ``exists u. f(e, u) &
+    [u = ctrl(e)]``: the cell of each environment row at the controller's
+    rank (`_under_controller`).  Then a Shannon expansion over its inputs
+    outside `free`, internal inputs and the controls a central controller
+    sets, muxes the cofactors by those inputs' values (`_substituted`).
+    Cones are masks over `free` while the walk runs, first variable most
+    significant, and each mask becomes a scope once.
     """
-    check_table_size(len(seeds))
-    values: dict[str, np.ndarray] = dict(seeds)
+    n = len(free)
+    cone = {v: 1 << (n - 1 - i) for i, v in enumerate(free)}
+    scopes: dict[int, VariableSet] = {}
     drivers = net.drivers
-    setter = {u: name for name, c in controllers.items() for u in c.controls}
-    pending = dict(controllers)
+    setter = {u: ctrl for ctrl in controllers.values() for u in ctrl.controls}
+    values: dict[str, BoolFunc] = {}
     for sys in net.topological:
-        values.update({v: values[drivers[v]] for v in sys.env_inputs if v in drivers})
-        for u in sys.controls:
-            ctrl = pending.pop(setter.get(u), None)
-            if ctrl is not None:
-                rows = ctrl.table[valuation_ranks(values[v] for v in ctrl.inputs)]
-                values.update((c, rows[..., i]) for i, c in enumerate(ctrl.controls))
-        shared: dict[VariableSet, list[str]] = {}
+        env, controls = sys.env_inputs, sys.controls
+        for v in env:
+            if v in drivers:
+                values[v], cone[v] = values[drivers[v]], cone[drivers[v]]
+        ctrl = controllers.get(sys.name)
+        cells = None
+        if ctrl is not None and ctrl.inputs == env and ctrl.controls == controls:
+            if controls:
+                inputs, m, read = VariableSet._derived(env + controls), len(controls), set(controls)
+                cells = [k << m | rank for k, rank in enumerate(ctrl.ranks)]
+                env_cone = 0
+                for v in env:
+                    env_cone |= cone[v]
+        else:
+            for u in controls:
+                if u in setter:
+                    values[u] = f = setter[u].control_function(u)
+                    cone[u] = 0
+                    for v in f.scope:
+                        cone[u] |= cone[v]
         for y, f in sys.functions.items():
-            shared.setdefault(f.scope, []).append(y)
-        for scope, ys in shared.items():
-            cells = _packed_cells([sys.functions[y] for y in ys])
-            values.update(zip(ys, _gather(cells, valuation_ranks(values[v] for v in scope))))
-    return values
+            if cells is not None and not read.isdisjoint(f.scope):
+                f = BoolFunc._wrap(env, _under_controller(_extended(f, inputs), len(inputs), cells))
+                mask = env_cone
+            else:
+                mask = 0
+                for v in f.scope:
+                    mask |= cone[v]
+            scope = scopes.get(mask)
+            if scope is None:
+                scope = scopes[mask] = VariableSet._derived(tuple(v for v in free if mask & cone[v]))
+            values[y], cone[y] = _substituted(f, scope, values), mask
+    return {y: values[y] for sys in net.subsystems for y in sys.outputs}
+
+
+def _under_controller(bits: int, n: int, cells: list[int]) -> int:
+    """The table over `n` inputs, environment inputs first, read at `cells`,
+    one cell per environment row, as a table over the environment inputs."""
+    data = bits.to_bytes(((1 << n) + 7) >> 3, "little")
+    closed = 0
+    for k, c in enumerate(cells):
+        if data[c >> 3] >> (c & 7) & 1:
+            closed |= 1 << k
+    return closed
+
+
+def _substituted(f: BoolFunc, cone: VariableSet, values: Mapping[str, BoolFunc]) -> BoolFunc:
+    """`f` over `cone`, with each variable outside `cone` replaced by its
+    function in `values`, a function over part of `cone`.
+
+    A Shannon expansion over f's variables up to the last replaced one,
+    each branch muxed by the variable's function on `cone`, or by its
+    pattern where the variable is in `cone`: a constant cofactor ends its
+    branch, one over the variables after the last replaced one is put on
+    `cone`, and a cofactor is expanded once however many branches reach
+    it."""
+    scope = f.scope
+    last = len(scope) - 1
+    while last >= 0 and scope[last] in cone:
+        last -= 1
+    if last < 0:
+        return BoolFunc._wrap(cone, _extended(f, cone))
+    k = len(cone)
+    check_table_size(k)
+    muxes = [_variable_pattern(k, k - 1 - cone.index(v)) if v in cone else _extended(values[v], cone)
+             for v in scope[:last + 1]]
+    tail = VariableSet._derived(scope[last + 1:])
+    full = _full(k)
+    memo: dict[tuple[int, int], int] = {}
+
+    def expand(bits: int, i: int, width: int) -> int:
+        if not bits:
+            return 0
+        if bits == (1 << width) - 1:
+            return full
+        if i > last:
+            return _extended(BoolFunc._wrap(tail, bits), cone)
+        closed = memo.get((bits, i))
+        if closed is None:
+            width >>= 1
+            lo = expand(bits & ((1 << width) - 1), i + 1, width)
+            hi = expand(bits >> width, i + 1, width)
+            closed = memo[bits, i] = lo ^ ((lo ^ hi) & muxes[i])
+        return closed
+
+    return BoolFunc._wrap(cone, expand(f.bits, 0, 1 << len(scope)))
 
 
 def compose(
@@ -467,14 +564,14 @@ def compose(
     """Closed-loop output functions over all external inputs.
 
     Substitutes the controllers, one per subsystem or one central one, into
-    the output functions and eliminates internal inputs along the wiring;
-    every returned function is scoped over the full external-input set.
+    the output functions and eliminates internal inputs along the wiring
+    (`closed_loop`); every returned function is scoped over the full
+    external-input set.
     """
     check_controllers(net, controllers)
     ext = external_inputs(net)
-    values = closed_loop_values(net, axis_seeds(ext), controllers)
-    grid = (2,) * len(ext)
-    return {y: BoolFunc(ext, np.broadcast_to(values[y], grid)) for y in all_outputs(net)}
+    check_table_size(len(ext))
+    return {y: f.extend(ext) for y, f in closed_loop(net, ext, controllers).items()}
 
 
 def flatten(net: BooleanNetwork) -> BooleanSystem:
@@ -482,12 +579,7 @@ def flatten(net: BooleanNetwork) -> BooleanSystem:
     free).  Each output function is scoped over the external inputs and
     controls it reads through the wiring."""
     ext, controls = external_inputs(net), all_controls(net)
-    free = ext.union(controls)
-    values = closed_loop_values(net, axis_seeds(free), {})
-    functions = {}
-    for y in all_outputs(net):
-        shape = np.broadcast_shapes(np.shape(values[y]), (1,) * len(free))
-        functions[y] = BoolFunc([v for v, n in zip(free, shape) if n == 2], values[y])
+    functions = closed_loop(net, ext.union(controls), {})
     return BooleanSystem("network", controls, ext, all_outputs(net), functions)
 
 

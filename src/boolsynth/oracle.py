@@ -1,9 +1,9 @@
 """Brute-force reference procedures for validating the synthesis engine.
 
 Everything here trades efficiency for obviousness: distributed synthesis by
-exhaustive enumeration of controller tuples, closed-loop verification by
-simulating every external valuation at once (`closed_loop_values`, the
-network's one closed-loop walk) or, for ``verify --oracle``, by existential
+exhaustive enumeration of controller tuples, closed-loop verification over
+every external valuation at once, on the packed tables of the network's one
+closed-loop walk (`closed_loop`), or, for ``verify --oracle``, by existential
 substitution along the wiring, and maximal-biclique enumeration by subset
 closure.  All of it is bounded to desk scale.
 """
@@ -12,20 +12,15 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
-from functools import lru_cache
 
-import numpy as np
-
-from .boolfunc import (BoolFunc, Valuation, VariableSet, _gather, _packed_cells, _set_cells,
-                       valuation_bits, valuation_ranks)
+from .boolfunc import BoolFunc, Valuation, VariableSet, _extended, _set_cells, check_table_size
 from .contracts import ContractPair, DistributionGraph, check_contract
 from .network import (
     BooleanNetwork,
     BooleanSystem,
     Controller,
-    axis_seeds,
     check_controllers,
-    closed_loop_values,
+    closed_loop,
     external_inputs,
 )
 
@@ -72,31 +67,48 @@ def verify_closed_loop(
 ) -> VerificationResult:
     """Exhaustively check assumption -> guarantee over all external valuations.
 
-    The controller tables are simulated on every external valuation at once
-    by `closed_loop_values`.  Returns the first counterexample in canonical
-    order, if any.
+    The closed loop of the controllers is the network's one walk,
+    `closed_loop`, on packed tables.  Returns the first counterexample in
+    canonical order, if any.
     """
     check_contract(net, contract)
     check_controllers(net, controllers)
     ext, violated = external_inputs(net), _violations(net, contract)(controllers)
-    first = int(np.argmax(np.broadcast_to(violated, (2,) * len(ext)))) if violated.any() else None
-    return _verdict(ext, first)
+    return _verdict(ext, (violated & -violated).bit_length() - 1 if violated else None)
 
 
-def _violations(
-    net: BooleanNetwork, contract: ContractPair
-) -> Callable[[Mapping[str, Controller]], np.ndarray]:
-    """Controllers that pass `check_controllers` -> the mask of admissible
-    valuations their closed loop does not guarantee, each external input on
-    an axis of its own.  The seeds, the admissible mask and the guarantee's
-    packed table are made once."""
-    seeds = axis_seeds(external_inputs(net))
-    admissible = contract.assumption.evaluate_many(seeds)
-    scope, cells = contract.guarantee.scope, _packed_cells([contract.guarantee])
+def _violations(net: BooleanNetwork, contract: ContractPair) -> Callable[[Mapping[str, Controller]], int]:
+    """Controllers that pass `check_controllers` -> the packed table over the
+    external inputs of the admissible valuations their closed loop does not
+    guarantee, ``A & ~G(closed loop)``.  The admissible table is made once.
 
-    def violations(controllers: Mapping[str, Controller]) -> np.ndarray:
-        values = closed_loop_values(net, seeds, controllers)
-        return admissible & ~_gather(cells, valuation_ranks(values[y] for y in scope))[0]
+    G is expanded over its outputs, from the first, along the branches that
+    admissible valuations reach: a branch on output y splits the valuations
+    that reach it by y's closed-loop table.  A branch ends when no valuation
+    reaches it or its cofactor is constant; the valuations that reach a
+    false cofactor violate the contract."""
+    ext = external_inputs(net)
+    check_table_size(len(ext))
+    admissible = contract.assumption.extend(ext).bits
+    guarantee, outputs = contract.guarantee.bits, contract.guarantee.scope
+
+    def violations(controllers: Mapping[str, Controller]) -> int:
+        values = closed_loop(net, ext, controllers)
+        closed = [_extended(values[y], ext) for y in outputs]
+
+        def expand(bits: int, i: int, width: int, reach: int) -> int:
+            if not bits:
+                return reach
+            if bits.bit_length() == width and bits.bit_count() == width:
+                return 0
+            width >>= 1
+            high = reach & closed[i]
+            violated = expand(bits >> width, i + 1, width, high) if high else 0
+            if reach != high:
+                violated |= expand(bits & ((1 << width) - 1), i + 1, width, reach ^ high)
+            return violated
+
+        return expand(guarantee, 0, 1 << len(outputs), admissible) if admissible else 0
 
     return violations
 
@@ -115,9 +127,9 @@ def verify_by_substitution(
     contract: ContractPair,
 ) -> VerificationResult:
     """`verify_closed_loop` by existential substitution along the wiring,
-    independently of `closed_loop_values`: the reference of ``verify
-    --oracle``.  In topological order, each output function has its controls,
-    then its internal inputs, replaced by `BoolFunc.substitute`."""
+    independently of `closed_loop`: the reference of ``verify --oracle``.
+    In topological order, each output function has its controls, then its
+    internal inputs, replaced by `BoolFunc.substitute`."""
     check_contract(net, contract)
     check_controllers(net, controllers)
     setter = {u: c for c in controllers.values() for u in c.controls}
@@ -130,16 +142,6 @@ def verify_by_substitution(
     guarantee = contract.guarantee.substitute({y: closed[y] for y in contract.guarantee.scope})
     violated = ~contract.assumption.implies(guarantee).extend(external_inputs(net))
     return _verdict(violated.scope, next(_set_cells(violated.bits), None))
-
-
-@lru_cache(maxsize=65536)
-def _decode_table(code: int, env_count: int, control_count: int) -> np.ndarray:
-    """Controller table number `code` in lexicographic order: the flattened
-    row-major bit string (first bit most significant) counts up with `code`,
-    so 0 is the all-False table."""
-    table = valuation_bits(code, (1 << env_count) * control_count).reshape(1 << env_count, control_count)
-    table.setflags(write=False)
-    return table
 
 
 def brute_force_distributed(
@@ -159,22 +161,27 @@ def brute_force_distributed(
         )
     violations = _violations(net, contract)
     for controllers in _candidates(net.subsystems):
-        if not violations(controllers).any():
+        if not violations(controllers):
             return controllers
     return None
 
 
 def _candidates(systems: tuple[BooleanSystem, ...]) -> Iterator[dict[str, Controller]]:
     """Every tuple of controller tables for `systems` in lexicographic order,
-    the first subsystem's table counting slowest.  Lazy: 2^24 table codes
-    built up front would take hundreds of megabytes before the first try."""
+    the first subsystem's table counting slowest.  Table number `code` is
+    its flattened row-major bit string, first bit most significant, so row
+    k's control rank is one field of the code and 0 is the all-False table.
+    Lazy: 2^24 table codes built up front would take hundreds of megabytes
+    before the first try."""
     if not systems:
         yield {}
         return
     s = systems[0]
-    ne, nc = len(s.env_inputs), len(s.controls)
-    for code in range(1 << ((1 << ne) * nc)):
-        ctrl = Controller(s.name, s.env_inputs, s.controls, _decode_table(code, ne, nc))
+    rows, m = 1 << len(s.env_inputs), len(s.controls)
+    mask = (1 << m) - 1
+    for code in range(1 << (rows * m)):
+        ranks = tuple(code >> (k * m) & mask for k in reversed(range(rows)))
+        ctrl = Controller._from_ranks(s.name, s.env_inputs, s.controls, ranks)
         for rest in _candidates(systems[1:]):
             yield {s.name: ctrl, **rest}
 

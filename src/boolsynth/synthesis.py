@@ -57,9 +57,10 @@ from .boolfunc import (
     VariableSet,
     _cofactors,
     _combined,
+    _extended,
     _full,
     _variable_pattern,
-    valuation_bits,
+    check_table_size,
 )
 from .contracts import (
     ContractPair,
@@ -127,8 +128,17 @@ def _winning(sys: BooleanSystem, guarantee: BoolFunc) -> int:
     parity of k outputs costs O(k) ANDs.  A cofactor with a constant branch
     is one AND away from its other branch and is not kept: keeping a cube's
     chain of them would hold a table over all inputs per output, 220 MB
-    more for central synthesis of the four-generator EPS chain."""
-    full = _full(len(sys.env_inputs) + len(sys.controls))
+    more for central synthesis of the four-generator EPS chain.  On the
+    search's per-call copies of the systems the table is kept per guarantee
+    (`BooleanSystem._wins`), so the extraction after a success reads the
+    table its least restrictive assumption was computed on."""
+    wins = sys._wins
+    win = None if wins is None else wins.get(guarantee)
+    if win is not None:
+        return win
+    n = len(sys.env_inputs) + len(sys.controls)
+    check_table_size(n)
+    full = _full(n)
     outputs = sys.output_bits(guarantee.scope)
     memo: dict[tuple[int, int], int] = {}
 
@@ -149,7 +159,10 @@ def _winning(sys: BooleanSystem, guarantee: BoolFunc) -> int:
                 memo[bits, i] = win
         return win
 
-    return expand(guarantee.bits, 0, 1 << len(guarantee.scope))
+    win = expand(guarantee.bits, 0, 1 << len(guarantee.scope))
+    if wins is not None:
+        wins[guarantee] = win
+    return win
 
 
 def _plan(sys: BooleanSystem, assumption: BoolFunc, internal: VariableSet) -> tuple:
@@ -165,8 +178,11 @@ def _plan(sys: BooleanSystem, assumption: BoolFunc, internal: VariableSet) -> tu
         stray = [v for v in internal if v not in env]
         if stray:
             raise ValueError(f"cannot project onto variables outside scope: {stray}")
+        missing = [v for v in assumption.scope if v not in env]
+        if missing:
+            raise ValueError(f"extension scope is missing {missing}")
         n = len(env) + len(controls)
-        firsts = assumption.extend(env).extend(env.union(controls)).bits
+        firsts = _extended(assumption, VariableSet._derived(env + controls))
         for k in range(len(controls)):
             firsts ^= firsts & _variable_pattern(n, k)
         cylinders = [firsts]
@@ -203,9 +219,9 @@ def extract_controller(sys: BooleanSystem, assumption: BoolFunc, guarantee: Bool
 
     Ties break to the lexicographically least control valuation that
     satisfies the guarantee, the lowest set cell of the environment
-    valuation's row of `_winning`; rows where none exists get all-False
-    controls and must be inadmissible, otherwise the contract is
-    unrealizable.
+    valuation's row of `_winning`, whose rank is the controller's row; rows
+    where none exists get all-False controls and must be inadmissible,
+    otherwise the contract is unrealizable.
     """
     env, ctr = sys.env_inputs, sys.controls
     win = _winning(sys, guarantee)
@@ -216,8 +232,8 @@ def extract_controller(sys: BooleanSystem, assumption: BoolFunc, guarantee: Bool
             f"{sys.name}: no control satisfies the guarantee at admissible input ({witness})"
         )
     rows = _cofactors(win, len(env) + len(ctr), len(env))
-    choice = [(row & -row).bit_length() - 1 if row else 0 for row in rows]
-    return Controller(sys.name, env, ctr, valuation_bits(choice, len(ctr)).T)
+    return Controller._from_ranks(sys.name, env, ctr,
+                                  tuple((row & -row).bit_length() - 1 if row else 0 for row in rows))
 
 
 def least_restrictive_assumption(

@@ -390,7 +390,7 @@ GUARD_CHILD = """
 import json
 import numpy as np
 from boolsynth.boolfunc import BoolFunc, TableTooLargeError, Valuation, VariableSet
-from boolsynth.network import BooleanNetwork, BooleanSystem, Interconnection, Link, closed_loop_values
+from boolsynth.network import BooleanNetwork, BooleanSystem, Interconnection, Link, flatten
 
 wide = [f"x{i}" for i in range(31)]
 a = BoolFunc.const([f"a{i}" for i in range(16)], True)
@@ -399,8 +399,8 @@ both = a.scope.union(b.scope)
 
 
 def walk():
-    # S3 reads both S1 (over the a's) and S2 (over the b's), so its output
-    # spans all 32 seed axes.
+    # S3 reads both S1 (over the a's) and S2 (over the b's), so its output's
+    # cone spans all 32 external inputs.
     none, wires = VariableSet(), VariableSet(["wa", "wb"])
     net = BooleanNetwork(
         (
@@ -410,9 +410,7 @@ def walk():
         ),
         Interconnection((Link("S1", "ya", "S3", "wa"), Link("S2", "yb", "S3", "wb"))),
     )
-    axis = np.array([False, True])
-    seeds = {v: axis.reshape([2 if j == i else 1 for j in range(32)]) for i, v in enumerate(both)}
-    return closed_loop_values(net, seeds, {})
+    return flatten(net)
 
 
 cases = {
@@ -423,7 +421,7 @@ cases = {
     "or": lambda: a | b,
     "equivalent": lambda: a.equivalent(b),
     "extend": lambda: a.extend(both),
-    "closed_loop_values": walk,
+    "closed_loop": walk,
 }
 report = {}
 for name, build in cases.items():
@@ -454,7 +452,7 @@ class TestTableSizeGuard:
         report = json.loads(done.stdout)
         for name in ("const", "cube", "exactly"):
             assert "2^31 = 2147483648 cells" in report[name], name
-        for name in ("and", "or", "equivalent", "extend", "closed_loop_values"):
+        for name in ("and", "or", "equivalent", "extend", "closed_loop"):
             assert "2^32 = 4294967296 cells" in report[name], name
 
 

@@ -11,7 +11,7 @@ import pytest
 from boolsynth.boolfunc import BoolFunc
 from boolsynth.cli import cli_main
 from boolsynth.formats import central_document, dump_document, load_contract, load_network
-from boolsynth.network import BooleanSystem, Controller, closed_loop_values, flatten
+from boolsynth.network import BooleanSystem, Controller, closed_loop, flatten
 from boolsynth.synthesis import SynthesisOutcome, centralized_synthesis
 
 from .conftest import COLLIDING_TOPOLOGIES, FIXTURES, run_with_memory_limit
@@ -257,11 +257,11 @@ class TestVerifyCommand:
         out_file = tmp_path / "ctrl.json"
         assert cli_main(["synthesize", *SERIAL, *mode, "--out", str(out_file)]) == 0
 
-        def flipped(net, seeds, controllers):
-            values = closed_loop_values(net, seeds, controllers)
+        def flipped(net, free, controllers):
+            values = closed_loop(net, free, controllers)
             return dict(values, y2=~values["y2"]) if controllers else values
 
-        patch_everywhere(monkeypatch, closed_loop_values, flipped)
+        patch_everywhere(monkeypatch, closed_loop, flipped)
         capsys.readouterr()
         assert cli_main(["verify", *SERIAL, str(out_file), "--oracle"]) == 3
         assert "symbolic cross-check: DISAGREES" in capsys.readouterr().out

@@ -254,14 +254,14 @@ class TestBruteForce:
         net, contract = serial_chain
         contract = ContractPair(contract.assumption, BoolFunc.const(all_outputs(net), False))
         calls = []
-        evaluate_many = BoolFunc.evaluate_many
+        extend = BoolFunc.extend
 
-        def counting(self, assignments):
+        def counting(self, scope):
             if self is contract.assumption:
                 calls.append(self)
-            return evaluate_many(self, assignments)
+            return extend(self, scope)
 
-        monkeypatch.setattr(BoolFunc, "evaluate_many", counting)
+        monkeypatch.setattr(BoolFunc, "extend", counting)
         assert brute_force_distributed(net, contract) is None
         assert len(calls) == 1
 

@@ -299,13 +299,24 @@ class TestGameAgainstSubstitution:
     def test_each_subsystem_packs_each_scope_once(self, fixture, request, monkeypatch):
         net, contract = request.getfixturevalue(fixture)
         calls = record_output_bits(monkeypatch)
+        extracted = []
+        original = synthesis.extract_controller
+
+        def extracting(*args):
+            before = len(calls)
+            ctrl = original(*args)
+            extracted.append(len(calls) - before)
+            return ctrl
+
+        monkeypatch.setattr(synthesis, "extract_controller", extracting)
         out = distributed_synthesis(net, contract)
         first = {}
         for name, outputs, bits in calls:
             assert first.setdefault((name, outputs), bits) is bits
         assert {name for name, _ in first} == set(net.names)
-        # each extraction after a success reuses the tables of the winning attempt
-        assert len(calls) - len(first) >= (len(net.names) if out.success else 0)
+        # each extraction after a success reads the G(f) its least
+        # restrictive assumption was computed on, so it packs nothing
+        assert extracted == ([0] * len(net.names) if out.success else [])
 
     def test_packed_tables_last_one_call(self, two_parents, monkeypatch):
         net, contract = two_parents
