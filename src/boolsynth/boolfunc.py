@@ -123,12 +123,12 @@ class VariableSet(tuple):
         return VariableSet(self + extra)
 
     def without(self, names: Iterable[str]) -> "VariableSet":
-        drop = set(names)
+        drop = names if isinstance(names, (set, frozenset, dict)) else set(names)
         return VariableSet._derived(tuple(n for n in self if n not in drop))
 
     def restricted_to(self, names: Iterable[str]) -> "VariableSet":
         """Subset of self (preserving self's order) that also occurs in `names`."""
-        keep = set(names)
+        keep = names if isinstance(names, (set, frozenset, dict)) else set(names)
         return VariableSet._derived(tuple(n for n in self if n in keep))
 
     def __repr__(self) -> str:

@@ -12,9 +12,9 @@ Subcommands::
 Exit codes: 0 success/realizable, 1 unrealizable or verification failure,
 2 input or usage error, including an instance whose truth tables would
 exceed ``boolfunc.MAX_TABLE_CELLS`` (`TableTooLargeError`, a ValueError),
-that runs out of memory (`MemoryError`) or that chains more subsystems than
-the search's recursion holds (`RecursionError`, about 990), 3 the
-``--oracle`` cross-check disagrees.
+that runs out of memory (`MemoryError`) or that nests past the interpreter's
+recursion limit (`RecursionError`), 3 the ``--oracle`` cross-check
+disagrees.
 ``--oracle`` cross-checks the command's result against an independent
 reference: brute-force controller enumeration for synthesize/eps and the
 subset biclique oracle for distribute, each only when the instance fits its
@@ -281,7 +281,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         print("error: out of memory: the instance's tables do not fit this process", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except RecursionError:
-        print("error: too deep: the search recurses once per subsystem, past the recursion limit", file=sys.stderr)
+        print("error: too deep: the instance nests past the interpreter's recursion limit", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

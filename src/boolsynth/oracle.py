@@ -168,22 +168,29 @@ def brute_force_distributed(
 
 def _candidates(systems: tuple[BooleanSystem, ...]) -> Iterator[dict[str, Controller]]:
     """Every tuple of controller tables for `systems` in lexicographic order,
-    the first subsystem's table counting slowest.  Table number `code` is
-    its flattened row-major bit string, first bit most significant, so row
-    k's control rank is one field of the code and 0 is the all-False table.
-    Lazy: 2^24 table codes built up front would take hundreds of megabytes
-    before the first try."""
-    if not systems:
-        yield {}
-        return
-    s = systems[0]
-    rows, m = 1 << len(s.env_inputs), len(s.controls)
-    mask = (1 << m) - 1
-    for code in range(1 << (rows * m)):
-        ranks = tuple(code >> (k * m) & mask for k in reversed(range(rows)))
-        ctrl = Controller._from_ranks(s.name, s.env_inputs, s.controls, ranks)
-        for rest in _candidates(systems[1:]):
-            yield {s.name: ctrl, **rest}
+    an odometer over table codes, the first subsystem's counting slowest.
+    Table number `code` is its flattened row-major bit string, first bit
+    most significant, so row k's control rank is one field of the code and
+    0 is the all-False table.  Lazy: 2^24 table codes built up front would
+    take hundreds of megabytes before the first try."""
+    def table(s: BooleanSystem, code: int) -> Controller:
+        m = len(s.controls)
+        ranks = tuple(code >> (k * m) & ((1 << m) - 1) for k in reversed(range(1 << len(s.env_inputs))))
+        return Controller._from_ranks(s.name, s.env_inputs, s.controls, ranks)
+
+    last = [(1 << (len(s.controls) << len(s.env_inputs))) - 1 for s in systems]
+    zeros = [table(s, 0) for s in systems]
+    codes, tables = [0] * len(systems), list(zeros)
+    while True:
+        yield {s.name: c for s, c in zip(systems, tables)}
+        i = len(systems) - 1
+        while i >= 0 and codes[i] == last[i]:
+            codes[i], tables[i] = 0, zeros[i]
+            i -= 1
+        if i < 0:
+            return
+        codes[i] += 1
+        tables[i] = table(systems[i], codes[i])
 
 
 def enumerate_bicliques_subset(graph: DistributionGraph) -> frozenset[tuple[frozenset[int], frozenset[int]]]:

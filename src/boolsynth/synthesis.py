@@ -1,4 +1,4 @@
-"""Realizability checking and recursive distributed controller synthesis.
+"""Realizability checking and distributed controller synthesis.
 
 A local contract is realizable when for every admissible environment
 valuation some control valuation makes the guarantee hold; the witness of
@@ -19,7 +19,7 @@ in one fixed order, the network's topological order backwards: it projects
 the assumption once per leaf, tries each maximal guarantee split, constrains
 the leaf's internal inputs by the least restrictive assumption, turns that
 constraint into a guarantee for the remaining subsystems by aliasing each
-internal input to its driving output, and recurses, backtracking over
+internal input to its driving output, and descends, backtracking over
 splits.  Every least restrictive assumption of a leaf spans the leaf's
 internal inputs, so the plan of that aliasing (`_rewiring`: the driving
 outputs and, under fan-out, the cells of the diagonal) is made once per
@@ -37,13 +37,13 @@ strengthened guarantee is one `boolfunc._combined` AND of the remainder,
 which spans the rest of the guarantee's scope, and the rewired assumption,
 which spans the leaf's driving outputs: one scope per leaf, planned once.
 
-The assumption never changes, so the search's state is the leaf and the
-guarantee.  Each leaf keeps two memos, dicts made per call and keyed by
-packed tables (nogood recording limited to exact repeats).  A failed
-guarantee records the trace slice it appended, and a repeat replays that
-slice, so the trace still lists every attempt.  A least restrictive
-assumption, keyed by the split's local guarantee, is computed and rewired
-once and reused.
+The assumption never changes, so the search's state is one stack of
+frames, one per leaf entered, each with its guarantee.  Each leaf keeps
+two memos, dicts made per call and keyed by packed tables (nogood
+recording limited to exact repeats).  A failed guarantee records the trace
+slice it appended, and a repeat replays that slice, so the trace still
+lists every attempt.  A least restrictive assumption, keyed by the split's
+local guarantee, is computed and rewired once and reused.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ class TraceEntry:
 
 @dataclass(frozen=True)
 class SynthesisOutcome:
-    """Result of the recursive procedure: on success, one controller and one
+    """Result of distributed synthesis: on success, one controller and one
     realizable local contract per subsystem; the trace logs every attempt."""
 
     success: bool
@@ -299,7 +299,7 @@ def update_contract(contract: ContractPair, up: BoolFunc, lra_rewired: BoolFunc)
 
 
 def distributed_synthesis(net: BooleanNetwork, contract: ContractPair) -> SynthesisOutcome:
-    """Recursive leaf-elimination synthesis with backtracking over splits.
+    """Leaf-elimination synthesis with backtracking over splits.
 
     The search finds one realizable local contract per subsystem, or fails
     after exhausting every split at some leaf; on success each subsystem's
@@ -344,40 +344,52 @@ def distributed_synthesis(net: BooleanNetwork, contract: ContractPair) -> Synthe
 def _synthesize(
     net: BooleanNetwork, leaves: list, guarantee: BoolFunc, trace: list[TraceEntry]
 ) -> dict[str, ContractPair] | None:
-    """The local contract of every leaf in `leaves`, or None once every split
-    of some leaf has failed.  With no leaf left, the guarantee that remains
-    has an empty scope and decides alone: true succeeds, false fails.
+    """The local contract of every leaf in `leaves`, deepest first, or None
+    once every split of the first leaf has failed: basic backtrack (Knuth,
+    TAOCP 4B, Algorithm 7.2.2B) on a stack of one frame per leaf entered,
+    which holds its guarantee, splits, trace start and the split tried.
+    Past the last leaf the guarantee has an empty scope: true succeeds.
 
-    The first leaf's facts are fixed per call, so the guarantee alone
-    decides the answer.  `failed` maps the packed table of each guarantee
-    that failed here to the trace slice it appended; a repeat replays that
-    slice.  It is looked up only once the leaf has failed, so a leaf that
-    never fails hashes no table.  `lras` maps the packed table of a split's
-    local guarantee to its least restrictive assumption and to that rewired
-    onto the parent outputs, or None when it is False.
+    A leaf's facts are fixed per call, so its guarantee alone decides the
+    answer.  `failed` maps the packed table of each guarantee that failed
+    at a leaf to the trace slice it appended; a repeat replays that slice.
+    It is looked up only once the leaf has failed, so a leaf that never
+    fails hashes no table.  `lras` maps the packed table of a split's local
+    guarantee to its least restrictive assumption and to that rewired onto
+    the parent outputs, or None when it is False.
     """
-    if not leaves:
-        return {} if guarantee.is_true else None
-    sys, internal, local_assumption, admissible, rewiring, scope, failed, lras = leaves[0]
-    if failed and guarantee.bits in failed:
-        trace.extend(failed[guarantee.bits])
-        return None
-    start = len(trace)
-    for idx, gamma in enumerate(maximal_distributions(guarantee, net, sys.name)):
+    frames: list[list] = []
+    while True:
+        if guarantee is not None:  # enter leaf len(frames)
+            if len(frames) == len(leaves):
+                if guarantee.is_true:
+                    pairs = zip(reversed(leaves), reversed(frames))
+                    return {s.name: ContractPair(a & lra, down) for (s, _, a, *_), (*_, lra, down) in pairs}
+            elif (failed := leaves[len(frames)][6]) and guarantee.bits in failed:
+                trace.extend(failed[guarantee.bits])
+            else:
+                splits = enumerate(maximal_distributions(guarantee, net, leaves[len(frames)][0].name))
+                frames.append([guarantee, splits, len(trace), None, None])
+            guarantee = None
+        if not frames:
+            return None
+        sys, internal, _, admissible, rewiring, scope, failed, lras = leaves[len(frames) - 1]
+        frame = frames[-1]
+        split = next(frame[1], None)
+        if split is None:
+            failed[frame[0].bits] = trace[frame[2]:]
+            frames.pop()
+            continue
+        idx, gamma = split
         known = lras.get(gamma.down.bits)
         if known is None:
             lra = least_restrictive_assumption(sys, admissible, gamma.down, internal)
             known = lras[gamma.down.bits] = lra, None if lra.is_false else _rewired(lra, rewiring)
         lra, rewired = known
         trace.append(TraceEntry(sys.name, idx, lra))
-        if rewired is None:
-            continue
-        local_contracts = _synthesize(net, leaves[1:], _combined(and_, scope, gamma.up, rewired), trace)
-        if local_contracts is not None:
-            local_contracts[sys.name] = ContractPair(local_assumption & lra, gamma.down)
-            return local_contracts
-    failed[guarantee.bits] = trace[start:]
-    return None
+        if rewired is not None:
+            frame[3:] = lra, gamma.down
+            guarantee = _combined(and_, scope, gamma.up, rewired)
 
 
 def centralized_synthesis(net: BooleanNetwork, contract: ContractPair) -> Controller | None:

@@ -84,6 +84,17 @@ class TestVariableSet:
             assert tuple(scope) == names
             assert [scope.index(n) for n in names] == list(range(len(names)))
 
+    def test_subsets_read_any_iterable_of_names_alike(self):
+        # sets, frozensets and dicts are looked up as they are, other
+        # iterables copied into a set; the results are equal
+        s = VariableSet(["x", "y", "z", "w"])
+        names = ["w", "q", "y"]
+        forms = [names, tuple(names), iter(names), (n for n in names), set(names), frozenset(names),
+                 dict.fromkeys(names, "y0"), VariableSet(names)]
+        assert {s.restricted_to(form) for form in forms} == {("y", "w")}
+        forms[2], forms[3] = iter(names), (n for n in names)
+        assert {s.without(form) for form in forms} == {("x", "z")}
+
     def test_index_of_a_missing_name_names_the_scope(self):
         with pytest.raises(ValueError, match=r"^'z' is not in scope \('x', 'y'\)$"):
             VariableSet(["x", "y"]).index("z")

@@ -448,10 +448,9 @@ class TestDegenerateInputs:
         assert cli_main(["synthesize", SERIAL[0], str(contract)]) == 2
         assert "nested deeper than" in capsys.readouterr().err
 
-    def test_network_too_deep_for_the_search_is_an_input_error(self, tmp_path):
-        # The search recurses once per subsystem; 1500 of them pass the
-        # interpreter's recursion limit on a realizable contract, which exit
-        # 1 would call unrealizable.
+    def test_network_deeper_than_the_recursion_limit_is_synthesized(self, tmp_path):
+        # 1500 subsystems pass the interpreter's recursion limit; the search
+        # keeps its frames on a list, so the contract is met and verified.
         net = tmp_path / "deep.net.json"
         net.write_text(json.dumps({"subsystems": [
             {"name": f"S{i}", "controls": [f"u{i}"], "env_inputs": [],
@@ -464,9 +463,23 @@ class TestDegenerateInputs:
             "import runpy\nrunpy.run_module('boolsynth', run_name='__main__')\n",
             "synthesize", str(net), str(contract),
         )
-        assert done.returncode == 2, done.stderr
-        assert [line for line in done.stderr.splitlines() if line.startswith("error:")] == [done.stderr.strip()]
+        assert done.returncode == 0, done.stderr
+        assert "closed loop verified: True" in done.stdout.splitlines()
         assert "Traceback" not in done.stderr
+
+    def test_oracle_agrees_on_a_control_free_network_deeper_than_the_recursion_limit(self, tmp_path, capsys):
+        net = tmp_path / "free.net.json"
+        net.write_text(json.dumps({"subsystems": [
+            {"name": f"S{i}", "controls": [], "env_inputs": [],
+             "outputs": [{"name": "y", "expr": "true"}] if i == 0 else []}
+            for i in range(1500)
+        ]}))
+        contract = tmp_path / "free.contract.json"
+        contract.write_text(json.dumps({"assumptions": [], "guarantees": ["y"]}))
+        assert cli_main(["synthesize", str(net), str(contract), "--oracle", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["closed_loop_verified"] is True
+        assert report["oracle"] == {"ran": True, "oracle_realizable": True, "agrees": True}
 
     def test_empty_network_is_trivially_realizable(self, tmp_path):
         net = tmp_path / "empty.net.json"

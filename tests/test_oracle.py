@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+import sys
 import time
 
 import numpy as np
@@ -227,6 +229,14 @@ class TestCentralController:
         assert verdicts == {True, False}
 
 
+def every_table(s):
+    """Each controller of `s`, its table's row-major bits counting up from
+    all-False, the first bit most significant."""
+    rows, m = 1 << len(s.env_inputs), len(s.controls)
+    for bits in itertools.product((False, True), repeat=rows * m):
+        yield Controller(s.name, s.env_inputs, s.controls, np.array(bits, dtype=bool).reshape(rows, m))
+
+
 class TestBruteForce:
     def test_serial_chain_found_and_verified(self, serial_chain):
         net, contract = serial_chain
@@ -286,6 +296,34 @@ class TestBruteForce:
         grown_kb, rows = done.stdout.split()
         assert rows == "False"
         assert int(grown_kb) < 100 * 1024
+
+    def test_candidates_are_the_product_of_every_table_in_order(self):
+        # First subsystem slowest, each table all-False first; a subsystem
+        # whose table is unchanged keeps its Controller object.
+        rng = np.random.default_rng(5)
+        nets = [sparse_net()] + [net for net in (random_dag_network(rng) for _ in range(40))
+                                 if controller_table_bits(net) <= 10][:6]
+        for net in nets:
+            names = [s.name for s in net.subsystems]
+            want = [dict(zip(names, tables))
+                    for tables in itertools.product(*(list(every_table(s)) for s in net.subsystems))]
+            got = list(oracle._candidates(net.subsystems))
+            assert got == want
+            for before, after in zip(got, got[1:]):
+                assert all(after[n] is before[n] for n in names if after[n] == before[n])
+        assert sum(controller_table_bits(net) for net in nets) > 30
+
+    def test_control_free_network_deeper_than_the_recursion_limit(self):
+        # No controls means no table bits, so the one candidate fits the
+        # budget whatever the subsystem count.
+        n = sys.getrecursionlimit() + 100
+        systems = [make_system("S0", [], [], {"y": "true"})]
+        systems += [make_system(f"S{i}", [], [], {}) for i in range(1, n)]
+        net = BooleanNetwork(tuple(systems), Interconnection(()))
+        contract = ContractPair(BoolFunc.const(VariableSet(), True), BoolFunc.var("y"))
+        found = brute_force_distributed(net, contract)
+        assert list(found) == [s.name for s in systems]
+        assert verify_closed_loop(net, found, contract).ok
 
     def test_subsystems_without_controls_or_environment(self):
         # S1 has no controls, so its only table is the empty one.  S2 sees

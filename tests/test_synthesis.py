@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import operator
 from functools import reduce
+from sys import getrecursionlimit
 
 import numpy as np
 import pytest
@@ -767,6 +768,43 @@ class TestSearchMemos:
                         out = distributed_synthesis(net, ContractPair(contract.assumption, stronger))
                         assert not out.success, (seed, failures)
         assert failures > 50 and cases > 200
+
+
+def deep_chain(n: int, root: str) -> tuple[BooleanNetwork, ContractPair]:
+    """A serial chain of `n` one-control subsystems, ``y_i = u_i & e_i`` with
+    e_i driven by y_{i-1} and ``y_0 = root``, and the guarantee y_{n-1}."""
+    systems = [make_system("S0", ["u0"], [], {"y0": root})]
+    systems += [make_system(f"S{i}", [f"u{i}"], [f"e{i}"], {f"y{i}": f"u{i} & e{i}"}) for i in range(1, n)]
+    links = tuple(Link(f"S{i - 1}", f"y{i - 1}", f"S{i}", f"e{i}") for i in range(1, n))
+    net = BooleanNetwork(tuple(systems), Interconnection(links))
+    return net, ContractPair(BoolFunc.const(VariableSet(), True), BoolFunc.var(f"y{n - 1}"))
+
+
+class TestSearchDepth:
+    """The search keeps one frame per leaf on a list, not on the
+    interpreter's stack, so a chain deeper than the recursion limit is
+    searched in process."""
+
+    def test_realizable_chain_deeper_than_the_recursion_limit(self):
+        n = getrecursionlimit() + 100
+        net, contract = deep_chain(n, "u0")
+        out = distributed_synthesis(net, contract)
+        assert out.success
+        # the deepest leaf, the root, first
+        assert list(out.local_contracts) == [f"S{i}" for i in range(n)]
+        assert all(lc.guarantee == BoolFunc.var(f"y{i}") for i, lc in enumerate(out.local_contracts.values()))
+        assert verify_closed_loop(net, out.controllers, contract).ok
+
+    def test_failing_chain_pops_every_frame(self):
+        # The root cannot meet y0, so its only split fails, and each leaf
+        # above it runs out of its one split in turn.
+        n = getrecursionlimit() + 100
+        net, contract = deep_chain(n, "u0 & !u0")
+        out = distributed_synthesis(net, contract)
+        assert not out.success and out.controllers == {} and out.local_contracts == {}
+        assert [(t.subsystem, t.distribution) for t in out.trace] == [(f"S{i}", 0) for i in reversed(range(n))]
+        assert out.trace[-1].lra.is_false
+        assert not any(t.lra.is_false for t in out.trace[:-1])
 
 
 def peel_order(net) -> list[str]:
