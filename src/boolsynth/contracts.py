@@ -117,7 +117,7 @@ def project_assumption(assumption: BoolFunc, net: BooleanNetwork, name: str) -> 
 def build_distribution_graph(
     guarantee: BoolFunc, net: BooleanNetwork, name: str
 ) -> DistributionGraph:
-    outputs = net.peel_outputs
+    outputs = net.peel_index
     stray = [v for v in guarantee.scope if v not in outputs]
     if stray:
         raise ValueError(f"guarantee mentions non-output variables: {stray}")

@@ -15,9 +15,9 @@ Contract file::
 
     {"assumptions": [expr, ...], "guarantees": [expr, ...]}
 
-Assumptions are parsed over all external inputs, guarantees over all
-outputs (declaration order); multiple entries are conjoined into a single
-assumption-guarantee pair.
+Assumptions may mention external inputs and guarantees outputs; each side's
+entries are conjoined into one function over the variables they mention, in
+declaration order, so a large network's contract can be small.
 
 Controller file (written by synthesis, read back for verification)::
 
@@ -41,7 +41,7 @@ import stat
 from collections.abc import Iterator, Mapping
 from json.encoder import encode_basestring_ascii as _quote
 
-from .boolfunc import BoolFunc, VariableSet
+from .boolfunc import VariableSet, conjoin
 from .contracts import ContractPair
 from .network import (
     BooleanNetwork,
@@ -53,7 +53,7 @@ from .network import (
     all_outputs,
     external_inputs,
 )
-from .parser import parse_expr
+from .parser import _parsed, parse_expr
 from .synthesis import SynthesisOutcome
 
 __all__ = [
@@ -135,17 +135,14 @@ def load_network(path) -> BooleanNetwork:
 
 
 def load_contract(path, net: BooleanNetwork) -> ContractPair:
-    """Parse a contract against `net`; entries conjoin into a single pair."""
+    """Parse a contract against `net`, each side over what it mentions."""
     doc = read_document(path)
-    ext = external_inputs(net)
-    outs = all_outputs(net)
-    assumption = BoolFunc.const(ext, True)
-    for text in array_field(doc, "assumptions", path):
-        assumption = assumption & parse_expr(str(text), ext)
-    guarantee = BoolFunc.const(outs, True)
-    for text in array_field(doc, "guarantees", path):
-        guarantee = guarantee & parse_expr(str(text), outs)
-    return ContractPair(assumption, guarantee)
+    sides = []
+    for key, names in (("assumptions", external_inputs(net)), ("guarantees", all_outputs(net))):
+        known = set(names)
+        f = conjoin(_parsed(str(text), known) for text in array_field(doc, key, path))
+        sides.append(f.extend(names.restricted_to(f.scope)))
+    return ContractPair(*sides)
 
 
 def _env_labels(n: int) -> Iterator[str]:

@@ -16,8 +16,8 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .boolfunc import (BoolFunc, VariableSet, _extended, _full, _variable_pattern, check_name, check_table_size,
-                       valuation_bits)
+from .boolfunc import (BoolFunc, VariableSet, _composed, _extended, _variable_pattern, check_name,
+                       check_table_size, valuation_bits)
 
 __all__ = [
     "BooleanSystem",
@@ -151,9 +151,9 @@ class BooleanNetwork:
     refuse to run until the report is empty.  The network is frozen, so its
     report is computed once and cached as `violations`, and so are the wiring,
     the system graph, the evaluation order and the output order of a
-    well-posed one, as `drivers`, `edges`, `topological` and `peel_outputs`,
-    and its names, external inputs, outputs and controls in declaration
-    order."""
+    well-posed one, as `drivers`, `edges`, `topological`, `peel_outputs` and
+    `peel_index`, and its names, external inputs, outputs and controls in
+    declaration order."""
 
     subsystems: tuple[BooleanSystem, ...]
     wiring: Interconnection = field(default_factory=Interconnection)
@@ -219,6 +219,12 @@ class BooleanNetwork:
         guarantee's scope in this order, so the outputs of the leaf it
         peels next lead."""
         return VariableSet._derived(tuple(y for s in reversed(self.topological) for y in s.outputs))
+
+    @cached_property
+    def peel_index(self) -> dict[str, int]:
+        """Each output's position in `peel_outputs`, computed on first use:
+        the search sorts scopes by it and looks outputs up in it."""
+        return {y: i for i, y in enumerate(self.peel_outputs)}
 
     @cached_property
     def external_inputs(self) -> VariableSet:
@@ -457,11 +463,11 @@ def closed_loop(
     subsystem's own controller sets controls that it reads, it becomes a
     table over the subsystem's environment inputs, ``exists u. f(e, u) &
     [u = ctrl(e)]``: the cell of each environment row at the controller's
-    rank (`_under_controller`).  Then a Shannon expansion over its inputs
-    outside `free`, internal inputs and the controls a central controller
-    sets, muxes the cofactors by those inputs' values (`_substituted`).
-    Cones are masks over `free` while the walk runs, first variable most
-    significant, and each mask becomes a scope once.
+    rank (`_under_controller`).  Then its inputs outside `free`, internal
+    inputs and the controls a central controller sets, are replaced by
+    their values (`_substituted`, `boolfunc._composed`).  Cones are masks
+    over `free` while the walk runs, first variable most significant, and
+    each mask becomes a scope once.
     """
     n = len(free)
     cone = {v: 1 << (n - 1 - i) for i, v in enumerate(free)}
@@ -518,44 +524,20 @@ def _under_controller(bits: int, n: int, cells: list[int]) -> int:
 
 def _substituted(f: BoolFunc, cone: VariableSet, values: Mapping[str, BoolFunc]) -> BoolFunc:
     """`f` over `cone`, with each variable outside `cone` replaced by its
-    function in `values`, a function over part of `cone`.
-
-    A Shannon expansion over f's variables up to the last replaced one,
-    each branch muxed by the variable's function on `cone`, or by its
-    pattern where the variable is in `cone`: a constant cofactor ends its
-    branch, one over the variables after the last replaced one is put on
-    `cone`, and a cofactor is expanded once however many branches reach
-    it."""
+    function in `values`, a function over part of `cone`: `_composed` with
+    a mux per variable up to the last replaced one, that variable's pattern
+    on `cone` where it is in `cone` and its value put on `cone` otherwise."""
     scope = f.scope
-    last = len(scope) - 1
-    while last >= 0 and scope[last] in cone:
+    last = len(scope)
+    while last and scope[last - 1] in cone:
         last -= 1
-    if last < 0:
+    if not last:
         return BoolFunc._wrap(cone, _extended(f, cone))
     k = len(cone)
     check_table_size(k)
     muxes = [_variable_pattern(k, k - 1 - cone.index(v)) if v in cone else _extended(values[v], cone)
-             for v in scope[:last + 1]]
-    tail = VariableSet._derived(scope[last + 1:])
-    full = _full(k)
-    memo: dict[tuple[int, int], int] = {}
-
-    def expand(bits: int, i: int, width: int) -> int:
-        if not bits:
-            return 0
-        if bits == (1 << width) - 1:
-            return full
-        if i > last:
-            return _extended(BoolFunc._wrap(tail, bits), cone)
-        closed = memo.get((bits, i))
-        if closed is None:
-            width >>= 1
-            lo = expand(bits & ((1 << width) - 1), i + 1, width)
-            hi = expand(bits >> width, i + 1, width)
-            closed = memo[bits, i] = lo ^ ((lo ^ hi) & muxes[i])
-        return closed
-
-    return BoolFunc._wrap(cone, expand(f.bits, 0, 1 << len(scope)))
+             for v in scope[:last]]
+    return BoolFunc._wrap(cone, _composed(f, muxes, cone))
 
 
 def compose(

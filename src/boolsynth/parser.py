@@ -17,6 +17,7 @@ levels are accepted, so no text exhausts the interpreter's recursion limit.
 from __future__ import annotations
 
 import re
+from collections.abc import Container
 from functools import reduce
 
 from .boolfunc import BoolFunc, VariableSet
@@ -75,10 +76,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str, scope: VariableSet):
+    def __init__(self, text: str, names: Container[str]):
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.scope = scope
+        self.names = names
         self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
@@ -122,7 +123,7 @@ class _Parser:
                 return BoolFunc.const(VariableSet(), True)
             if val == "false":
                 return BoolFunc.const(VariableSet(), False)
-            if val not in self.scope:
+            if val not in self.names:
                 raise UnknownIdentifierError(val, pos)
             return BoolFunc.var(val)
         if kind == "op" and val == "(":
@@ -134,6 +135,16 @@ class _Parser:
         raise ExprSyntaxError(f"expected an operand, found {val!r}" if val else "unexpected end of expression", pos)
 
 
+def _parsed(text: str, names: Container[str]) -> BoolFunc:
+    """`text` over the variables it mentions, each of which is in `names`."""
+    p = _Parser(text, names)
+    f = p.expr()
+    kind, val, pos = p.peek()
+    if kind != "end":
+        raise ExprSyntaxError(f"unexpected trailing input {val!r}", pos)
+    return f
+
+
 def parse_expr(text: str, scope: VariableSet) -> BoolFunc:
     """Parse `text` into a BoolFunc over exactly the given scope.
 
@@ -141,9 +152,4 @@ def parse_expr(text: str, scope: VariableSet) -> BoolFunc:
     extended so its scope equals `scope` even when some variables are
     unmentioned.
     """
-    p = _Parser(text, scope)
-    f = p.expr()
-    kind, val, pos = p.peek()
-    if kind != "end":
-        raise ExprSyntaxError(f"unexpected trailing input {val!r}", pos)
-    return f.extend(scope)
+    return _parsed(text, frozenset(scope)).extend(scope)

@@ -7,9 +7,9 @@ least restrictive assumption and extraction all read one packed table,
 G(f(u, e)) over the subsystem's inputs, environment inputs first, so each
 environment valuation owns a row of cells, one per control valuation
 (`_winning`).  A subsystem's output functions never change, so each is
-packed over the inputs once (`BooleanSystem.output_bits`) and G(f) is a
-Shannon expansion of G over its outputs, one AND per branch, not a fresh
-composition per attempt.  The masks an attempt reads of the assumption
+packed over the inputs once (`BooleanSystem.output_bits`) and G(f) is G
+with its outputs replaced by those tables (`boolfunc._composed`), not a
+fresh composition per attempt.  The masks an attempt reads of the assumption
 and the internal inputs are planned once per leaf as well (`_plan`), so
 the losing set ``A & ~exists u: G(f)`` of each internal valuation is one
 OR-fold of the rows and one AND (`_losing`).  `distributed_synthesis`
@@ -35,7 +35,8 @@ of it.  So the leaf being peeled leads: its distribution graph's relation is
 the guarantee itself, a split's remainder needs no reordering, and the
 strengthened guarantee is one `boolfunc._combined` AND of the remainder,
 which spans the rest of the guarantee's scope, and the rewired assumption,
-which spans the leaf's driving outputs: one scope per leaf, planned once.
+which spans the leaf's driving outputs: one scope per leaf, planned once
+and sorted by `BooleanNetwork.peel_index`, so planning is linear.
 
 The assumption never changes, so the search's state is one stack of
 frames, one per leaf entered, each with its guarantee.  Each leaf keeps
@@ -57,10 +58,9 @@ from .boolfunc import (
     VariableSet,
     _cofactors,
     _combined,
+    _composed,
     _extended,
-    _full,
     _variable_pattern,
-    check_table_size,
 )
 from .contracts import (
     ContractPair,
@@ -119,49 +119,18 @@ class SynthesisOutcome:
 
 def _winning(sys: BooleanSystem, guarantee: BoolFunc) -> int:
     """G(f(u, e)) packed over the system's inputs, environment inputs then
-    controls: the Shannon expansion of G over its outputs, from the first,
-    with each branch on output y ANDed with y's packed table
-    (`BooleanSystem.output_bits`) or its complement.  A constant branch ends
-    the expansion, so a cube costs one AND per output.  A cofactor whose
-    branches both expand to non-constant tables is expanded once however
-    many branches reach it (memo keyed by the cofactor and its depth), so a
-    parity of k outputs costs O(k) ANDs.  A cofactor with a constant branch
-    is one AND away from its other branch and is not kept: keeping a cube's
-    chain of them would hold a table over all inputs per output, 220 MB
-    more for central synthesis of the four-generator EPS chain.  On the
-    search's per-call copies of the systems the table is kept per guarantee
-    (`BooleanSystem._wins`), so the extraction after a success reads the
-    table its least restrictive assumption was computed on."""
+    controls: G with each output replaced by its packed table
+    (`BooleanSystem.output_bits`, `boolfunc._composed`).  On the search's
+    per-call copies of the systems it is kept per guarantee (`_wins`), so
+    the extraction after a success reads the table its least restrictive
+    assumption was computed on."""
     wins = sys._wins
     win = None if wins is None else wins.get(guarantee)
-    if win is not None:
-        return win
-    n = len(sys.env_inputs) + len(sys.controls)
-    check_table_size(n)
-    full = _full(n)
-    outputs = sys.output_bits(guarantee.scope)
-    memo: dict[tuple[int, int], int] = {}
-
-    def expand(bits: int, i: int, width: int) -> int:
-        if not bits:
-            return 0
-        if bits == (1 << width) - 1:
-            return full
-        win = memo.get((bits, i))
-        if win is None:
-            width >>= 1
-            lo, hi = expand(bits & ((1 << width) - 1), i + 1, width), expand(bits >> width, i + 1, width)
-            if lo == hi:
-                return lo
-            f = outputs[i]
-            win = (hi & f) | (lo & (full ^ f))
-            if lo not in (0, full) and hi not in (0, full):
-                memo[bits, i] = win
-        return win
-
-    win = expand(guarantee.bits, 0, 1 << len(guarantee.scope))
-    if wins is not None:
-        wins[guarantee] = win
+    if win is None:
+        inputs = VariableSet._derived(sys.env_inputs + sys.controls)
+        win = _composed(guarantee, sys.output_bits(guarantee.scope), inputs)
+        if wins is not None:
+            wins[guarantee] = win
     return win
 
 
@@ -314,7 +283,8 @@ def distributed_synthesis(net: BooleanNetwork, contract: ContractPair) -> Synthe
         guarantee = BoolFunc.const(VariableSet(), True)
     # into the search's one output order: a copy at most once per call, and
     # none for a compiled EPS guarantee, which is built in that order
-    scope = net.peel_outputs.restricted_to(guarantee.scope)
+    order = net.peel_index.__getitem__
+    scope = VariableSet._derived(tuple(sorted(guarantee.scope, key=order)))
     guarantee = guarantee.extend(scope)
     # Per leaf, in peel order: the system, its internal inputs, its local
     # assumption and that over its environment inputs, the rewiring of its
@@ -326,7 +296,7 @@ def distributed_synthesis(net: BooleanNetwork, contract: ContractPair) -> Synthe
         local = project_assumption(contract.assumption, net, sys.name)
         internal = sys.env_inputs.restricted_to(net.drivers)
         rewiring = _rewiring(internal, net, sys.name)
-        scope = net.peel_outputs.restricted_to([*scope.without(sys.outputs), *rewiring[0]])
+        scope = VariableSet._derived(tuple(sorted({*scope.without(sys.outputs), *rewiring[0]}, key=order)))
         leaves.append((sys._fresh(), internal, local, local.extend(sys.env_inputs),
                        rewiring, scope, {}, {}))
     trace: list[TraceEntry] = []

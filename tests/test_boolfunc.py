@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import json
 import operator
@@ -18,6 +19,8 @@ from boolsynth.boolfunc import (
     Valuation,
     VariableSet,
     _combined,
+    _composed,
+    _extended,
     all_valuations,
     check_table_size,
     conjoin,
@@ -500,6 +503,52 @@ class TestSubstitute:
         f = BoolFunc.var("y")
         with pytest.raises(ValueError):
             f.substitute({"y": BoolFunc.var("y") | BoolFunc.var("a")})
+
+
+class TestComposed:
+    """`_composed`, the one functional composition behind the local game
+    and the closed-loop walk, against the independent symbolic route:
+    `BoolFunc.substitute`, then `extend`."""
+
+    def test_equals_substitute_then_extend(self):
+        rng = np.random.default_rng(33)
+        names = [f"x{i}" for i in range(8)]
+        others = ["a", "b", "c", "d"]
+        none = every = 0
+        for _ in range(400):
+            f = random_func(rng, rng.choice(names, int(rng.integers(0, 9)), replace=False))
+            k = int(rng.integers(0, len(f.scope) + 1))
+            none, every = none + (k == 0), every + (k == len(f.scope))
+            order = [*f.scope[k:], *rng.choice(others, int(rng.integers(0, 5)), replace=False)]
+            rng.shuffle(order)
+            domain = VariableSet(order)
+            values = {v: random_func(rng, rng.choice(order, int(rng.integers(0, len(order) + 1)), replace=False))
+                      for v in f.scope[:k]}
+            muxes = [_extended(values[v], domain) for v in f.scope[:k]]
+            assert _composed(f, muxes, domain) == f.substitute(values).extend(domain).bits
+        assert none > 50 and every > 50
+
+    def test_parity_of_k_replaced_variables_takes_o_k_muxes(self):
+        # Without the memo the expansion would mux 2^14 - 1 cofactors; with
+        # it each variable's level holds two, the parity and its complement.
+        muxed = []
+
+        class Mux(int):
+            """A replacement table that counts the muxes that read it."""
+
+            def __rand__(self, other):
+                muxed.append(self)
+                return int(other) & int(self)
+
+        k = 14
+        scope = VariableSet(f"x{i}" for i in range(k))
+        parity = functools.reduce(operator.xor, (BoolFunc.var(v) for v in scope))
+        rng = np.random.default_rng(14)
+        domain = VariableSet(["a", "b", "c", "d"])
+        values = [random_func(rng, domain) for _ in scope]
+        composed = _composed(parity, [Mux(_extended(g, domain)) for g in values], domain)
+        assert composed == functools.reduce(operator.xor, values).bits
+        assert k <= len(muxed) <= 2 * k + 1
 
 
 class TestSemanticLaws:

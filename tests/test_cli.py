@@ -287,7 +287,9 @@ class TestDistributeCommand:
 
     def test_oracle_over_budget_is_skipped(self, tmp_path, capsys):
         # S1's 2^4 valuations against S2's 2^5 need 2^16 x 32 subset steps,
-        # above the oracle's budget: the splits are still listed.
+        # above the oracle's budget: the splits are still listed.  The
+        # guarantee reads all five of S2's outputs, since a contract side
+        # spans only the variables it mentions.
         def system(name, prefix, outputs):
             return {"name": name, "controls": [f"u{prefix}"], "env_inputs": [f"e{prefix}"],
                     "outputs": [{"name": f"{prefix}{k}", "expr": f"u{prefix} ^ e{prefix}" if k else f"u{prefix}"}
@@ -296,7 +298,7 @@ class TestDistributeCommand:
         net = tmp_path / "wide.net.json"
         net.write_text(json.dumps({"subsystems": [system("S1", "y", 4), system("S2", "z", 5)]}))
         contract = tmp_path / "wide.ctr.json"
-        contract.write_text(json.dumps({"assumptions": [], "guarantees": ["y0 | z0"]}))
+        contract.write_text(json.dumps({"assumptions": [], "guarantees": ["y0 | z0 & z1 & z2 & z3 & z4"]}))
         argv = ["distribute", str(net), str(contract), "--subsystem", "S1", "--oracle"]
         assert cli_main(argv) == 0
         out = capsys.readouterr().out

@@ -31,11 +31,36 @@ def test_network_file_matches_programmatic_construction():
     assert net == serial_chain_net()
 
 
-def test_contract_scopes_span_the_network():
+def test_contract_scopes_are_the_mentioned_variables_in_declaration_order(tmp_path):
     net = load_network(FIXTURES / "serial_chain.net.json")
     contract = load_contract(FIXTURES / "serial_chain.contract.json", net)
-    assert contract.assumption.scope == external_inputs(net)
-    assert contract.guarantee.scope == all_outputs(net)
+    assert contract.assumption.scope == ("e1",)
+    assert contract.guarantee.scope == ("y2",)
+    path = tmp_path / "reversed.json"
+    path.write_text(json.dumps({"assumptions": ["e2 | e1"], "guarantees": ["y2", "y1"]}))
+    contract = load_contract(path, net)
+    assert contract.assumption.scope == external_inputs(net) == ("e1", "e2")
+    assert contract.guarantee.scope == all_outputs(net) == ("y1", "y2")
+    path.write_text(json.dumps({"assumptions": [], "guarantees": ["true"]}))
+    contract = load_contract(path, net)
+    assert contract.assumption.scope == contract.guarantee.scope == ()
+    assert contract.assumption.is_true and contract.guarantee.is_true
+
+
+def test_contract_on_a_wide_network_spans_only_what_it_mentions(tmp_path):
+    # 40 external inputs and 40 outputs: a side over all of either would
+    # be a truth table over 40 variables, past the table guard.
+    systems = [{"name": f"S{i}", "controls": [f"u{i}"], "env_inputs": [f"e{i}"],
+                "outputs": [{"name": f"y{i}", "expr": f"u{i} & e{i}"}]} for i in range(40)]
+    net_path, contract_path = tmp_path / "wide.net.json", tmp_path / "wide.contract.json"
+    net_path.write_text(json.dumps({"subsystems": systems}))
+    contract_path.write_text(json.dumps({"assumptions": ["e31", "e7"], "guarantees": ["y39 | y2"]}))
+    net = load_network(net_path)
+    assert len(external_inputs(net)) == len(all_outputs(net)) == 40
+    contract = load_contract(contract_path, net)
+    assert contract.assumption.scope == ("e7", "e31")
+    assert contract.guarantee.scope == ("y2", "y39")
+    assert contract.assumption.bits == 0b1000 and contract.guarantee.bits == 0b1110
 
 
 def test_multiple_contract_entries_are_conjoined(tmp_path):

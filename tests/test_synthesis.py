@@ -807,6 +807,36 @@ class TestSearchDepth:
         assert not any(t.lra.is_false for t in out.trace[:-1])
 
 
+class CountedScope(VariableSet):
+    """A scope that counts its scans: each iteration and each `in` check."""
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+    def __contains__(self, name):
+        self.scans += 1
+        return super().__contains__(name)
+
+
+class TestLinearPlanning:
+    """The search reads the network's output order through `peel_index`,
+    built once, so no leaf and no attempt scans every output again."""
+
+    @pytest.mark.parametrize("root", ["u0", "u0 & !u0"])
+    def test_peel_outputs_scans_do_not_grow_with_the_chain(self, root):
+        scans = []
+        for n in (100, 2000):
+            net, contract = deep_chain(n, root)
+            counted = CountedScope._derived(tuple(net.peel_outputs))
+            counted.scans = 0
+            net.__dict__["peel_outputs"] = counted
+            out = distributed_synthesis(net, contract)
+            assert out.success == (root == "u0") and len(out.trace) == n
+            scans.append(counted.scans)
+        assert scans == [1, 1]
+
+
 def peel_order(net) -> list[str]:
     """Every output, the subsystems children first, each one's outputs in
     declaration order."""
