@@ -14,12 +14,17 @@ is an XOR with the all-true table.  A change of scope moves blocks of cells
 by shifts under variable patterns, the cells whose rank has one bit set,
 cached per (variables, position) for small tables: `extend` inserts each new
 variable, `project` ORs and splits halves, and a reordering swaps two
-variables at a time.  One reader lists a table's set cells in ascending
-rank (`_set_cells`), for formatting, valuations and the oracles, and the
-closed-loop walk of `network` muxes packed tables too.  Arrays appear only
+variables at a time; an extension's plan is cached by where the scope's
+variables sit in the target, not by their names.  One reader lists a
+table's set cells in ascending rank (`_set_cells`), for formatting,
+valuations and the oracles, and the closed-loop walk of `network` muxes
+packed tables too.  Arrays appear only
 where data comes in or goes out: the constructor packs one,
 `BoolFunc.table` unpacks one for tests and `DistributionGraph.adjacency`,
-and `evaluate_many` gathers cells at arrays of valuations.
+`evaluate_many` gathers cells at arrays of valuations, and
+`valuation_ranks` and `valuation_bits` convert between them and ranks.
+These five edges import numpy when they are called, so the module needs
+only the standard library.
 
 Equality is semantic over identical scopes; use :meth:`BoolFunc.equivalent`
 to compare functions whose scopes differ.
@@ -31,9 +36,8 @@ import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import repeat
 from operator import and_, or_, xor
-
-import numpy as np
 
 __all__ = [
     "MAX_TABLE_CELLS",
@@ -179,6 +183,7 @@ def valuation_ranks(bits: Iterable) -> np.ndarray:
     """Lexicographic rank of each valuation, from one 0/1 array per variable
     in scope order (the first variable is the most significant bit); the
     arrays broadcast against each other.  No arrays give rank 0."""
+    import numpy as np
     rank = np.int64(0)
     for b in bits:
         rank = np.bitwise_or(rank << 1, b, dtype=np.int64)
@@ -188,6 +193,7 @@ def valuation_ranks(bits: Iterable) -> np.ndarray:
 def valuation_bits(ranks, n: int) -> np.ndarray:
     """Inverse of `valuation_ranks`: bool array of shape ``(n, *ranks.shape)``
     whose row ``i`` holds bit ``i`` of each rank, most significant first."""
+    import numpy as np
     ranks = np.asarray(ranks, dtype=np.int64)
     bits = np.empty((n,) + ranks.shape, dtype=bool)
     for i in range(n):
@@ -250,12 +256,15 @@ def _variable_pattern(n: int, k: int) -> int:
 
 
 @lru_cache(maxsize=4096)
-def _embedding(scope: VariableSet, target: VariableSet) -> tuple:
-    """How `_extended` puts a table over `scope` on `target`, a superset in
-    any order: the delta swaps that put the scope in target order, then one
-    insertion per run of consecutive new variables, lowest rank bits first,
-    so that the table is small while most of it moves.  Cached, most recent
-    first: the search extends the few scopes of each leaf again and again.
+def _embedding(positions: tuple[int, ...], n: int) -> tuple:
+    """How `_extended` puts a table over a scope on a target scope of `n`
+    variables, a superset in any order, where `positions` holds the position
+    in the target of each variable of the scope: the delta swaps that put
+    the scope in target order, then one insertion per run of consecutive new
+    variables, lowest rank bits first, so that the table is small while most
+    of it moves.  A plan depends on the positions alone, not on the names,
+    so it is cached by them, most recent first: a network whose subsystems
+    name their variables apart shares the plans of its few scope shapes.
 
     A swap, ``(m, a, b)`` for a table over m variables, exchanges the rank
     bits ``a < b`` of a variable out of place and of the one that belongs
@@ -280,7 +289,7 @@ def _embedding(scope: VariableSet, target: VariableSet) -> tuple:
     inputs.  Blocks of a few cells stay with the moves, since cutting costs
     a Python step per block.
 
-    Where `target` has at most `_CACHED_VARIABLES` variables the swaps and
+    Where the target has at most `_CACHED_VARIABLES` variables the swaps and
     insertions are resolved instead into steps ``(kind, mask, shift)`` with
     the cached patterns in place, so that extending a small table costs
     only its int operations: kind 0 is a delta swap of the cells under
@@ -288,18 +297,17 @@ def _embedding(scope: VariableSet, target: VariableSet) -> tuple:
     `shift`, and 2 copies the table onto itself `shift` cells up.  Larger
     targets get None for the steps.
     """
-    have = set(scope)
-    order = tuple(v for v in target if v in have)
-    m, at, swaps = len(order), list(scope), []
-    for i, v in enumerate(order):
-        j = at.index(v, i)
+    have = set(positions)
+    m, at, swaps = len(positions), list(positions), []
+    for i, p in enumerate(sorted(positions)):
+        j = at.index(p, i)
         if j != i:
             swaps.append((m, m - 1 - j, m - 1 - i))
             at[i], at[j] = at[j], at[i]
-    n, t, present, insertions = len(target), 0, m, []
+    t, present, insertions = 0, m, []
     while t < n:
         g = 0
-        while t + g < n and target[n - 1 - t - g] not in have:
+        while t + g < n and n - 1 - t - g not in have:
             g += 1
         if g:
             insertions.append((present, t, g))
@@ -378,7 +386,8 @@ def _extended(f: "BoolFunc", scope: VariableSet) -> int:
     if f.scope == scope:
         return f.bits
     bits = f.bits
-    swaps, insertions, steps = _embedding(f.scope, scope)
+    positions = tuple(map(tuple.index, repeat(scope, len(f.scope)), f.scope))
+    swaps, insertions, steps = _embedding(positions, len(scope))
     if steps is not None:
         for kind, mask, shift in steps:
             if kind == 2:
@@ -468,6 +477,7 @@ class BoolFunc:
         """The function whose table is `table`, any array-like of
         ``2^len(scope)`` cells in canonical order, such as the C-ordered
         array of shape ``(2,) * len(scope)``; it is packed, not kept."""
+        import numpy as np
         scope = _as_scope(scope)
         arr = np.asarray(table, dtype=bool)
         if arr.size != 1 << len(scope):
@@ -500,6 +510,7 @@ class BoolFunc:
         valuation order.  Computed on each access, for tests and
         `DistributionGraph.adjacency`: the library reads cells packed
         (`_set_cells`, `evaluate_many`)."""
+        import numpy as np
         cells = 1 << len(self.scope)
         packed = np.frombuffer(self.bits.to_bytes((cells + 7) >> 3, "little"), np.uint8)
         table = np.unpackbits(packed, count=cells, bitorder="little").view(bool)
@@ -569,6 +580,7 @@ class BoolFunc:
         """Vectorized evaluation; each scope variable maps to a 0/1 array.
         The table is read packed: the cell of rank r is bit ``r & 7`` of
         byte ``r >> 3`` of its bytes, not unpacked."""
+        import numpy as np
         if not self.scope:
             probe = next(iter(assignments.values()), None)
             return np.full(() if probe is None else np.shape(probe), bool(self.bits))

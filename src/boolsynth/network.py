@@ -4,6 +4,9 @@ A subsystem maps control and environment inputs to outputs through one
 boolean function per output.  Networks connect subsystem outputs to other
 subsystems' environment inputs; the induced system graph must be a DAG.
 Environment inputs driven by a wire are *internal*, the rest *external*.
+A controller is one control rank per input valuation; only its two array
+edges, the constructor from an unpacked table and `Controller.table`,
+import numpy, when they are called.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from heapq import heappop, heappush
-
-import numpy as np
 
 from .boolfunc import (BoolFunc, VariableSet, _composed, _extended, _variable_pattern, check_name,
                        check_table_size, valuation_bits)
@@ -380,6 +381,7 @@ class Controller:
     ranks: tuple[int, ...]
 
     def __init__(self, subsystem: str, inputs: VariableSet, controls: VariableSet, table) -> None:
+        import numpy as np
         want = (1 << len(inputs), len(controls))
         table = np.array(table, dtype=bool)  # a jagged table raises ValueError
         if table.shape != want:
@@ -409,6 +411,7 @@ class Controller:
         """The ranks unpacked to a fresh read-only, C-contiguous bool array
         of shape ``(2^|inputs|, |controls|)``, computed on each access for
         tests: the library reads the ranks."""
+        import numpy as np
         table = np.ascontiguousarray(valuation_bits(self.ranks, len(self.controls)).T)
         table.setflags(write=False)
         return table

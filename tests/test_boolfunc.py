@@ -20,6 +20,7 @@ from boolsynth.boolfunc import (
     VariableSet,
     _combined,
     _composed,
+    _embedding,
     _extended,
     all_valuations,
     check_table_size,
@@ -297,6 +298,14 @@ class TestTableKernels:
         before = f.table.copy()
         raw[:] = ~raw
         assert np.array_equal(f.table, before)
+
+    def test_extension_plans_are_shared_by_scopes_of_one_shape(self):
+        # A plan is keyed by where the scope's variables sit in the target,
+        # so conjunctions over distinct names share the plans of one shape.
+        _embedding.cache_clear()
+        for i in range(200):
+            assert (BoolFunc.var(f"a{i}") & BoolFunc.var(f"b{i}")).bits == 0b1000
+        assert _embedding.cache_info().misses <= 2
 
 
 def dense_on(table: np.ndarray, scope: list, target: list) -> np.ndarray:
